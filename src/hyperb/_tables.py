@@ -15,18 +15,31 @@ segment is exactly a bitset of the form 2^m - 1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-# Tables are materialized per ground size; 2^14 entries is already beyond
-# every sweep in the suite (exhaustive checks stop at n=4, sampling at n=12).
+from .errors import InfeasibleError
+
+# Tables are materialized per ground size, and a larger ground is refused as
+# infeasible.  Most tables hold 2^n small entries; the ball tables hold 2^n
+# bitsets of 2^n bits per radius and have their own cap, MAX_BALL_BYTES.
 MAX_TABLE_BITS = 14
+
+# Byte cap on the ball tables of one ground.  balls(n, p) costs n big-int ORs
+# per vertex per radius and keeps every radius 0..p; its estimated size
+# (ball_table_bytes) is about 9 MB per radius at n = 13 and 36 MB at n = 14.
+# A request over the cap is refused before anything is allocated: all radii
+# fit at n <= 13 (about 129 MB at n = 13), only radii 0..3 at n = 14.
+MAX_BALL_BYTES = 160 * 2**20
 
 
 def _check_table_size(n: int) -> None:
-    if not 0 <= n <= MAX_TABLE_BITS:
-        raise ValueError(
+    if n < 0:
+        raise ValueError(f"ground size must be non-negative, got {n}")
+    if n > MAX_TABLE_BITS:
+        raise InfeasibleError(
             f"ground size {n} exceeds the desk-scale table capacity "
             f"({MAX_TABLE_BITS} bits)"
         )
@@ -83,31 +96,46 @@ def iter_bits(bits: int):
         bits ^= low
 
 
-@lru_cache(maxsize=None)
-def balls(n: int) -> tuple[tuple[int, ...], ...]:
-    """balls(n)[p][mask] = family bitset of all y with |mask xor y| <= p.
+def ball_table_bytes(n: int, p: int) -> int:
+    """Estimated bytes of the ball tables for radii 0..p at ground size n:
+    per radius, 2^n tuple slots, each holding a full-width bitset."""
+    return (p + 1) * (1 << n) * (8 + sys.getsizeof(universe_bits(n)))
 
-    Built incrementally by Hamming shells so the whole p = 0..n stack costs
-    one pass over all 4^n (x, offset) pairs.
+
+@lru_cache(maxsize=None)
+def balls(n: int, p: int) -> tuple[int, ...]:
+    """balls(n, p)[mask] = family bitset of all y with |mask xor y| <= p.
+
+    Radius p is built from the cached radius p - 1 by the neighbour
+    recurrence B_p(x) = B_{p-1}(x) | OR_i B_{p-1}(x xor 2^i), so each radius
+    costs n big-int ORs per vertex.  Radii above n are the radius-n table.
+    Raises InfeasibleError, before allocating, when radii 0..p at this ground
+    would take more than MAX_BALL_BYTES.
     """
     _check_table_size(n)
-    order = masks_in_order(n)
-    rankbit = [0] * (1 << n)
-    for r, m in enumerate(order):
-        rankbit[m] = 1 << r
-    size = 1 << n
-    cur = list(rankbit)  # p = 0: just the point itself
-    out = [tuple(cur)]
-    for p in range(1, n + 1):
-        shell = [m for m in order if m.bit_count() == p]
-        nxt = []
-        for x in range(size):
-            acc = cur[x]
-            for e in shell:
-                acc |= rankbit[x ^ e]
-            nxt.append(acc)
-        cur = nxt
-        out.append(tuple(cur))
+    if p < 0:
+        raise ValueError("radius must be non-negative")
+    if p > n:
+        return balls(n, n)
+    need = ball_table_bytes(n, p)
+    if need > MAX_BALL_BYTES:
+        raise InfeasibleError(
+            f"ball tables for radii 0..{p} at n={n} need about {need >> 20} MiB, "
+            f"over the {MAX_BALL_BYTES >> 20} MiB cap"
+        )
+    if p == 0:
+        table = [0] * (1 << n)
+        for r, m in enumerate(masks_in_order(n)):
+            table[m] = 1 << r
+        return tuple(table)
+    prev = balls(n, p - 1)
+    flips = [1 << i for i in range(n)]
+    out = []
+    for x in range(1 << n):
+        acc = prev[x]
+        for e in flips:
+            acc |= prev[x ^ e]
+        out.append(acc)
     return tuple(out)
 
 
@@ -121,7 +149,7 @@ def closed_bits(family: int, n: int, p: int) -> int:
         raise ValueError("radius must be non-negative")
     if p >= n:
         return universe_bits(n)
-    ball = balls(n)[p]
+    ball = balls(n, p)
     order = masks_in_order(n)
     acc = universe_bits(n)
     rest = family
@@ -148,7 +176,7 @@ def open_size_bits(family: int, n: int, p: int) -> int:
 def initial_segment_closed_sizes(n: int, p: int) -> tuple[int, ...]:
     """sizes[m] = |C^p[I_m]| for every prefix length m, via incremental ANDs."""
     order = masks_in_order(n)
-    ball = balls(n)[min(p, n)]
+    ball = balls(n, p)
     cur = universe_bits(n)
     sizes = [cur.bit_count()]
     for mask in order:
@@ -161,7 +189,7 @@ def initial_segment_closed_sizes(n: int, p: int) -> tuple[int, ...]:
 def initial_segment_open_sizes(n: int, p: int) -> tuple[int, ...]:
     """sizes[m] = |C^p(I_m)| for every prefix length m."""
     order = masks_in_order(n)
-    ball = balls(n)[min(p, n)]
+    ball = balls(n, p)
     cur = universe_bits(n)
     sizes = [cur.bit_count()]
     seg = 0

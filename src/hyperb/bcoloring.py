@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import _tables, bounds
-from .errors import IntegrityError
+from .errors import InfeasibleError, IntegrityError
 from .subsets import GroundSet, SubsetMask, format_subset
 
 MAX_SOLVER_VERTICES = 1024
@@ -123,7 +123,7 @@ def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     """Materialized neighbor bitsets; used by the validator and the solver."""
     count = g.vertex_count
     if count > 4096:
-        raise ValueError(f"adjacency materialization capped at 4096 vertices, got {count}")
+        raise InfeasibleError(f"adjacency materialization capped at 4096 vertices, got {count}")
     if g.kind == "hypercube":
         order = _tables.masks_in_order(g.n)
         rank_of = _tables.rank_of_mask(g.n)
@@ -374,7 +374,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     """
     count = g.vertex_count
     if count > MAX_SOLVER_VERTICES:
-        raise ValueError(f"solver capped at {MAX_SOLVER_VERTICES} vertices, got {count}")
+        raise InfeasibleError(f"solver capped at {MAX_SOLVER_VERTICES} vertices, got {count}")
     rows = list(_adjacency_rows(g))
     degrees = [r.bit_count() for r in rows]
     fallback = greedy_b_coloring(g)

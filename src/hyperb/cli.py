@@ -1,9 +1,10 @@
 """Command-line front end: bound tables, verification sweeps, coloring
 construction, exact solving, and rank/unrank debugging.
 
-Exit codes: 0 success, 2 I/O or usage failure, 3 infeasible request, 4 solver budget
-exhausted.  Identical invocations (including seeds) produce byte-identical
-output files; wall-clock timings go to stderr only.
+Exit codes: 0 success, 1 violations or integrity failure, 2 I/O or usage
+failure, 3 infeasible request, 4 solver budget exhausted.  Identical
+invocations (including seeds) produce byte-identical output files;
+wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import InfeasibleError, IntegrityError
 from .subsets import GroundSet, format_subset, parse_subset, rank, unrank
 
 EXIT_OK = 0
+EXIT_VIOLATION = 1
 EXIT_IO = 2
 EXIT_USAGE = 2  # argparse convention; shares the code with I/O failures
 EXIT_INFEASIBLE = 3
@@ -28,13 +30,13 @@ DEFAULT_SAMPLES = 100_000
 
 def _parse_range(text: str) -> list[int]:
     """Parse '7' or '5..12' into a list of integers."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            return []
-        return list(range(start, stop + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise ValueError(f"expected an integer or a range like 5..12, got {text!r}") from None
 
 
 def _emit(payload: dict, output: str | None) -> int:
@@ -163,18 +165,14 @@ def cmd_verify(args) -> int:
         code = _emit(payload, args.output)
         if code != EXIT_OK:
             return code
-        return EXIT_OK if ok else 1
-    try:
-        if args.theorem in ("close", "open", "section", "compression") and not args.exhaustive:
-            if args.seed is None:
-                print("error: sample mode requires --seed", file=sys.stderr)
-                return EXIT_USAGE
-        started = time.monotonic()
-        reports = _verify_reports(args)
-        elapsed = time.monotonic() - started
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_OK if ok else EXIT_VIOLATION
+    if args.theorem in ("close", "open", "section", "compression") and not args.exhaustive:
+        if args.seed is None:
+            print("error: sample mode requires --seed", file=sys.stderr)
+            return EXIT_USAGE
+    started = time.monotonic()
+    reports = _verify_reports(args)
+    elapsed = time.monotonic() - started
     payload = {
         "schema": 1,
         "command": "verify",
@@ -190,7 +188,7 @@ def cmd_verify(args) -> int:
         f"{violations} violation(s), {elapsed:.1f}s",
         file=sys.stderr,
     )
-    return EXIT_OK if violations == 0 else 1
+    return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
 def cmd_solve(args) -> int:
@@ -200,8 +198,10 @@ def cmd_solve(args) -> int:
     if args.hypercube is not None:
         g = bcoloring.hypercube_power(int(args.hypercube), args.p)
     else:
-        n_text, q_text = args.hamming.split(",", 1)
-        g = bcoloring.hamming_power(int(n_text), int(q_text), args.p)
+        dims = args.hamming.split(",")
+        if len(dims) != 2:
+            raise ValueError(f"--hamming takes N,Q, got {args.hamming!r}")
+        g = bcoloring.hamming_power(int(dims[0]), int(dims[1]), args.p)
     budget = bcoloring.SolveBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     started = time.monotonic()
     result = bcoloring.exact_b_chromatic(g, budget)
@@ -346,9 +346,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IntegrityError) as exc:
+    except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INFEASIBLE
+    except ValueError as exc:  # the library's error for a malformed request
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

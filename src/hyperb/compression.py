@@ -15,7 +15,12 @@ from math import comb
 
 from . import _tables
 from .errors import IntegrityError
-from .neighborhoods import VerifyReport, family_bits_to_strings, sample_family_bits
+from .neighborhoods import (
+    VerifyReport,
+    check_sweep_request,
+    family_bits_to_strings,
+    sample_family_bits,
+)
 from .subsets import (
     Family,
     GroundSet,
@@ -277,22 +282,16 @@ def verify_compression_inequality(
     The compressed side depends only on (i, |A_i-|, |A_i+|, p), so sampled
     runs cache it and pay mostly for the direct side of each family.
     """
-    from .errors import InfeasibleError
-    from .neighborhoods import MAX_EXHAUSTIVE_N, MAX_SAMPLED_N
-
+    check_sweep_request(n, mode, samples, seed)
     report = VerifyReport(
         check="compression", n=n, p=None, mode=mode, families_checked=0, seed=seed
     )
     if mode == "exhaustive":
-        if n > MAX_EXHAUSTIVE_N:
-            raise InfeasibleError(
-                f"exhaustive family sweep at n={n} is infeasible; use sampling"
-            )
         order = _tables.masks_in_order(n)
         total = 1 << (1 << n)
         sizes = {}
         for p in range(1, n):
-            ball = _tables.balls(n)[p]
+            ball = _tables.balls(n, p)
             cp = [0] * total
             cp[0] = _tables.universe_bits(n)
             sz = [0] * total
@@ -319,12 +318,6 @@ def verify_compression_inequality(
                         )
         report.families_checked = total
         return report
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None or samples is None:
-        raise ValueError("sample mode requires both samples and seed")
-    if n > MAX_SAMPLED_N:
-        raise InfeasibleError(f"sampling capped at n <= {MAX_SAMPLED_N}")
     rng = random.Random(seed)
     tables = [_tables.section_tables(n, j) for j in range(n)]
     compressed_size_cache: dict[tuple[int, int, int, int], int] = {}

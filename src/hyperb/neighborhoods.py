@@ -194,6 +194,31 @@ def _require_exhaustible(n: int) -> None:
         )
 
 
+def check_sweep_request(
+    n: int, mode: str, samples: int | None, seed: int | None
+) -> None:
+    """Validate the mode, arguments and caps of a family sweep.
+
+    Sweeps call this before building any table, so a refused request costs
+    nothing: ValueError for a malformed request, InfeasibleError for one
+    over the exhaustive or sampling cap.
+    """
+    if mode == "exhaustive":
+        _require_exhaustible(n)
+        return
+    if mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed is None or samples is None:
+        raise ValueError("sample mode requires both samples and seed")
+    if n > MAX_SAMPLED_N:
+        raise InfeasibleError(f"sampling capped at n <= {MAX_SAMPLED_N}")
+
+
+def _check_radius(n: int, p: int) -> None:
+    if not 1 <= p <= n:
+        raise ValueError(f"radius p={p} outside 1..{n} for ground size {n}")
+
+
 def sample_family_bits(n: int, rng: random.Random) -> int:
     """Random family: size m uniform in [1, 2^(n-1)], then m distinct subsets."""
     m = rng.randint(1, 1 << (n - 1))
@@ -243,14 +268,15 @@ def verify_close_inequality(
     draws seeded random families.  Any violation is reported with a full
     witness; slack is the bound minus the achieved size.
     """
+    check_sweep_request(n, mode, samples, seed)
+    _check_radius(n, p)
     bound = _tables.initial_segment_closed_sizes(n, p)
-    order = _tables.masks_in_order(n)
     report = VerifyReport(
         check="close", n=n, p=p, mode=mode, families_checked=0, max_slack=0, seed=seed
     )
     if mode == "exhaustive":
-        _require_exhaustible(n)
-        ball = _tables.balls(n)[min(p, n)]
+        order = _tables.masks_in_order(n)
+        ball = _tables.balls(n, p)
         total = 1 << (1 << n)
         cp = [0] * total
         cp[0] = _tables.universe_bits(n)
@@ -267,12 +293,6 @@ def verify_close_inequality(
         report.families_checked = total
         report.max_slack = max_slack
         return report
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None or samples is None:
-        raise ValueError("sample mode requires both samples and seed")
-    if n > MAX_SAMPLED_N:
-        raise InfeasibleError(f"sampling capped at n <= {MAX_SAMPLED_N}")
     rng = random.Random(seed)
     max_slack = 0
     for _ in range(samples):
@@ -301,7 +321,7 @@ def _close_witness(fam: int, n: int, p: int, size: int, bound) -> dict:
 def _qualifies_exhaustive(n: int, p: int) -> list[bool]:
     """qualify[B] = every pair of members of B is within symmetric difference p."""
     order = _tables.masks_in_order(n)
-    ball = _tables.balls(n)[min(p, n)]
+    ball = _tables.balls(n, p)
     total = 1 << (1 << n)
     qual = [False] * total
     qual[0] = True
@@ -325,14 +345,15 @@ def verify_open_inequality(
     Sample mode grows random qualifying families directly: each next member
     is drawn uniformly from the subsets compatible with all current members.
     """
+    check_sweep_request(n, mode, samples, seed)
+    _check_radius(n, p)
     open_bound = _tables.initial_segment_open_sizes(n, p)
     report = VerifyReport(
         check="open", n=n, p=p, mode=mode, families_checked=0, max_slack=0, seed=seed
     )
     if mode == "exhaustive":
-        _require_exhaustible(n)
         order = _tables.masks_in_order(n)
-        ball = _tables.balls(n)[min(p, n)]
+        ball = _tables.balls(n, p)
         total = 1 << (1 << n)
         qual = _qualifies_exhaustive(n, p)
         cp = [0] * total
@@ -356,14 +377,8 @@ def verify_open_inequality(
         report.max_slack = max_slack
         report.details["families_scanned"] = total
         return report
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None or samples is None:
-        raise ValueError("sample mode requires both samples and seed")
-    if n > MAX_SAMPLED_N:
-        raise InfeasibleError(f"sampling capped at n <= {MAX_SAMPLED_N}")
     rng = random.Random(seed)
-    ball = _tables.balls(n)[min(p, n)]
+    ball = _tables.balls(n, p)
     order = _tables.masks_in_order(n)
     universe = _tables.universe_bits(n)
     nbits = 1 << n
@@ -404,12 +419,13 @@ def verify_initial_segment_closure(n: int) -> VerifyReport:
     """Closed neighborhoods of initial segments are again initial segments:
     sweep every segment length a in [0, 2^n] and every p in [1, n]."""
     order = _tables.masks_in_order(n)
+    _tables.balls(n, n)  # every radius is read: build all, or refuse before allocating
     report = VerifyReport(
         check="simplicial", n=n, p=None, mode="exhaustive", families_checked=0
     )
     checked = 0
     for p in range(1, n + 1):
-        ball = _tables.balls(n)[p]
+        ball = _tables.balls(n, p)
         cur = _tables.universe_bits(n)
         for a in range(0, (1 << n) + 1):
             if not _tables.is_prefix_bits(cur):
@@ -493,21 +509,17 @@ def verify_section_identity(
 ) -> VerifyReport:
     """Sweep the section decomposition over families, all coordinates and
     all radii p in [1, n]."""
+    check_sweep_request(n, mode, samples, seed)
     report = VerifyReport(
         check="section", n=n, p=None, mode=mode, families_checked=0, seed=seed
     )
     if mode == "exhaustive":
-        _require_exhaustible(n)
         families: Iterable[int] = range(1 << (1 << n))
         count = 1 << (1 << n)
-    elif mode == "sample":
-        if seed is None or samples is None:
-            raise ValueError("sample mode requires both samples and seed")
+    else:
         rng = random.Random(seed)
         families = (sample_family_bits(n, rng) for _ in range(samples))
         count = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for fam in families:
         for j in range(n):
             for p in range(1, n + 1):
@@ -533,7 +545,7 @@ def find_open_counterexample(n_max: int = 4) -> dict | None:
         order = _tables.masks_in_order(n)
         for p in range(1, n):
             open_bound = _tables.initial_segment_open_sizes(n, p)
-            ball = _tables.balls(n)[p]
+            ball = _tables.balls(n, p)
             total = 1 << (1 << n)
             cp = [0] * total
             cp[0] = _tables.universe_bits(n)

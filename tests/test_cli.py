@@ -1,7 +1,11 @@
 """End-to-end command-line tests: outputs, determinism, exit codes."""
 
 import json
+import time
 
+import pytest
+
+from hyperb import _tables
 from hyperb.cli import main
 
 
@@ -163,6 +167,74 @@ class TestColorAndRank:
     def test_rank_needs_one_direction(self, capsys):
         code, _, _ = run(["rank", "--n", "3"], capsys)
         assert code == 2
+
+
+class TestExitCodes:
+    """One test per documented exit code (0 and 4 are covered above)."""
+
+    def test_violation_exits_1(self, capsys, monkeypatch):
+        # a bound of 0 for every size makes any nonempty neighborhood a violation
+        monkeypatch.setattr(
+            _tables, "initial_segment_closed_sizes", lambda n, p: (0,) * ((1 << n) + 1)
+        )
+        code, out, _ = run(
+            ["verify", "--theorem", "close", "--n", "4", "--p", "2",
+             "--samples", "50", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(out)["reports"][0]["violations"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--n", "5", "--subset", "{9}"],
+            ["table", "--n", "abc"],
+            ["table", "--n", "1"],
+            ["solve", "--hamming", "3", "--p", "1"],
+            ["verify", "--theorem", "close", "--n", "5", "--p", "9",
+             "--samples", "10", "--seed", "1"],
+            ["verify", "--theorem", "open", "--n", "5", "--p", "0",
+             "--samples", "10", "--seed", "1"],
+        ],
+    )
+    def test_usage_error_exits_2(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "coset", "--n", "9", "--q", "3", "--p", "8"],
+            ["verify", "--theorem", "simplicial", "--n", str(_tables.MAX_TABLE_BITS + 1)],
+            ["solve", "--hypercube", "11", "--p", "1"],
+        ],
+    )
+    def test_infeasible_exits_3(self, capsys, argv):
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert "capped" in err or "capacity" in err
+
+    @pytest.mark.parametrize("theorem", ["close", "open", "section", "compression"])
+    def test_sampling_cap_fails_before_building_tables(self, capsys, theorem):
+        misses = _tables.balls.cache_info().misses
+        started = time.monotonic()
+        code, _, err = run(
+            ["verify", "--theorem", theorem, "--n", "13", "--p", "2",
+             "--samples", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 3 and "sampling capped" in err
+        assert time.monotonic() - started < 1.0
+        assert _tables.balls.cache_info().misses == misses
+
+    @pytest.mark.parametrize("theorem", ["simplicial", "closedform"])
+    def test_ball_memory_guard_exits_3(self, capsys, theorem):
+        size = _tables.balls.cache_info().currsize
+        code, _, err = run(["verify", "--theorem", theorem, "--n", "14"], capsys)
+        assert code == 3 and "MiB" in err
+        assert _tables.balls.cache_info().currsize == size
 
 
 class TestViolationWitnesses:

@@ -183,6 +183,13 @@ class TestCloseInequality:
         with pytest.raises(ValueError):
             nb.verify_close_inequality(6, 3, "sample", samples=10)
 
+    def test_radius_outside_ground_rejected(self):
+        for p in (0, 7):
+            with pytest.raises(ValueError):
+                nb.verify_close_inequality(6, p, "sample", samples=10, seed=1)
+            with pytest.raises(ValueError):
+                nb.verify_open_inequality(6, p, "sample", samples=10, seed=1)
+
     def test_reports_are_reproducible(self):
         a = nb.verify_close_inequality(5, 2, "sample", samples=500, seed=9)
         b = nb.verify_close_inequality(5, 2, "sample", samples=500, seed=9)
@@ -207,7 +214,7 @@ class TestOpenInequality:
         # re-run the sampler and check the pairwise hypothesis directly
         rng = random.Random(3)
         order = _tables.masks_in_order(4)
-        ball = _tables.balls(4)[2]
+        ball = _tables.balls(4, 2)
         for _ in range(200):
             m_target = rng.randint(1, 8)
             members = 0
