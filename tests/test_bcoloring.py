@@ -1,5 +1,7 @@
 """Power graphs, coloring validation, coset colorings, and the exact solver."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -216,6 +218,42 @@ class TestExactSolver:
             ]
             assert values == sorted(values)
             assert values[-1] == 1 << n
+
+
+def _assignment_digest(coloring):
+    return hashlib.sha256(json.dumps(list(coloring.assignment)).encode()).hexdigest()
+
+
+class TestGoldenSearch:
+    """Value, node count and witness of the exact solver, pinned.
+
+    Any change to the search order shows up here as a different node count
+    or witness digest, even when the value stays right.
+    """
+
+    CASES = [
+        ("Q3p2", bc.hypercube_power(3, 2), 4, 184,
+         "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 1153,
+         "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
+        ("Q4p3", bc.hypercube_power(4, 3), 8, 52_664,
+         "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 1201,
+         "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
+        ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 10,
+         "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 146_379,
+         "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 8503,
+         "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
+    ]
+
+    @pytest.mark.parametrize("tag,g,value,nodes,digest", CASES, ids=[c[0] for c in CASES])
+    def test_pinned(self, tag, g, value, nodes, digest):
+        res = bc.exact_b_chromatic(g, BUDGET)
+        assert res.exact
+        assert (res.value, res.nodes) == (value, nodes)
+        assert _assignment_digest(res.coloring) == digest
 
 
 class TestSingletonCertificate:
