@@ -120,32 +120,41 @@ def adjacent(g: PowerGraph, u: int, v: int) -> bool:
 
 @lru_cache(maxsize=32)
 def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
-    """Materialized neighbor bitsets; used by the validator and the solver."""
+    """Materialized neighbor bitsets; used by the validator and the solver.
+
+    Row u is the radius-p ball around u with u itself dropped.  Cube rows are
+    read from the rank-indexed ball tables, _tables.balls(n, p)[order[u]].
+    Hamming rows are grown by the same recurrence over the n(q-1)
+    one-coordinate moves: B_r(x) = B_{r-1}(x) | OR over moves y of
+    B_{r-1}(y), for r = 1..min(p, n).
+    """
     count = g.vertex_count
     if count > 4096:
         raise InfeasibleError(f"adjacency materialization capped at 4096 vertices, got {count}")
     if g.kind == "hypercube":
+        ball = _tables.balls(g.n, g.p)
         order = _tables.masks_in_order(g.n)
-        rank_of = _tables.rank_of_mask(g.n)
-        offsets = [e for e in order if 1 <= e.bit_count() <= min(g.p, g.n)]
-        rows = [0] * count
-        for u in range(count):
-            mu = order[u]
-            acc = 0
-            for e in offsets:
-                acc |= 1 << rank_of[mu ^ e]
-            rows[u] = acc
-        return tuple(rows)
+        return tuple(ball[order[u]] & ~(1 << u) for u in range(count))
     digits = _digit_table(g.n, g.q)
-    rows = [0] * count
-    for u in range(count):
-        du = digits[u]
-        acc = 0
-        for v in range(count):
-            if v != u and sum(a != b for a, b in zip(du, digits[v])) <= g.p:
-                acc |= 1 << v
-        rows[u] = acc
-    return tuple(rows)
+    moves = []
+    for x in range(count):
+        out = []
+        weight = 1
+        for d in digits[x]:
+            base = x - d * weight
+            out.extend(base + e * weight for e in range(g.q) if e != d)
+            weight *= g.q
+        moves.append(out)
+    ball = [1 << x for x in range(count)]
+    for _ in range(min(g.p, g.n)):
+        prev = ball
+        ball = []
+        for x in range(count):
+            acc = prev[x]
+            for y in moves[x]:
+                acc |= prev[y]
+            ball.append(acc)
+    return tuple(ball[u] & ~(1 << u) for u in range(count))
 
 
 @dataclass(frozen=True)
@@ -421,85 +430,122 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
 
 
 def _decide_b_coloring(rows, degrees, k, charge):
-    """Search for a b-coloring with exactly k colors; None if impossible."""
+    """Search for a b-coloring with exactly k colors; None if impossible.
+
+    Seed tuples (one dominating vertex per color, degree >= k-1) are tried
+    in itertools.combinations order over the candidates; seed t gets color t.
+    The rest of the search state is bitsets, handed to _extend: can[c] holds
+    the vertices that no c-colored vertex is adjacent to, so its uncolored
+    members are the vertices that may still take color c, and missing[t]
+    holds the colors that seed t does not see yet.
+    """
     count = len(rows)
     cand = [v for v in range(count) if degrees[v] >= k - 1]
     if len(cand) < k:
         return None
     all_colors = (1 << k) - 1
+    everyone = (1 << count) - 1
     for seeds in combinations(cand, k):
         charge()
         seed_mask = 0
-        for d in seeds:
-            seed_mask |= 1 << d
+        seed_of = {}
         color = [-1] * count
-        allowed = [all_colors] * count
-        missing = [0] * k
-        feasible = True
         for t, d in enumerate(seeds):
+            seed_mask |= 1 << d
+            seed_of[d] = t
             color[d] = t
+        uncolored = everyone & ~seed_mask
+        can = [uncolored & ~rows[d] for d in seeds]
+        missing = []
         for t, d in enumerate(seeds):
             seen = 0
             for w in _tables.iter_bits(rows[d] & seed_mask):
                 seen |= 1 << color[w]
-            missing[t] = all_colors & ~(1 << t) & ~seen
-            for w in _tables.iter_bits(rows[d] & ~seed_mask):
-                allowed[w] &= ~(1 << t)
-        uncolored = ((1 << count) - 1) & ~seed_mask
-        if _extend(rows, seeds, color, allowed, missing, uncolored, all_colors, charge):
+            missing.append(all_colors & ~(1 << t) & ~seen)
+        if _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, charge):
             return color
     return None
 
 
-def _extend(rows, seeds, color, allowed, missing, uncolored, all_colors, charge):
+def _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, charge):
+    """Color the vertices of `uncolored`, or return False if no completion
+    gives every seed all of its missing colors.
+
+    can[c] & uncolored is the set of uncolored vertices that may take
+    color c; the bits of colored vertices are never read, so coloring v with
+    c only clears v's neighbors from can[c] and the undo restores that one
+    int.  The branching order is fixed: the uncolored vertex with the fewest
+    allowed colors first (ties to the lowest index), its colors ascending.
+    """
     charge()
     if not uncolored:
-        return all(m == 0 for m in missing)
-    # coverage pruning: every seed must still be able to meet its missing colors
-    for t, d in enumerate(seeds):
-        m = missing[t]
+        return not any(missing)
+    # coverage pruning: every seed must still be able to meet its missing
+    # colors, one per uncolored neighbor, each from a vertex that may take it
+    for t, m in enumerate(missing):
         if not m:
             continue
-        pool = rows[d] & uncolored
+        pool = rows[seeds[t]] & uncolored
         if m.bit_count() > pool.bit_count():
             return False
-        for c in _tables.iter_bits(m):
-            if not any(allowed[w] >> c & 1 for w in _tables.iter_bits(pool)):
+        while m:
+            low = m & -m
+            if not pool & can[low.bit_length() - 1]:
                 return False
-    # most-constrained vertex next, ties by index
-    best_v = -1
-    best_count = 1 << 30
-    for v in _tables.iter_bits(uncolored):
-        a = allowed[v].bit_count()
-        if a == 0:
-            return False
-        if a < best_count:
-            best_count = a
-            best_v = v
-    v = best_v
+            m ^= low
+    # per-vertex counts of allowed colors, bit-sliced: planes[j] holds the
+    # uncolored vertices whose count has bit j set
+    planes = []
+    for members in can:
+        carry = members & uncolored
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    # most-constrained vertex next, ties by index: narrow to the smallest
+    # count one plane at a time, from the top bit down
+    fewest = uncolored
+    some = False
+    for plane in reversed(planes):
+        lower = fewest & ~plane
+        if lower:
+            fewest = lower
+        else:
+            fewest &= plane
+            some = True
+    if not some:
+        return False  # an uncolored vertex has no allowed color
+    bit_v = fewest & -fewest
+    v = bit_v.bit_length() - 1
     row_v = rows[v]
-    for c in _tables.iter_bits(allowed[v]):
+    rest = uncolored ^ bit_v
+    seen_seeds = row_v & seed_mask
+    for c, before in enumerate(can):
+        if not before & bit_v:
+            continue
         color[v] = c
+        can[c] = before & ~row_v
         bit = 1 << c
-        touched_allowed = []
-        for w in _tables.iter_bits(row_v & uncolored & ~(1 << v)):
-            if allowed[w] & bit:
-                allowed[w] &= ~bit
-                touched_allowed.append(w)
-        touched_missing = []
-        for t, d in enumerate(seeds):
-            if missing[t] & bit and row_v >> d & 1:
-                missing[t] &= ~bit
-                touched_missing.append(t)
-        if _extend(
-            rows, seeds, color, allowed, missing, uncolored ^ (1 << v), all_colors, charge
-        ):
+        touched = []
+        hits = seen_seeds
+        while hits:
+            low = hits & -hits
+            t = seed_of[low.bit_length() - 1]
+            if missing[t] & bit:
+                missing[t] ^= bit
+                touched.append(t)
+            hits ^= low
+        if _extend(rows, seeds, seed_mask, seed_of, color, can, missing, rest, charge):
             return True
-        for w in touched_allowed:
-            allowed[w] |= bit
-        for t in touched_missing:
+        can[c] = before
+        for t in touched:
             missing[t] |= bit
-        color[v] = -1
+    color[v] = -1
     return False
 
 

@@ -3,8 +3,9 @@ construction, exact solving, and rank/unrank debugging.
 
 Exit codes: 0 success, 1 violations or integrity failure, 2 I/O or usage
 failure, 3 infeasible request, 4 solver budget exhausted.  Identical
-invocations (including seeds) produce byte-identical output files;
-wall-clock timings go to stderr only.
+invocations (including seeds) produce byte-identical output files, except a
+solve stopped by --max-seconds: its node count is wherever the clock ran
+out.  Wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations

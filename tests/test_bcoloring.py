@@ -9,6 +9,7 @@ import pytest
 from hyperb import _tables
 from hyperb import bcoloring as bc
 from hyperb import bounds
+from hyperb.errors import InfeasibleError
 
 BUDGET = bc.SolveBudget()
 
@@ -59,6 +60,56 @@ class TestPowerGraph:
                 u, v = rng.randrange(1 << n), rng.randrange(1 << n)
                 assert bc.adjacent(cube, u, v) == bc.adjacent(ham, order[u], order[v])
 
+
+def _rows_by_distance(points, distance, p_max):
+    """rows[p - 1][u] = bitset of the v != u with distance(u, v) <= p, for
+    p = 1..p_max, by comparing every pair of points."""
+    shells = []
+    for a in points:
+        by_d = [0] * (p_max + 1)
+        for v, b in enumerate(points):
+            d = distance(a, b)
+            if d <= p_max:
+                by_d[d] |= 1 << v
+        shells.append(by_d)
+    out = []
+    rows = [0] * len(points)
+    for p in range(1, p_max + 1):
+        rows = [row | by_d[p] for row, by_d in zip(rows, shells)]
+        out.append(tuple(rows))
+    return out
+
+
+class TestAdjacencyRows:
+    """_adjacency_rows against a brute-force distance check."""
+
+    def test_hypercube(self):
+        for n in range(1, 9):
+            want = _rows_by_distance(
+                _tables.masks_in_order(n), lambda a, b: (a ^ b).bit_count(), n
+            )
+            for p in range(1, n + 2):
+                rows = bc._adjacency_rows(bc.hypercube_power(n, p))
+                assert rows == want[min(p, n) - 1], (n, p)
+
+    def test_hamming(self):
+        for q in (3, 4, 5):
+            n = 1
+            while q**n <= 729:
+                points = [bc.HammingVertex.from_index(v, n, q).coords for v in range(q**n)]
+                want = _rows_by_distance(
+                    points, lambda a, b: sum(x != y for x, y in zip(a, b)), n
+                )
+                for p in range(1, n + 1):
+                    rows = bc._adjacency_rows(bc.hamming_power(n, q, p))
+                    assert rows == want[p - 1], (n, q, p)
+                n += 1
+
+    def test_vertex_cap_checked_first(self):
+        misses = bc._digit_table.cache_info().misses
+        with pytest.raises(InfeasibleError):
+            bc._adjacency_rows(bc.hamming_power(9, 3, 8))
+        assert bc._digit_table.cache_info().misses == misses
 
 class TestHammingVertex:
     def test_roundtrip(self):
@@ -294,11 +345,10 @@ class TestSingletonCertificate:
 
 
 class TestBoundsSandwich:
-    def test_exact_values_within_applicable_bounds(self):
+    def test_exact_values_within_applicable_bounds(self, solve_cube):
         for n in (2, 3, 4):
             for p in range(1, n + 1):
-                g = bc.hypercube_power(n, p)
-                res = bc.exact_b_chromatic(g, BUDGET)
+                res, _ = solve_cube(n, p)
                 assert res.exact
                 rep = bounds.bound_report(n, p)
                 if rep.lower is not None:

@@ -145,6 +145,17 @@ class TestSolve:
         code, _, err = run(["solve", "--p", "1"], capsys)
         assert code == 2
 
+    def test_node_budget_stop_is_deterministic(self, capsys, tmp_path):
+        # a node cap stops the search at the same node every time; only a
+        # --max-seconds stop depends on the clock
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["solve", "--hypercube", "4", "--p", "2", "--max-nodes", "5000"]
+        assert main(args + ["--output", str(a)]) == 4
+        assert main(args + ["--output", str(b)]) == 4
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["exact"] is False
+
 
 class TestColorAndRank:
     def test_color(self, capsys):
