@@ -162,6 +162,35 @@ def closed_bits(family: int, n: int, p: int) -> int:
     return acc
 
 
+def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
+    """[closed_bits(family, n, p) for p in 0..p_max], from one walk over the
+    members: the member masks are listed once and each radius intersects
+    their balls, stopping as soon as the intersection is empty.
+
+    Sweeps that need a family's closed neighborhoods at every radius (the
+    section identity) pay for one member walk instead of one per radius.
+    """
+    order = masks_in_order(n)
+    members = []
+    rest = family
+    while rest:
+        low = rest & -rest
+        members.append(order[low.bit_length() - 1])
+        rest ^= low
+    universe = universe_bits(n)
+    out = []
+    for p in range(min(p_max + 1, n)):
+        ball = balls(n, p)
+        acc = universe
+        for mask in members:
+            acc &= ball[mask]
+            if not acc:
+                break
+        out.append(acc)
+    out += [universe] * (p_max + 1 - len(out))
+    return out
+
+
 def closed_size_bits(family: int, n: int, p: int) -> int:
     """|C^p[family]| computed by intersecting member balls."""
     return closed_bits(family, n, p).bit_count()
@@ -218,6 +247,12 @@ class SectionTables:
     minus_prefix: tuple[int, ...]  # m -> family bitset of expanded I_m (bit j clear)
     plus_prefix: tuple[int, ...]   # m -> family bitset of expanded I_m + {j}
 
+    def compress(self, family: int) -> int:
+        """Compression at coordinate j: both sections of the family replaced
+        by initial segments of the subground of the same sizes."""
+        a = (family & self.minus_selector).bit_count()
+        return self.minus_prefix[a] | self.plus_prefix[family.bit_count() - a]
+
 
 @lru_cache(maxsize=None)
 def section_tables(n: int, j: int) -> SectionTables:
@@ -267,12 +302,18 @@ def split_bits(family: int, n: int, j: int) -> tuple[int, int]:
     """Sections of a family bitset: (members avoiding j, members containing j
     with j dropped), both as bitsets over the (n-1)-bit subground."""
     t = section_tables(n, j)
+    selector = t.minus_selector
+    compact = t.compact_rank
     minus = plus = 0
-    for r in iter_bits(family):
-        if t.minus_selector >> r & 1:
-            minus |= 1 << t.compact_rank[r]
+    rest = family
+    while rest:
+        low = rest & -rest
+        r = low.bit_length() - 1
+        if selector & low:
+            minus |= 1 << compact[r]
         else:
-            plus |= 1 << t.compact_rank[r]
+            plus |= 1 << compact[r]
+        rest ^= low
     return minus, plus
 
 
@@ -280,17 +321,20 @@ def join_bits(minus: int, plus: int, n: int, j: int) -> int:
     """Inverse of split_bits: reassemble a family bitset over the full ground."""
     t = section_tables(n, j)
     out = 0
-    for r in iter_bits(minus):
-        out |= t.expand_minus[r]
-    for r in iter_bits(plus):
-        out |= t.expand_plus[r]
+    expand = t.expand_minus
+    while minus:
+        low = minus & -minus
+        out |= expand[low.bit_length() - 1]
+        minus ^= low
+    expand = t.expand_plus
+    while plus:
+        low = plus & -plus
+        out |= expand[low.bit_length() - 1]
+        plus ^= low
     return out
 
 
 def compress_bits(family: int, n: int, j: int) -> int:
     """One coordinate compression: replace both sections by equal-size
     initial segments of the subground."""
-    t = section_tables(n, j)
-    a = (family & t.minus_selector).bit_count()
-    b = family.bit_count() - a
-    return t.minus_prefix[a] | t.plus_prefix[b]
+    return section_tables(n, j).compress(family)

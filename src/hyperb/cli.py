@@ -29,15 +29,24 @@ EXIT_BUDGET = 4
 DEFAULT_SAMPLES = 100_000
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '7' or '5..12' into a list of integers."""
+def _parse_range(text: str, allow_empty: bool = False) -> list[int]:
+    """Parse '7' or '5..12' into a list of integers.
+
+    An empty range such as '4..3' raises ValueError unless allow_empty: a
+    sweep over no values would check nothing and still pass.  A table over
+    no values is merely empty, so `table` allows it.
+    """
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
     except ValueError:
         raise ValueError(f"expected an integer or a range like 5..12, got {text!r}") from None
+    if not values and not allow_empty:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _emit(payload: dict, output: str | None) -> int:
@@ -59,8 +68,8 @@ def _write_text(text: str, output: str | None) -> int:
 
 
 def cmd_table(args) -> int:
-    n_values = _parse_range(args.n)
-    p_values = _parse_range(args.p) if args.p else None
+    n_values = _parse_range(args.n, allow_empty=True)
+    p_values = _parse_range(args.p, allow_empty=True) if args.p else None
     rows = bounds.bound_table(n_values, p_values)
     if args.format == "csv":
         return _write_text(bounds.table_to_csv(rows), args.output)

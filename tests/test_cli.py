@@ -207,6 +207,8 @@ class TestExitCodes:
              "--samples", "10", "--seed", "1"],
             ["verify", "--theorem", "open", "--n", "5", "--p", "0",
              "--samples", "10", "--seed", "1"],
+            ["verify", "--theorem", "fixpoint", "--n", "4..3"],
+            ["verify", "--theorem", "close", "--n", "4", "--p", "3..2", "--exhaustive"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):
@@ -238,6 +240,22 @@ class TestExitCodes:
         )
         assert code == 3 and "sampling capped" in err
         assert time.monotonic() - started < 1.0
+        assert _tables.balls.cache_info().misses == misses
+
+    @pytest.mark.parametrize(
+        "theorem,samples",
+        [("close", "-1"), ("open", "0"), ("section", "-3"), ("compression", "0")],
+    )
+    def test_sample_count_below_one_exits_2_before_building_tables(
+        self, capsys, theorem, samples
+    ):
+        misses = _tables.balls.cache_info().misses
+        code, out, err = run(
+            ["verify", "--theorem", theorem, "--n", "12", "--p", "2",
+             "--samples", samples, "--seed", "1"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "at least one sample" in err
         assert _tables.balls.cache_info().misses == misses
 
     @pytest.mark.parametrize("theorem", ["simplicial", "closedform"])

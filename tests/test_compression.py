@@ -100,6 +100,20 @@ class TestCompress:
 
     @given(st.integers(0, (1 << 16) - 1), st.integers(1, 4))
     @settings(max_examples=200)
+    def test_is_compressed_kernel_route_matches_object_compress(self, bits, i):
+        fam = random_family(G4, bits)
+        assert cp.is_compressed(fam, i) == (cp.compress(fam, i).bit_masks() == fam.bit_masks())
+
+    def test_is_compressed_large_ground_object_path(self):
+        # beyond the table capacity is_compressed compares against compress
+        g = GroundSet.range(20)
+        fam = Family.from_labels(g, [[], [20]])
+        assert cp.is_compressed(fam, 20)
+        assert not cp.is_compressed(fam, 1)
+        assert cp.is_compressed(cp.compress(fam, 1), 1)
+
+    @given(st.integers(0, (1 << 16) - 1), st.integers(1, 4))
+    @settings(max_examples=200)
     def test_cardinality_and_order(self, bits, i):
         fam = random_family(G4, bits)
         out = cp.compress(fam, i)
@@ -185,6 +199,17 @@ class TestSweeps:
         assert rep.families_checked == 256
         assert rep.details["kinds"]["exceptional_odd"] > 0
         assert rep.details["kinds"]["exceptional_even"] == 0
+
+    def test_fixpoint_sweep_reports_every_family_of_a_bad_fixpoint(self, monkeypatch):
+        # With the even exceptional form faked away, every family whose
+        # compression reaches it must be reported, not only the first.
+        real = cp.exceptional_bits
+        monkeypatch.setattr(cp, "exceptional_bits", lambda n: real(n) ^ 1)
+        rep = cp.verify_fixpoint_classification(4)
+        assert len(rep.violations) == 6400
+        assert {v["error"] for v in rep.violations} == {"unclassifiable fixpoint"}
+        monkeypatch.undo()
+        assert cp.verify_fixpoint_classification(4).details["kinds"]["exceptional_even"] == 6400
 
     def test_fixpoint_sweep_rejects_large_n(self):
         with pytest.raises(InfeasibleError):

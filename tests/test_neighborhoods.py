@@ -244,6 +244,37 @@ class TestSectionIdentity:
         rep = nb.verify_section_identity(5, "sample", samples=500, seed=23)
         assert rep.ok
 
+    def test_fault_in_subground_ball_table_is_reported(self, monkeypatch):
+        # The sections' sides must come from the subground's own ball tables:
+        # one wrong entry there (ball of radius 1 around {} at n = 3 gaining
+        # {1,2,3}) has to surface as violations of the n = 4 identity.
+        real = _tables.balls
+        for n in (3, 4):
+            real(n, n)  # build every radius before the fault goes in
+        bad = list(real(3, 1))
+        bad[0] |= 1 << _tables.rank_of_mask(3)[0b111]
+        bad = tuple(bad)
+        monkeypatch.setattr(_tables, "balls", lambda n, p: bad if (n, p) == (3, 1) else real(n, p))
+        rep = nb.verify_section_identity(4, "exhaustive")
+        assert rep.violations
+        assert {v["p"] for v in rep.violations} <= {1, 2}
+        # the sweep reports exactly the instances the single-instance check
+        # rejects, here over the first 2048 families
+        head = 2048
+        reported = set()
+        for v in rep.violations:
+            bits = family_to_bits(Family.from_labels(G4, [_parse(x) for x in v["family"]]))
+            if bits < head:
+                reported.add((bits, v["i"] - 1, v["p"]))
+        rejected = {
+            (fam, j, p)
+            for fam in range(head)
+            for j in range(4)
+            for p in range(1, 5)
+            if not nb.section_identity_holds(fam, 4, p, j)
+        }
+        assert reported and reported == rejected
+
 
 class TestCounterexampleHunt:
     def test_found_without_hypothesis(self):
