@@ -1,9 +1,12 @@
-"""Golden outputs of the small-ground sweeps, pinned by sha256.
+"""Golden outputs of the small-ground sweeps and the report serialisers,
+pinned by sha256.
 
 The section, fixpoint and compression sweeps and the object-level
-`is_compressed` have fast paths that must give byte-identical reports.
-Each digest below was recorded before those paths were rewritten; any
-change to a report's content or order shows up here.
+`is_compressed` have fast paths that must give byte-identical reports, and
+the bound, certificate and verify reports must serialise to the same bytes
+however their JSON dicts are built.  Each digest below was recorded before
+the code it covers was rewritten; any change to a report's content or order
+shows up here.
 """
 
 import hashlib
@@ -41,6 +44,33 @@ CASES = [
     (*_sampled("compression", 6, 200, 1), "2fa9a36b7351007a95b7f53cb2af05cd4bb290ff06b59dea49cf388cd1f2e1d5"),
 ]
 
+# Every report type the CLI serialises: bound tables (JSON and CSV), solver
+# and coloring certificates, and verify reports with and without details and
+# seed.
+SERIALISER_CASES = [
+    ("table-json", ["table", "--n", "2..9", "--format", "json"],
+     "0fe072620ca1d96742555133715afe248ab307bc7670d9427c5bf97b1d8d6b78"),
+    ("table-csv", ["table", "--n", "2..9", "--format", "csv"],
+     "3becd29eb8cc65d195c47e7f2681d4cc7460c7f367f7f8b79c69691ca2bded5a"),
+    ("solve-Q3p2", ["solve", "--hypercube", "3", "--p", "2"],
+     "a8019b9af105f162dd9483f69da1cae8fbfc589d7584010776941e9bfc40feaf"),
+    ("solve-H2q3p1", ["solve", "--hamming", "2,3", "--p", "1"],
+     "57839122c2bf3bd1257fef51d65f25c01ce9a48931d4b2ad54c96890ef5435a6"),
+    ("color-n3q2p2", ["color", "--n", "3", "--q", "2", "--p", "2"],
+     "7f6b84ea6e3116fda560b905c73f03acb8e513c904741cc57467fd28b8fe660b"),
+    ("coset-n4q3p3", ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"],
+     "eea2da2de8e5b756e907d03e5e32738905f67dd032e6e0933174a4b2f639af5f"),
+    ("r3s-30", ["verify", "--theorem", "r3s", "--n-max", "30"],
+     "5adcca25e652f6c29571dded2786bddcd27898687897082a256070eb0f655d49"),
+    ("closedform-n5..9", ["verify", "--theorem", "closedform", "--n", "5..9"],
+     "9bbb7cf5196007c47baea25e27b5b82b29e8377e7f2a1483ae0947e0efd5ce2d"),
+    ("simplicial-n5", ["verify", "--theorem", "simplicial", "--n", "5"],
+     "10930f61084c7ea581011d58b15a2af0496d7e2abc3ef9d255f5395d5d298503"),
+    ("close-n5p2-s300", ["verify", "--theorem", "close", "--n", "5", "--p", "2",
+                         "--samples", "300", "--seed", "9"],
+     "cb7f6b911dc978865b2b4529ed8747c0d9f25368a34327f3ed96b7a31b920244"),
+]
+
 # [is_compressed(A, i)] for every family A of 2^[4] in bitset order, labels
 # 1..4 within each family, one byte per flag.
 IS_COMPRESSED_N4 = "9f1deacbab546d8a6b07704d4ac6f92a4ce567c8eb4cf74d67c078ab8cfdaa8e"
@@ -50,6 +80,16 @@ IS_COMPRESSED_N4 = "9f1deacbab546d8a6b07704d4ac6f92a4ce567c8eb4cf74d67c078ab8cfd
 def test_verify_output_pinned(tag, argv, digest, tmp_path, capsys):
     out = tmp_path / f"{tag}.json"
     assert main(["verify", *argv, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "tag,argv,digest", SERIALISER_CASES, ids=[c[0] for c in SERIALISER_CASES]
+)
+def test_serialised_output_pinned(tag, argv, digest, tmp_path, capsys):
+    out = tmp_path / f"{tag}.out"
+    assert main([*argv, "--output", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
