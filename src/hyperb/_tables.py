@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import InfeasibleError
 
@@ -188,6 +188,23 @@ def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
                 break
         out.append(acc)
     out += [universe] * (p_max + 1 - len(out))
+    return out
+
+
+def closed_bits_all(n: int, p: int) -> list[int]:
+    """[closed_bits(fam, n, p) for fam in range(2^(2^n))]: the closed
+    neighborhood of every family bitset, by the subset DP
+    C^p[A] = C^p[A - {a}] & Ball_p(a) with a the highest-ranked member of A.
+
+    The list has 2^(2^n) entries (65 536 at n = 4, 2^32 at n = 5), so
+    callers cap n first.
+    """
+    ball = balls(n, p)
+    out = [universe_bits(n)]
+    for mask in masks_in_order(n):
+        # the families whose top member is `mask` follow those below it; islice
+        # stops at the current end, so the list is extended without a copy
+        out += map(ball[mask].__and__, islice(out, len(out)))
     return out
 
 

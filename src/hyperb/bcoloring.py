@@ -10,7 +10,7 @@ significant.  With q = 2 the Hamming index equals the subset bitmask.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -192,13 +192,7 @@ class BColorCertificate:
     singleton_classes: tuple[int, ...]
 
     def as_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "valid_proper": self.valid_proper,
-            "valid_b": self.valid_b,
-            "dominating": list(self.dominating),
-            "singleton_classes": list(self.singleton_classes),
-        }
+        return asdict(self)
 
 
 def _neighbor_color_masks(g: PowerGraph, c: Coloring) -> list[int]:
@@ -568,20 +562,7 @@ class SingletonReport:
     failure: str | None = None
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "k": self.k,
-            "ell": self.ell,
-            "singleton_count": self.singleton_count,
-            "required": self.required,
-            "clique_ok": self.clique_ok,
-            "chosen": list(self.chosen),
-            "open_size": self.open_size,
-            "open_required": self.open_required,
-            "ok": self.ok,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 def singleton_certificate(g: PowerGraph, c: Coloring, ell: int) -> SingletonReport:

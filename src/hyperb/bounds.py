@@ -7,10 +7,10 @@ with a reason, never zero and never an error.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
-from .neighborhoods import ClosedFormParams, VerifyReport
+from .neighborhoods import ClosedFormParams, VerifyReport, refined_gate_reason
 
 
 def clique_number(n: int, p: int) -> int:
@@ -39,20 +39,6 @@ def _old_gate_reason(n: int, p: int) -> str | None:
     return None
 
 
-def _refined_gate_reason(n: int, p: int) -> str | None:
-    if n % 2 == 1:
-        if n < 5:
-            return "needs odd n >= 5"
-        if not (n + 1) // 2 <= p <= n - 2:
-            return "needs (n+1)/2 <= p <= n-2"
-    else:
-        if n < 6:
-            return "needs even n >= 6"
-        if not n // 2 + 1 <= p <= n - 2:
-            return "needs n/2+1 <= p <= n-2"
-    return None
-
-
 def lower_bound(n: int, p: int) -> int | None:
     """2^(n-1), claimed for floor(n/2) < p < n-1."""
     return None if _old_gate_reason(n, p) else 1 << (n - 1)
@@ -72,7 +58,7 @@ def rs_params(n: int, p: int) -> ClosedFormParams:
 
 def upper_rough(n: int, p: int) -> int | None:
     """2^(n-1) + ceil(main_sum/2) - 1 over the refined range."""
-    if _refined_gate_reason(n, p):
+    if refined_gate_reason(n, p):
         return None
     params = ClosedFormParams.from_dimensions(n, p)
     return (1 << (n - 1)) + (params.main_sum + 1) // 2 - 1
@@ -80,7 +66,7 @@ def upper_rough(n: int, p: int) -> int | None:
 
 def upper_new(n: int, p: int) -> int | None:
     """2^(n-1) + floor((main_sum - overlap)/2) over the refined range."""
-    if _refined_gate_reason(n, p):
+    if refined_gate_reason(n, p):
         return None
     params = ClosedFormParams.from_dimensions(n, p)
     return (1 << (n - 1)) + (params.main_sum - params.overlap) // 2
@@ -143,17 +129,7 @@ class BoundReport:
         return ",".join("" if c is None else str(c) for c in cells)
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "clique": self.clique,
-            "lower": self.lower,
-            "upper_old": self.upper_old,
-            "upper_rough": self.upper_rough,
-            "upper_new": self.upper_new,
-            "hamming_lower": self.hamming_lower,
-            "reasons": dict(self.reasons),
-        }
+        return asdict(self)
 
 
 def bound_report(n: int, p: int, q: int | None = None) -> BoundReport:
@@ -184,7 +160,7 @@ def bound_report(n: int, p: int, q: int | None = None) -> BoundReport:
         if gate_old:
             reasons["lower"] = gate_old
             reasons["upper_old"] = gate_old
-        gate_ref = _refined_gate_reason(n, p)
+        gate_ref = refined_gate_reason(n, p)
         if gate_ref:
             reasons["upper_rough"] = gate_ref
             reasons["upper_new"] = gate_ref

@@ -76,68 +76,49 @@ def cmd_table(args) -> int:
     return _emit(bounds.table_to_json_dict(rows), args.output)
 
 
+def _radii(args, n: int) -> list:
+    """The radii to check at ground size n: --p when given, otherwise 1..n-1
+    (close, open) or the closed-form range (closedform); [None] for the
+    theorems swept once per n.  A derived list that is empty would check
+    nothing and still pass, so it raises ValueError."""
+    if args.theorem not in ("close", "open", "closedform"):
+        return [None]
+    if args.p:
+        return _parse_range(args.p)
+    radii = [
+        p
+        for p in range(1, n)
+        if args.theorem != "closedform" or neighborhoods.ClosedFormParams.in_range(n, p)
+    ]
+    if not radii:
+        raise ValueError(f"no radius to check for --theorem {args.theorem} at n={n}")
+    return radii
+
+
 def _verify_reports(args) -> list[neighborhoods.VerifyReport]:
     theorem = args.theorem
-    reports = []
-    if theorem in ("close", "open"):
-        runner = (
-            neighborhoods.verify_close_inequality
-            if theorem == "close"
-            else neighborhoods.verify_open_inequality
-        )
-        n_values = _parse_range(args.n)
-        for n in n_values:
-            p_values = _parse_range(args.p) if args.p else list(range(1, n))
-            for p in p_values:
-                if args.exhaustive:
-                    reports.append(runner(n, p, "exhaustive"))
-                else:
-                    reports.append(
-                        runner(n, p, "sample", samples=args.samples, seed=args.seed)
-                    )
-    elif theorem == "simplicial":
-        for n in _parse_range(args.n):
-            reports.append(neighborhoods.verify_initial_segment_closure(n))
-    elif theorem == "fixpoint":
-        for n in _parse_range(args.n):
-            reports.append(compression.verify_fixpoint_classification(n))
-    elif theorem == "closedform":
-        for n in _parse_range(args.n):
-            if args.p:
-                p_values = _parse_range(args.p)
-            else:
-                p_values = [
-                    p
-                    for p in range(1, n)
-                    if neighborhoods.ClosedFormParams.in_range(n, p)
-                ]
-            for p in p_values:
-                reports.append(neighborhoods.verify_closed_form(n, p))
-    elif theorem == "section":
-        for n in _parse_range(args.n):
-            if args.exhaustive:
-                reports.append(neighborhoods.verify_section_identity(n, "exhaustive"))
-            else:
-                reports.append(
-                    neighborhoods.verify_section_identity(
-                        n, "sample", samples=args.samples, seed=args.seed
-                    )
-                )
-    elif theorem == "compression":
-        for n in _parse_range(args.n):
-            if args.exhaustive:
-                reports.append(compression.verify_compression_inequality(n, "exhaustive"))
-            else:
-                reports.append(
-                    compression.verify_compression_inequality(
-                        n, "sample", samples=args.samples, seed=args.seed
-                    )
-                )
-    elif theorem == "r3s":
-        reports.append(bounds.verify_r_ge_3s(args.n_max))
-    else:
+    if theorem == "r3s":
+        return [bounds.verify_r_ge_3s(args.n_max)]
+    mode = "exhaustive" if args.exhaustive else "sample"
+    sweep = {} if args.exhaustive else {"samples": args.samples, "seed": args.seed}
+    # The library functions are looked up when a runner is called, so a
+    # patched module attribute is the one that runs.
+    runners = {
+        "close": lambda n, p: neighborhoods.verify_close_inequality(n, p, mode, **sweep),
+        "open": lambda n, p: neighborhoods.verify_open_inequality(n, p, mode, **sweep),
+        "closedform": lambda n, p: neighborhoods.verify_closed_form(n, p),
+        "simplicial": lambda n, _: neighborhoods.verify_initial_segment_closure(n),
+        "fixpoint": lambda n, _: compression.verify_fixpoint_classification(n),
+        "section": lambda n, _: neighborhoods.verify_section_identity(n, mode, **sweep),
+        "compression": lambda n, _: compression.verify_compression_inequality(
+            n, mode, **sweep
+        ),
+    }
+    if theorem not in runners:
         raise ValueError(f"unknown theorem {theorem!r}")
-    return reports
+    # every (n, p) cell is derived, and a usage error raised, before any sweep runs
+    cells = [(n, p) for n in _parse_range(args.n) for p in _radii(args, n)]
+    return [runners[theorem](n, p) for n, p in cells]
 
 
 def cmd_verify(args) -> int:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from math import comb
 
 from . import _tables
-from .errors import IntegrityError
+from .errors import InfeasibleError, IntegrityError
 from .neighborhoods import (
+    MAX_EXHAUSTIVE_N,
     VerifyReport,
     check_sweep_request,
     family_bits_to_strings,
@@ -28,6 +29,7 @@ from .subsets import (
     family_from_bits,
     family_to_bits,
     initial_segment,
+    mask_rank,
 )
 
 KIND_INITIAL_SEGMENT = "initial_segment"
@@ -174,8 +176,6 @@ def exceptional_family(g: GroundSet) -> Family:
 
 
 def exceptional_bits(n: int) -> int:
-    from .subsets import mask_rank
-
     ell, removed = exceptional_params(n)
     return _tables.prefix_bits(ell) & ~(1 << mask_rank(removed, n))
 
@@ -202,8 +202,6 @@ def classify_fixpoint(a: Family) -> FixpointClass:
     Raises IntegrityError if the family is compressed at every label yet is
     neither an initial segment nor the parity-matching exceptional form.
     """
-    from .subsets import mask_rank
-
     n = a.ground.size
     if n == 0:
         return FixpointClass(KIND_INITIAL_SEGMENT)
@@ -236,9 +234,6 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
     the 65 536 families at n = 4), so each is classified once per sweep;
     an unclassifiable one is never remembered and is tried again.
     """
-    from .errors import InfeasibleError
-    from .neighborhoods import MAX_EXHAUSTIVE_N
-
     if n > MAX_EXHAUSTIVE_N:
         raise InfeasibleError(f"fixpoint sweep is exhaustive only (n <= {MAX_EXHAUSTIVE_N})")
     report = VerifyReport(
@@ -299,30 +294,22 @@ def verify_compression_inequality(
     radius p in [1, n-1].
 
     The compressed side depends only on (i, |A_i-|, |A_i+|, p), so sampled
-    runs cache it and pay mostly for the direct side of each family.
+    runs cache it and pay mostly for the direct side of each family.  Needs
+    n >= 2, so that 1..n-1 holds a radius.
     """
+    if n < 2:
+        raise ValueError(f"compression sweep needs n >= 2 for a radius in 1..n-1, got {n}")
     check_sweep_request(n, mode, samples, seed)
     report = VerifyReport(
         check="compression", n=n, p=None, mode=mode, families_checked=0, seed=seed
     )
     if mode == "exhaustive":
-        order = _tables.masks_in_order(n)
         total = 1 << (1 << n)
-        sizes = {}
-        for p in range(1, n):
-            ball = _tables.balls(n, p)
-            cp = [0] * total
-            cp[0] = _tables.universe_bits(n)
-            sz = [0] * total
-            sz[0] = 1 << n
-            for fam in range(1, total):
-                low = fam & -fam
-                val = cp[fam ^ low] & ball[order[low.bit_length() - 1]]
-                cp[fam] = val
-                sz[fam] = val.bit_count()
-            sizes[p] = sz
         compressors = [_tables.section_tables(n, j).compress for j in range(n)]
-        by_radius = [(p, sizes[p]) for p in range(1, n)]
+        by_radius = [
+            (p, [val.bit_count() for val in _tables.closed_bits_all(n, p)])
+            for p in range(1, n)
+        ]
         for fam in range(total):
             for j, compress_j in enumerate(compressors):
                 comp = compress_j(fam)

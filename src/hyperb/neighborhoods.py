@@ -10,7 +10,7 @@ closed-form counts for near-critical segment lengths are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Iterable
 
@@ -42,6 +42,23 @@ class CommonNeighborhood:
     p: int
 
 
+def refined_gate_reason(n: int, p: int) -> str | None:
+    """Why (n, p) lies outside the closed-form (refined bound) range, or None
+    inside it: odd n >= 5 with (n+1)/2 <= p <= n-2, even n >= 6 with
+    n/2+1 <= p <= n-2."""
+    if n % 2 == 1:
+        if n < 5:
+            return "needs odd n >= 5"
+        if not (n + 1) // 2 <= p <= n - 2:
+            return "needs (n+1)/2 <= p <= n-2"
+    else:
+        if n < 6:
+            return "needs even n >= 6"
+        if not n // 2 + 1 <= p <= n - 2:
+            return "needs n/2+1 <= p <= n-2"
+    return None
+
+
 @dataclass(frozen=True)
 class ClosedFormParams:
     """Exact parameters of the near-critical segment count formulas.
@@ -60,17 +77,13 @@ class ClosedFormParams:
 
     @staticmethod
     def in_range(n: int, p: int) -> bool:
-        if n % 2 == 1:
-            return n >= 5 and (n + 1) // 2 <= p <= n - 2
-        return n >= 6 and n // 2 + 1 <= p <= n - 2
+        return refined_gate_reason(n, p) is None
 
     @classmethod
     def from_dimensions(cls, n: int, p: int) -> "ClosedFormParams":
-        if not cls.in_range(n, p):
-            raise ValueError(
-                f"(n={n}, p={p}) outside the closed-form range "
-                "(odd n>=5 with (n+1)/2<=p<=n-2, even n>=6 with n/2+1<=p<=n-2)"
-            )
+        reason = refined_gate_reason(n, p)
+        if reason:
+            raise ValueError(f"(n={n}, p={p}) outside the closed-form range: {reason}")
         if n % 2 == 1:
             q = p - (n - 1) // 2
             return cls(n=n, p=p, r=sum(comb(n, i) for i in range(q + 1)), s=comb(p, q))
@@ -114,16 +127,21 @@ def common_open(a: Family, p: int) -> Family:
     """common_closed with the members of a removed."""
     if p < 1:
         raise ValueError("radius p must be at least 1")
-    n = a.ground.size
-    bits = _tables.closed_bits(family_to_bits(a), n, p) & ~family_to_bits(a)
+    fam_bits = family_to_bits(a)
+    bits = _tables.closed_bits(fam_bits, a.ground.size, p) & ~fam_bits
     return family_from_bits(bits, a.ground)
 
 
 def common_neighborhood(a: Family, p: int) -> CommonNeighborhood:
-    closed = common_closed(a, p)
+    if p < 1:
+        raise ValueError("radius p must be at least 1")
     fam_bits = family_to_bits(a)
-    open_bits = family_to_bits(closed) & ~fam_bits
-    return CommonNeighborhood(closed, family_from_bits(open_bits, a.ground), p)
+    closed_bits = _tables.closed_bits(fam_bits, a.ground.size, p)
+    return CommonNeighborhood(
+        family_from_bits(closed_bits, a.ground),
+        family_from_bits(closed_bits & ~fam_bits, a.ground),
+        p,
+    )
 
 
 def is_initial_segment(f: Family) -> bool:
@@ -162,19 +180,11 @@ class VerifyReport:
         return not self.violations
 
     def as_json_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "n": self.n,
-            "p": self.p,
-            "mode": self.mode,
-            "families_checked": self.families_checked,
-            "violations": self.violations,
-            "max_slack": self.max_slack,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.details:
-            out["details"] = self.details
+        out = asdict(self)
+        if self.seed is None:
+            del out["seed"]
+        if not self.details:
+            del out["details"]
         return out
 
 
@@ -274,65 +284,37 @@ def verify_close_inequality(
     check_sweep_request(n, mode, samples, seed)
     _check_radius(n, p)
     bound = _tables.initial_segment_closed_sizes(n, p)
-    report = VerifyReport(
-        check="close", n=n, p=p, mode=mode, families_checked=0, max_slack=0, seed=seed
-    )
     if mode == "exhaustive":
-        order = _tables.masks_in_order(n)
-        ball = _tables.balls(n, p)
-        total = 1 << (1 << n)
-        cp = [0] * total
-        cp[0] = _tables.universe_bits(n)
-        max_slack = 0
-        for fam in range(1, total):
-            low = fam & -fam
-            val = cp[fam ^ low] & ball[order[low.bit_length() - 1]]
-            cp[fam] = val
-            slack = bound[fam.bit_count()] - val.bit_count()
-            if slack < 0:
-                report.violations.append(_close_witness(fam, n, p, val.bit_count(), bound))
-            elif slack > max_slack:
-                max_slack = slack
-        report.families_checked = total
-        report.max_slack = max_slack
-        return report
-    rng = random.Random(seed)
+        closed = enumerate(_tables.closed_bits_all(n, p))
+        count = 1 << (1 << n)
+    else:
+        rng = random.Random(seed)
+        families = (sample_family_bits(n, rng) for _ in range(samples))
+        closed = ((fam, _tables.closed_bits(fam, n, p)) for fam in families)
+        count = samples
+    report = VerifyReport(
+        check="close", n=n, p=p, mode=mode, families_checked=count, seed=seed
+    )
     max_slack = 0
-    for _ in range(samples):
-        fam = sample_family_bits(n, rng)
-        size = _tables.closed_size_bits(fam, n, p)
+    for fam, val in closed:
+        size = val.bit_count()
         slack = bound[fam.bit_count()] - size
         if slack < 0:
-            report.violations.append(_close_witness(fam, n, p, size, bound))
+            report.violations.append(_witness(fam, n, p, "closed_size", size, bound))
         elif slack > max_slack:
             max_slack = slack
-    report.families_checked = samples
     report.max_slack = max_slack
     return report
 
 
-def _close_witness(fam: int, n: int, p: int, size: int, bound) -> dict:
+def _witness(fam: int, n: int, p: int, size_key: str, size: int, bound) -> dict:
     return {
         "family": family_bits_to_strings(fam, n),
         "n": n,
         "p": p,
-        "closed_size": size,
+        size_key: size,
         "bound": bound[fam.bit_count()],
     }
-
-
-def _qualifies_exhaustive(n: int, p: int) -> list[bool]:
-    """qualify[B] = every pair of members of B is within symmetric difference p."""
-    order = _tables.masks_in_order(n)
-    ball = _tables.balls(n, p)
-    total = 1 << (1 << n)
-    qual = [False] * total
-    qual[0] = True
-    for fam in range(1, total):
-        low = fam & -fam
-        rest = fam ^ low
-        qual[fam] = qual[rest] and not rest & ~ball[order[low.bit_length() - 1]]
-    return qual
 
 
 def verify_open_inequality(
@@ -345,82 +327,62 @@ def verify_open_inequality(
     """Check |C^p(A)| <= |C^p(I_|A|)| over families whose members are
     pairwise within symmetric difference p (the hypothesis of the statement).
 
-    Sample mode grows random qualifying families directly: each next member
-    is drawn uniformly from the subsets compatible with all current members.
+    Exhaustive mode scans every family and checks those that qualify: every
+    ball contains its centre, so a family is pairwise within p exactly when
+    it lies inside its own closed neighborhood.  Sample mode grows random
+    qualifying families directly: each next member is drawn uniformly from
+    the subsets compatible with all current members.
     """
     check_sweep_request(n, mode, samples, seed)
     _check_radius(n, p)
     open_bound = _tables.initial_segment_open_sizes(n, p)
-    report = VerifyReport(
-        check="open", n=n, p=p, mode=mode, families_checked=0, max_slack=0, seed=seed
-    )
+    report = VerifyReport(check="open", n=n, p=p, mode=mode, families_checked=0, seed=seed)
     if mode == "exhaustive":
-        order = _tables.masks_in_order(n)
-        ball = _tables.balls(n, p)
-        total = 1 << (1 << n)
-        qual = _qualifies_exhaustive(n, p)
-        cp = [0] * total
-        cp[0] = _tables.universe_bits(n)
-        checked = 0
-        max_slack = 0
-        for fam in range(1, total):
-            low = fam & -fam
-            val = cp[fam ^ low] & ball[order[low.bit_length() - 1]]
-            cp[fam] = val
-            if not qual[fam]:
-                continue
-            checked += 1
-            size = (val & ~fam).bit_count()
-            slack = open_bound[fam.bit_count()] - size
-            if slack < 0:
-                report.violations.append(_open_witness(fam, n, p, size, open_bound))
-            elif slack > max_slack:
-                max_slack = slack
-        report.families_checked = checked + 1  # the empty family qualifies trivially
-        report.max_slack = max_slack
-        report.details["families_scanned"] = total
-        return report
-    rng = random.Random(seed)
-    ball = _tables.balls(n, p)
-    order = _tables.masks_in_order(n)
-    universe = _tables.universe_bits(n)
-    nbits = 1 << n
+        scanned = enumerate(_tables.closed_bits_all(n, p))
+        closed = ((fam, val) for fam, val in scanned if not fam & ~val)
+        report.details["families_scanned"] = 1 << (1 << n)
+    else:
+        rng = random.Random(seed)
+        closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
+    checked = 0
     max_slack = 0
-    for _ in range(samples):
-        m_target = rng.randint(1, 1 << (n - 1))
-        members = 0
-        closed = universe
-        for _ in range(m_target):
-            pool = closed & ~members
-            if not pool:
-                break
-            r = _pick_set_bit(pool, nbits, rng)
-            members |= 1 << r
-            closed &= ball[order[r]]
-        size = (closed & ~members).bit_count()
-        slack = open_bound[members.bit_count()] - size
+    for fam, val in closed:
+        checked += 1
+        size = (val & ~fam).bit_count()
+        slack = open_bound[fam.bit_count()] - size
         if slack < 0:
-            report.violations.append(_open_witness(members, n, p, size, open_bound))
+            report.violations.append(_witness(fam, n, p, "open_size", size, open_bound))
         elif slack > max_slack:
             max_slack = slack
-    report.families_checked = samples
+    report.families_checked = checked
     report.max_slack = max_slack
     return report
 
 
-def _open_witness(fam: int, n: int, p: int, size: int, open_bound) -> dict:
-    return {
-        "family": family_bits_to_strings(fam, n),
-        "n": n,
-        "p": p,
-        "open_size": size,
-        "bound": open_bound[fam.bit_count()],
-    }
+def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]:
+    """(family, its closed neighborhood) for a random family whose members
+    are pairwise within p: size target m uniform in [1, 2^(n-1)], each next
+    member drawn uniformly from the subsets compatible with all current
+    ones, stopping early when none is left."""
+    ball = _tables.balls(n, p)
+    order = _tables.masks_in_order(n)
+    members = 0
+    closed = _tables.universe_bits(n)
+    for _ in range(rng.randint(1, 1 << (n - 1))):
+        pool = closed & ~members
+        if not pool:
+            break
+        r = _pick_set_bit(pool, 1 << n, rng)
+        members |= 1 << r
+        closed &= ball[order[r]]
+    return members, closed
 
 
 def verify_initial_segment_closure(n: int) -> VerifyReport:
     """Closed neighborhoods of initial segments are again initial segments:
     sweep every segment length a in [0, 2^n] and every p in [1, n]."""
+    if n < 1:
+        raise ValueError(f"simplicial sweep needs n >= 1 for a radius in 1..n, got {n}")
     order = _tables.masks_in_order(n)
     _tables.balls(n, n)  # every radius is read: build all, or refuse before allocating
     report = VerifyReport(
@@ -520,6 +482,8 @@ def verify_section_identity(
     walk over its members, on the subground's own ball tables.  Only the
     join and the compare run per radius.
     """
+    if n < 1:
+        raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
     check_sweep_request(n, mode, samples, seed)
     report = VerifyReport(
         check="section", n=n, p=None, mode=mode, families_checked=0, seed=seed
@@ -559,25 +523,12 @@ def find_open_counterexample(n_max: int = 4) -> dict | None:
 
     Returns a witness dict for the smallest (n, p, family) found, or None.
     """
+    _require_exhaustible(n_max)
     for n in range(2, n_max + 1):
-        order = _tables.masks_in_order(n)
         for p in range(1, n):
             open_bound = _tables.initial_segment_open_sizes(n, p)
-            ball = _tables.balls(n, p)
-            total = 1 << (1 << n)
-            cp = [0] * total
-            cp[0] = _tables.universe_bits(n)
-            for fam in range(1, total):
-                low = fam & -fam
-                val = cp[fam ^ low] & ball[order[low.bit_length() - 1]]
-                cp[fam] = val
+            for fam, val in enumerate(_tables.closed_bits_all(n, p)):
                 size = (val & ~fam).bit_count()
                 if size > open_bound[fam.bit_count()]:
-                    return {
-                        "family": family_bits_to_strings(fam, n),
-                        "n": n,
-                        "p": p,
-                        "open_size": size,
-                        "bound": open_bound[fam.bit_count()],
-                    }
+                    return _witness(fam, n, p, "open_size", size, open_bound)
     return None

@@ -16,6 +16,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
+from . import _tables
+
 MAX_GROUND_SIZE = 62  # single-word masks; the desk-scale tooling never needs more
 
 
@@ -280,11 +282,20 @@ def parse_subset(text: str, g: GroundSet) -> SubsetMask:
 
 
 def family_to_bits(fam: Family) -> int:
-    """Pack a family into a rank-indexed bitset over its 2^n universe."""
-    bits = 0
+    """Pack a family into a rank-indexed bitset over its 2^n universe.
+
+    Grounds within the table capacity read the members' ranks from the rank
+    table; larger grounds rank each member with mask_rank.
+    """
     n = fam.ground.size
-    for m in fam.members:
-        bits |= 1 << mask_rank(m.bits, n)
+    if n <= _tables.MAX_TABLE_BITS:
+        rank_of = _tables.rank_of_mask(n)
+        ranks = (rank_of[m.bits] for m in fam.members)
+    else:
+        ranks = (mask_rank(m.bits, n) for m in fam.members)
+    bits = 0
+    for r in ranks:
+        bits |= 1 << r
     return bits
 
 
@@ -292,10 +303,10 @@ def family_from_bits(bits: int, g: GroundSet) -> Family:
     """Inverse of family_to_bits."""
     if bits < 0 or bits >> (1 << g.size):
         raise ValueError("family bitset has bits outside the universe")
-    masks = []
-    rest = bits
-    while rest:
-        low = rest & -rest
-        masks.append(mask_unrank(low.bit_length() - 1, g.size))
-        rest ^= low
+    n = g.size
+    if n <= _tables.MAX_TABLE_BITS:
+        order = _tables.masks_in_order(n)
+        masks = [order[r] for r in _tables.iter_bits(bits)]
+    else:
+        masks = [mask_unrank(r, n) for r in _tables.iter_bits(bits)]
     return Family(tuple(SubsetMask(b, g) for b in masks), g)

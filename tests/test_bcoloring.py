@@ -343,6 +343,24 @@ class TestSingletonCertificate:
         with pytest.raises(ValueError):
             bc.singleton_certificate(g, bc.coset_coloring(2, 3), 0)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_complete_power_passes(self, n):
+        # Q_n^n is complete: the identity coloring has 2^n singleton classes,
+        # ell = 2^(n-1), and all of them form the required clique (Q_2^2 is
+        # test_synthetic_all_singletons)
+        g = bc.hypercube_power(n, n)
+        k = 1 << n
+        rep = bc.singleton_certificate(g, bc.Coloring(tuple(range(k)), k), k >> 1)
+        assert rep.ok and rep.failure is None
+        assert rep.singleton_count == rep.required == k
+        assert rep.chosen == tuple(range(k)) and rep.clique_ok
+        assert rep.open_size == rep.open_required == 0
+
+    def test_requires_k_to_match_ell(self):
+        g = bc.hypercube_power(2, 2)
+        with pytest.raises(ValueError, match="does not equal"):
+            bc.singleton_certificate(g, bc.Coloring((0, 1, 2, 3), 4), 1)
+
 
 class TestBoundsSandwich:
     def test_exact_values_within_applicable_bounds(self, solve_cube):

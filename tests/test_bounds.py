@@ -77,7 +77,11 @@ class TestRefinedBounds:
                 in_old = n // 2 < p < n - 1
                 assert (bd.upper_old(n, p) is not None) == in_old
                 assert (bd.lower_bound(n, p) is not None) == in_old
-                in_ref = ClosedFormParams.in_range(n, p)
+                if n % 2 == 1:
+                    in_ref = n >= 5 and (n + 1) // 2 <= p <= n - 2
+                else:
+                    in_ref = n >= 6 and n // 2 + 1 <= p <= n - 2
+                assert ClosedFormParams.in_range(n, p) == in_ref
                 assert (bd.upper_rough(n, p) is not None) == in_ref
                 assert (bd.upper_new(n, p) is not None) == in_ref
 

@@ -258,6 +258,28 @@ class TestExitCodes:
         assert code == 2 and out == "" and "at least one sample" in err
         assert _tables.balls.cache_info().misses == misses
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theorem", "close", "--n", "1", "--exhaustive"],
+            ["--theorem", "open", "--n", "1", "--exhaustive"],
+            ["--theorem", "closedform", "--n", "4"],
+            ["--theorem", "compression", "--n", "1", "--exhaustive"],
+            ["--theorem", "section", "--n", "0", "--exhaustive"],
+            ["--theorem", "simplicial", "--n", "0"],
+        ],
+    )
+    def test_sweep_with_nothing_to_check_exits_2_before_building_tables(
+        self, capsys, argv
+    ):
+        # no radius (close, open, closedform, compression) or no coordinate
+        # (section, simplicial) at this n: a report would pass vacuously
+        tables = (_tables.balls, _tables.masks_in_order, _tables.section_tables)
+        misses = [t.cache_info().misses for t in tables]
+        code, out, err = run(["verify", *argv], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert [t.cache_info().misses for t in tables] == misses
+
     @pytest.mark.parametrize("theorem", ["simplicial", "closedform"])
     def test_ball_memory_guard_exits_3(self, capsys, theorem):
         size = _tables.balls.cache_info().currsize

@@ -1,6 +1,7 @@
 """Common neighborhoods: definitions, closed forms, and verification sweeps."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -195,12 +196,48 @@ class TestCloseInequality:
         b = nb.verify_close_inequality(5, 2, "sample", samples=500, seed=9)
         assert a.as_json_dict() == b.as_json_dict()
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_corrupted_dp_entry_is_reported(self, monkeypatch, p):
+        # initial segments meet the bound exactly, so one extra bit in the
+        # DP's entry for I_3 must surface as a violation for that family only
+        fam = _tables.prefix_bits(3)
+        real = _tables.closed_bits_all
+
+        def corrupted(n, radius):
+            table = real(n, radius)
+            val = table[fam]
+            table[fam] = val | (val + 1) & ~val  # lowest bit not yet set
+            return table
+
+        monkeypatch.setattr(_tables, "closed_bits_all", corrupted)
+        rep = nb.verify_close_inequality(4, p, "exhaustive")
+        assert [v["family"] for v in rep.violations] == [nb.family_bits_to_strings(fam, 4)]
+        assert rep.violations[0]["closed_size"] == rep.violations[0]["bound"] + 1
+
 
 class TestOpenInequality:
     def test_exhaustive_n3(self):
         for p in (1, 2):
             rep = nb.verify_open_inequality(3, p, "exhaustive")
             assert rep.ok
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_exhaustive_checks_exactly_the_pairwise_families(self, n):
+        # diameter of every family by brute force over its member pairs; a
+        # family qualifies at radius p iff its diameter is at most p
+        order = _tables.masks_in_order(n)
+        diameters = [
+            max(
+                ((a ^ b).bit_count() for a, b in combinations(
+                    [order[r] for r in _tables.iter_bits(fam)], 2)),
+                default=0,
+            )
+            for fam in range(1 << (1 << n))
+        ]
+        for p in range(1, n + 1):
+            rep = nb.verify_open_inequality(n, p, "exhaustive")
+            assert rep.families_checked == sum(d <= p for d in diameters), (n, p)
+            assert rep.details["families_scanned"] == 1 << (1 << n)
 
     def test_spec_pairwise_example(self):
         fam = Family.from_labels(G4, [[1], [2], [1, 2]])

@@ -214,6 +214,30 @@ class TestFamily:
         bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
         assert family_to_bits(family_from_bits(bits, g)) == bits
 
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=150)
+    def test_table_route_matches_mask_rank_route(self, n, data):
+        # grounds within the table capacity convert through the rank tables;
+        # mask_rank / mask_unrank are the reference
+        g = GroundSet.range(n)
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+        fam = Family.from_masks(g, masks)
+        bits = sum(1 << mask_rank(m, n) for m in masks)
+        assert family_to_bits(fam) == bits
+        back = family_from_bits(bits, g)
+        assert back.bit_masks() == fam.bit_masks()
+        assert back.bit_masks() == tuple(mask_unrank(r, n) for r in _tables.iter_bits(bits))
+
+    def test_roundtrip_beyond_table_capacity(self):
+        n = 20
+        assert n > _tables.MAX_TABLE_BITS
+        g = GroundSet.range(n)
+        masks = [0, 1, 1 << 19, 0b1011, (1 << 20) - 1, 0xF0F0F]
+        fam = Family.from_masks(g, masks)
+        bits = family_to_bits(fam)
+        assert bits == sum(1 << mask_rank(m, n) for m in masks)
+        assert family_from_bits(bits, g).bit_masks() == fam.bit_masks()
+
 
 class TestNotation:
     def test_format(self):

@@ -1,4 +1,7 @@
-"""Hamming-ball tables: agreement with the definition, and the memory guard."""
+"""Hamming-ball tables and the all-families closed-neighborhood DP:
+agreement with the definition, and the memory guard."""
+
+import random
 
 import pytest
 
@@ -54,3 +57,21 @@ class TestMemoryGuard:
     def test_negative_ground_is_malformed(self):
         with pytest.raises(ValueError):
             _tables.masks_in_order(-1)
+
+
+class TestClosedBitsAll:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_matches_closed_bits_for_every_family(self, n):
+        for p in range(0, n + 2):
+            table = _tables.closed_bits_all(n, p)
+            assert len(table) == 1 << (1 << n)
+            assert table == [_tables.closed_bits(f, n, p) for f in range(1 << (1 << n))]
+
+    def test_matches_closed_bits_on_seeded_families_n4(self):
+        rng = random.Random(2024)
+        families = [rng.randrange(1 << 16) for _ in range(2000)]
+        for p in range(0, 6):
+            table = _tables.closed_bits_all(4, p)
+            assert len(table) == 1 << 16
+            for f in families:
+                assert table[f] == _tables.closed_bits(f, 4, p), (p, f)
