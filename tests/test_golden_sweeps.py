@@ -2,20 +2,23 @@
 pinned by sha256.
 
 The section, fixpoint and compression sweeps and the object-level
-`is_compressed` have fast paths that must give byte-identical reports, and
-the bound, certificate and verify reports must serialise to the same bytes
-however their JSON dicts are built.  Each digest below was recorded before
-the code it covers was rewritten; any change to a report's content or order
-shows up here.
+`is_compressed` have fast paths that must give byte-identical reports, the
+bound, certificate and verify reports must serialise to the same bytes
+however their JSON dicts are built, and the family layer (segments, levels,
+member order) must list the same members whichever table it reads.  Each
+digest below was recorded before the code it covers was rewritten; any
+change to a report's content or order shows up here.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from hyperb import compression as cp
+from hyperb import neighborhoods as nb
 from hyperb.cli import main
-from hyperb.subsets import GroundSet, family_from_bits
+from hyperb.subsets import Family, GroundSet, family_from_bits, initial_segment, level_set
 
 
 def _exhaustive(theorem, n):
@@ -74,6 +77,72 @@ SERIALISER_CASES = [
 # [is_compressed(A, i)] for every family A of 2^[4] in bitset order, labels
 # 1..4 within each family, one byte per flag.
 IS_COMPRESSED_N4 = "9f1deacbab546d8a6b07704d4ac6f92a4ce567c8eb4cf74d67c078ab8cfdaa8e"
+
+
+
+def _segments():
+    return [
+        [list(initial_segment(m, GroundSet.range(n)).bit_masks()) for m in range((1 << n) + 1)]
+        for n in range(7)
+    ]
+
+
+def _levels():
+    return [
+        [list(level_set(i, GroundSet.range(n)).bit_masks()) for i in range(n + 1)]
+        for n in range(9)
+    ]
+
+
+def _initial_segment_flags():
+    return [
+        [
+            nb.is_initial_segment(family_from_bits(b, GroundSet.range(n)))
+            for b in range(1 << (1 << n))
+        ]
+        for n in range(4)
+    ]
+
+
+def _exceptional():
+    return [list(cp.exceptional_family(GroundSet.range(n)).bit_masks()) for n in range(2, 9)]
+
+
+def _witness_strings():
+    cases = [
+        (0, 0), (1, 0), (0b101, 3), ((1 << 8) - 1, 3), (0b1011_0110_0001, 4), (1 << 31 | 1 << 6, 5)
+    ]
+    return [nb.family_bits_to_strings(bits, n) for bits, n in cases]
+
+
+def _sparse_label_order():
+    # labels are not bit positions here; members sort by position rank
+    g = GroundSet((2, 5, 7, 11))
+    fam = Family.from_masks(g, [13, 2, 15, 0, 6, 9, 1, 12, 8, 4, 3, 14, 7, 10, 5, 11])
+    return [[m.bits, list(m.labels())] for m in fam]
+
+
+# The family layer (segments, levels, the initial-segment test, the
+# exceptional fixpoint, witness strings, member order), serialised as JSON.
+FAMILY_CASES = [
+    ("initial_segment-n0..6", _segments,
+     "ecaee08787909d4a6259dce2cbef5e33785f00f677e8d7626ce68af947baed77"),
+    ("level_set-n0..8", _levels,
+     "1668b65e611086302bed4ddbfc50a856189fda3b70a6c8dfdb717cf59340a850"),
+    ("is_initial_segment-n0..3", _initial_segment_flags,
+     "7eda55557f6d1409b44b4de2edb03090c5811ad8d33dfd107478e2fb32a077a9"),
+    ("exceptional_family-n2..8", _exceptional,
+     "b2de82ff09e2b1bfd2d6b3ef9211b02f14972fdb01dd307d9ef5c321fddc1aad"),
+    ("family_bits_to_strings", _witness_strings,
+     "1c9624194d7a8242fe1b0dc224af1b524341328307a574b263e39985a04f6811"),
+    ("from_masks-sparse-labels", _sparse_label_order,
+     "0e0656bdc5ef9ae5a86c5f9ec532e28bfe2eecf55bc25d6b0deb7056a6b9a9d8"),
+]
+
+
+@pytest.mark.parametrize("tag,build,digest", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_family_layer_pinned(tag, build, digest):
+    assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("tag,argv,digest", CASES, ids=[c[0] for c in CASES])
