@@ -67,8 +67,9 @@ def masks_in_order(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def rank_of_mask(n: int) -> tuple[int, ...]:
     """Inverse permutation of masks_in_order, indexed by mask."""
-    table = [0] * (1 << n)
-    for r, m in enumerate(masks_in_order(n)):
+    order = masks_in_order(n)  # refuses grounds over the cap before allocating
+    table = [0] * len(order)
+    for r, m in enumerate(order):
         table[m] = r
     return tuple(table)
 

@@ -19,6 +19,7 @@ from .errors import InfeasibleError, IntegrityError
 from .subsets import GroundSet, SubsetMask, format_subset
 
 MAX_SOLVER_VERTICES = 1024
+MAX_ADJACENCY_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,15 @@ def adjacent(g: PowerGraph, u: int, v: int) -> bool:
     return g.distance(u, v) <= g.p
 
 
+def check_adjacency_size(g: PowerGraph) -> None:
+    """Refuse, before anything is built, a graph too large for adjacency rows."""
+    count = g.vertex_count
+    if count > MAX_ADJACENCY_VERTICES:
+        raise InfeasibleError(
+            f"adjacency materialization capped at {MAX_ADJACENCY_VERTICES} vertices, got {count}"
+        )
+
+
 @lru_cache(maxsize=32)
 def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     """Materialized neighbor bitsets; used by the validator and the solver.
@@ -128,9 +138,8 @@ def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     one-coordinate moves: B_r(x) = B_{r-1}(x) | OR over moves y of
     B_{r-1}(y), for r = 1..min(p, n).
     """
+    check_adjacency_size(g)
     count = g.vertex_count
-    if count > 4096:
-        raise InfeasibleError(f"adjacency materialization capped at 4096 vertices, got {count}")
     if g.kind == "hypercube":
         ball = _tables.balls(g.n, g.p)
         order = _tables.masks_in_order(g.n)
@@ -275,6 +284,7 @@ def verify_coset_bcoloring(n: int, q: int, p: int) -> BColorCertificate:
     if p > n - 1:
         raise ValueError("coset coloring is only proper for p <= n-1")
     g = hamming_power(n, q, p)
+    check_adjacency_size(g)
     cert = validate_coloring(g, coset_coloring(n, q))
     if bounds.hamming_gate(n, q, p) and not cert.valid_b:
         raise IntegrityError(

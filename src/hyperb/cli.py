@@ -218,6 +218,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.p is not None:
+        g = bcoloring.hamming_power(args.n, args.q, args.p)
+        bcoloring.check_adjacency_size(g)
     coloring = bcoloring.coset_coloring(args.n, args.q)
     payload = {
         "schema": 1,
@@ -231,7 +234,6 @@ def cmd_color(args) -> int:
         },
     }
     if args.p is not None:
-        g = bcoloring.hamming_power(args.n, args.q, args.p)
         cert = bcoloring.validate_coloring(g, coloring)
         payload["coloring"]["p"] = args.p
         payload["certificate"] = cert.as_json_dict()

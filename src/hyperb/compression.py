@@ -29,7 +29,6 @@ from .subsets import (
     family_from_bits,
     family_to_bits,
     initial_segment,
-    mask_rank,
 )
 
 KIND_INITIAL_SEGMENT = "initial_segment"
@@ -69,7 +68,11 @@ def sections(a: Family, i: int) -> SectionPair:
 
 
 def compress(a: Family, i: int) -> Family:
-    """Replace both i-sections by initial segments of the same size."""
+    """Replace both i-sections by initial segments of the same size.
+
+    Works on the member objects; the tests hold the kernel's
+    SectionTables.compress to this.
+    """
     pos = a.ground.position(i)
     sec = sections(a, i)
     sub = sec.minus.ground
@@ -86,18 +89,10 @@ def compress(a: Family, i: int) -> Family:
 
 
 def is_compressed(a: Family, i: int) -> bool:
-    """True iff compressing at label i leaves the family unchanged.
-
-    Grounds within the table capacity go through the bitset kernel
-    (compress_bits); larger grounds compare against the object-level
-    compress.
-    """
+    """True iff compressing at label i leaves the family unchanged."""
     pos = a.ground.position(i)
-    n = a.ground.size
-    if n <= _tables.MAX_TABLE_BITS:
-        bits = family_to_bits(a)
-        return _tables.compress_bits(bits, n, pos) == bits
-    return compress(a, i).bit_masks() == a.bit_masks()
+    bits = family_to_bits(a)
+    return _tables.compress_bits(bits, a.ground.size, pos) == bits
 
 
 def compress_fully(a: Family) -> tuple[Family, int]:
@@ -107,27 +102,8 @@ def compress_fully(a: Family) -> tuple[Family, int]:
     Each applied compression moves the family strictly earlier in the family
     order, so the scan terminates.
     """
-    n = a.ground.size
-    if n == 0:
-        return a, 0
-    if n <= _tables.MAX_TABLE_BITS:
-        fixed, steps = compress_fully_bits(family_to_bits(a), n)
-        return family_from_bits(fixed, a.ground), steps
-    # object-level path for grounds beyond the table capacity
-    steps = 0
-    clean = 0
-    idx = 0
-    labels = a.ground.labels
-    while clean < n:
-        nxt = compress(a, labels[idx])
-        if nxt.bit_masks() == a.bit_masks():
-            clean += 1
-        else:
-            a = nxt
-            steps += 1
-            clean = 0
-        idx = (idx + 1) % n
-    return a, steps
+    fixed, steps = compress_fully_bits(family_to_bits(a), a.ground.size)
+    return family_from_bits(fixed, a.ground), steps
 
 
 def compress_fully_bits(fam: int, n: int) -> tuple[int, int]:
@@ -170,14 +146,13 @@ def exceptional_params(n: int) -> tuple[int, int]:
 
 def exceptional_family(g: GroundSet) -> Family:
     """The exceptional all-coordinate fixpoint for this ground size."""
-    ell, removed = exceptional_params(g.size)
-    members = [m for m in initial_segment(ell, g).members if m.bits != removed]
-    return Family(tuple(members), g)
+    return family_from_bits(exceptional_bits(g.size), g)
 
 
 def exceptional_bits(n: int) -> int:
     ell, removed = exceptional_params(n)
-    return _tables.prefix_bits(ell) & ~(1 << mask_rank(removed, n))
+    removed_rank = _tables.rank_of_mask(n)[removed]  # refuses n over the cap first
+    return _tables.prefix_bits(ell) & ~(1 << removed_rank)
 
 
 def classify_fixpoint_bits(fam: int, n: int) -> tuple[str, int | None]:
@@ -202,27 +177,9 @@ def classify_fixpoint(a: Family) -> FixpointClass:
     Raises IntegrityError if the family is compressed at every label yet is
     neither an initial segment nor the parity-matching exceptional form.
     """
-    n = a.ground.size
-    if n == 0:
-        return FixpointClass(KIND_INITIAL_SEGMENT)
-    if n <= _tables.MAX_TABLE_BITS:
-        kind, removed = classify_fixpoint_bits(family_to_bits(a), n)
-        witness = SubsetMask(removed, a.ground) if removed is not None else None
-        return FixpointClass(kind, witness)
-    # object-level path for grounds beyond the table capacity
-    for i in a.ground.labels:
-        if not is_compressed(a, i):
-            return FixpointClass(KIND_NOT_FIXPOINT)
-    if not a.members or mask_rank(a.members[-1].bits, n) == len(a) - 1:
-        return FixpointClass(KIND_INITIAL_SEGMENT)
-    if a.bit_masks() == exceptional_family(a.ground).bit_masks():
-        _, removed = exceptional_params(n)
-        kind = KIND_EXCEPTIONAL_ODD if n % 2 == 1 else KIND_EXCEPTIONAL_EVEN
-        return FixpointClass(kind, SubsetMask(removed, a.ground))
-    raise IntegrityError(
-        f"family compressed at every coordinate matches no known fixpoint form "
-        f"(ground size {n})"
-    )
+    kind, removed = classify_fixpoint_bits(family_to_bits(a), a.ground.size)
+    witness = SubsetMask(removed, a.ground) if removed is not None else None
+    return FixpointClass(kind, witness)
 
 
 def verify_fixpoint_classification(n: int) -> VerifyReport:

@@ -16,16 +16,7 @@ from typing import Iterable
 
 from . import _tables
 from .errors import InfeasibleError
-from .subsets import (
-    Family,
-    GroundSet,
-    SubsetMask,
-    family_from_bits,
-    family_to_bits,
-    format_subset,
-    mask_rank,
-    mask_unrank,
-)
+from .subsets import Family, GroundSet, family_from_bits, family_to_bits
 
 # Exhaustive family sweeps enumerate all 2^(2^n) families; n = 4 (65 536)
 # is the largest that stays a desk job.
@@ -146,11 +137,7 @@ def common_neighborhood(a: Family, p: int) -> CommonNeighborhood:
 
 def is_initial_segment(f: Family) -> bool:
     """True iff f consists of the first |f| subsets of its power set."""
-    if not f.members:
-        return True
-    # members are sorted and distinct, so a prefix is equivalent to the last
-    # member sitting at rank |f| - 1
-    return mask_rank(f.members[-1].bits, f.ground.size) == len(f) - 1
+    return _tables.is_prefix_bits(family_to_bits(f))
 
 
 def closed_form_open_count(params: ClosedFormParams) -> int:
@@ -190,10 +177,7 @@ class VerifyReport:
 
 def family_bits_to_strings(bits: int, n: int) -> list[str]:
     """Render a family bitset as subset notation strings (witness output)."""
-    g = GroundSet.range(n)
-    return [
-        format_subset(SubsetMask(mask_unrank(r, n), g)) for r in _tables.iter_bits(bits)
-    ]
+    return [str(m) for m in family_from_bits(bits, GroundSet.range(n))]
 
 
 def _require_exhaustible(n: int) -> None:

@@ -7,12 +7,16 @@ x xor y belongs to x.  Within one size level this is ascending lexicographic
 order on the sorted element lists.
 
 Ranks are 0-indexed, so "the first m subsets" are the ranks 0..m-1.
+
+Single subsets and rank/unrank work on grounds of up to 62 labels.  Families
+are a thin shell over the rank tables of `_tables`, so they share the tables'
+cap: a family on a ground of more than `_tables.MAX_TABLE_BITS` labels is
+refused with InfeasibleError before any table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -41,6 +45,8 @@ class GroundSet:
     @staticmethod
     def range(n: int) -> "GroundSet":
         """The ground set {1, ..., n}."""
+        if n < 0:
+            raise ValueError(f"ground size must be non-negative, got {n}")
         return GroundSet(tuple(range(1, n + 1)))
 
     @property
@@ -180,23 +186,21 @@ class Family:
     """An ordered collection of distinct subsets of one ground set.
 
     Members are stored sorted in the subset order; duplicates are rejected.
+    Grounds above the table capacity raise InfeasibleError.
     """
 
     members: tuple[SubsetMask, ...]
     ground: GroundSet
 
     def __post_init__(self):
+        rank_of = _tables.rank_of_mask(self.ground.size)
         for m in self.members:
             if m.ground.labels != self.ground.labels:
                 raise ValueError("family member on a different ground set")
-        ordered = tuple(
-            sorted(self.members, key=lambda s: (s.bits.bit_count(), s.labels()))
-        )
-        seen = set()
-        for m in ordered:
-            if m.bits in seen:
+        ordered = tuple(sorted(self.members, key=lambda s: rank_of[s.bits]))
+        for prev, m in zip(ordered, ordered[1:]):
+            if prev.bits == m.bits:
                 raise ValueError(f"duplicate member {format_subset(m)}")
-            seen.add(m.bits)
         object.__setattr__(self, "members", ordered)
 
     @staticmethod
@@ -245,20 +249,15 @@ def initial_segment(m: int, g: GroundSet) -> Family:
     """The first m subsets of the power set of g."""
     if not 0 <= m <= (1 << g.size):
         raise ValueError(f"segment length {m} out of range for ground size {g.size}")
-    return Family(tuple(SubsetMask(mask_unrank(r, g.size), g) for r in range(m)), g)
+    return Family.from_masks(g, _tables.masks_in_order(g.size)[:m])
 
 
 def level_set(i: int, g: GroundSet) -> Family:
     """All subsets of size exactly i, in order."""
     if not 0 <= i <= g.size:
         raise ValueError(f"level {i} out of range for ground size {g.size}")
-    masks = []
-    for combo in combinations(range(g.size), i):
-        bits = 0
-        for c in combo:
-            bits |= 1 << c
-        masks.append(bits)
-    return Family(tuple(SubsetMask(b, g) for b in masks), g)
+    start = sum(comb(g.size, k) for k in range(i))
+    return Family.from_masks(g, _tables.masks_in_order(g.size)[start : start + comb(g.size, i)])
 
 
 def format_subset(x: SubsetMask) -> str:
@@ -282,20 +281,11 @@ def parse_subset(text: str, g: GroundSet) -> SubsetMask:
 
 
 def family_to_bits(fam: Family) -> int:
-    """Pack a family into a rank-indexed bitset over its 2^n universe.
-
-    Grounds within the table capacity read the members' ranks from the rank
-    table; larger grounds rank each member with mask_rank.
-    """
-    n = fam.ground.size
-    if n <= _tables.MAX_TABLE_BITS:
-        rank_of = _tables.rank_of_mask(n)
-        ranks = (rank_of[m.bits] for m in fam.members)
-    else:
-        ranks = (mask_rank(m.bits, n) for m in fam.members)
+    """Pack a family into a rank-indexed bitset over its 2^n universe."""
+    rank_of = _tables.rank_of_mask(fam.ground.size)
     bits = 0
-    for r in ranks:
-        bits |= 1 << r
+    for m in fam.members:
+        bits |= 1 << rank_of[m.bits]
     return bits
 
 
@@ -303,10 +293,5 @@ def family_from_bits(bits: int, g: GroundSet) -> Family:
     """Inverse of family_to_bits."""
     if bits < 0 or bits >> (1 << g.size):
         raise ValueError("family bitset has bits outside the universe")
-    n = g.size
-    if n <= _tables.MAX_TABLE_BITS:
-        order = _tables.masks_in_order(n)
-        masks = [order[r] for r in _tables.iter_bits(bits)]
-    else:
-        masks = [mask_unrank(r, n) for r in _tables.iter_bits(bits)]
-    return Family(tuple(SubsetMask(b, g) for b in masks), g)
+    order = _tables.masks_in_order(g.size)
+    return Family.from_masks(g, (order[r] for r in _tables.iter_bits(bits)))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hyperb import _tables
+from hyperb import _tables, bcoloring
 from hyperb.cli import main
 
 
@@ -209,6 +209,7 @@ class TestExitCodes:
              "--samples", "10", "--seed", "1"],
             ["verify", "--theorem", "fixpoint", "--n", "4..3"],
             ["verify", "--theorem", "close", "--n", "4", "--p", "3..2", "--exhaustive"],
+            ["rank", "--n", "-1", "--subset", "{}"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):
@@ -228,6 +229,19 @@ class TestExitCodes:
         code, _, err = run(argv, capsys)
         assert code == 3
         assert "capped" in err or "capacity" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--theorem", "coset", "--n", "9", "--q", "4", "--p", "8"],
+            ["color", "--n", "9", "--q", "4", "--p", "2"],
+        ],
+    )
+    def test_adjacency_cap_fails_before_coloring(self, capsys, argv):
+        built = bcoloring._digit_table.cache_info().currsize
+        code, _, err = run(argv, capsys)
+        assert code == 3 and "capped" in err
+        assert bcoloring._digit_table.cache_info().currsize == built
 
     @pytest.mark.parametrize("theorem", ["close", "open", "section", "compression"])
     def test_sampling_cap_fails_before_building_tables(self, capsys, theorem):

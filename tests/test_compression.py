@@ -104,14 +104,6 @@ class TestCompress:
         fam = random_family(G4, bits)
         assert cp.is_compressed(fam, i) == (cp.compress(fam, i).bit_masks() == fam.bit_masks())
 
-    def test_is_compressed_large_ground_object_path(self):
-        # beyond the table capacity is_compressed compares against compress
-        g = GroundSet.range(20)
-        fam = Family.from_labels(g, [[], [20]])
-        assert cp.is_compressed(fam, 20)
-        assert not cp.is_compressed(fam, 1)
-        assert cp.is_compressed(cp.compress(fam, 1), 1)
-
     @given(st.integers(0, (1 << 16) - 1), st.integers(1, 4))
     @settings(max_examples=200)
     def test_cardinality_and_order(self, bits, i):
@@ -141,16 +133,6 @@ class TestCompressFully:
             assert len(out) == len(fam)
             for i in (1, 2, 3):
                 assert cp.is_compressed(out, i)
-
-    def test_large_ground_object_path(self):
-        # grounds beyond the table capacity take the object-level code path
-        g = GroundSet.range(20)
-        fam = Family.from_labels(g, [[20], [1, 20]])
-        out, steps = cp.compress_fully(fam)
-        assert steps == 1
-        assert [x.labels() for x in out] == [(), (1,)]
-        assert cp.classify_fixpoint(out).kind == "initial_segment"
-        assert cp.classify_fixpoint(fam).kind == "not_fixpoint"
 
 
 class TestClassify:

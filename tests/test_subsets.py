@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperb import _tables
+from hyperb.errors import InfeasibleError
 from hyperb.subsets import (
     Family,
     GroundSet,
@@ -43,6 +44,8 @@ class TestGroundSet:
         GroundSet.range(62)
         with pytest.raises(ValueError):
             GroundSet.range(63)
+        with pytest.raises(ValueError):
+            GroundSet.range(-1)
 
     def test_without(self):
         assert GroundSet.range(4).without(2).labels == (1, 3, 4)
@@ -228,15 +231,31 @@ class TestFamily:
         assert back.bit_masks() == fam.bit_masks()
         assert back.bit_masks() == tuple(mask_unrank(r, n) for r in _tables.iter_bits(bits))
 
-    def test_roundtrip_beyond_table_capacity(self):
-        n = 20
-        assert n > _tables.MAX_TABLE_BITS
+    @pytest.mark.parametrize("n", [_tables.MAX_TABLE_BITS + 1, 20])
+    def test_family_layer_capped_at_table_size(self, n):
+        # families share the rank tables' cap and are refused before any
+        # table is built; single subsets keep the full 62-label range
         g = GroundSet.range(n)
-        masks = [0, 1, 1 << 19, 0b1011, (1 << 20) - 1, 0xF0F0F]
-        fam = Family.from_masks(g, masks)
-        bits = family_to_bits(fam)
-        assert bits == sum(1 << mask_rank(m, n) for m in masks)
-        assert family_from_bits(bits, g).bit_masks() == fam.bit_masks()
+        built = _tables.masks_in_order.cache_info().currsize
+        ranks = _tables.rank_of_mask.cache_info().currsize
+        for make in (
+            lambda: Family((), g),
+            lambda: Family.from_masks(g, [0, 1]),
+            lambda: family_from_bits(0b11, g),
+            lambda: initial_segment(2, g),
+            lambda: level_set(1, g),
+        ):
+            with pytest.raises(InfeasibleError):
+                make()
+        assert _tables.masks_in_order.cache_info().currsize == built
+        assert _tables.rank_of_mask.cache_info().currsize == ranks
+
+    def test_rank_unrank_keep_62_labels(self):
+        g = GroundSet.range(62)
+        for labels in ([], [1, 30, 62], list(range(1, 63))):
+            x = g.subset(labels)
+            assert unrank(rank(x), g).bits == x.bits
+        assert rank(g.full_subset()).value == (1 << 62) - 1
 
 
 class TestNotation:
