@@ -5,16 +5,22 @@ The section, fixpoint and compression sweeps and the object-level
 `is_compressed` have fast paths that must give byte-identical reports, the
 bound, certificate and verify reports must serialise to the same bytes
 however their JSON dicts are built, and the family layer (segments, levels,
-member order) must list the same members whichever table it reads.  Each
+member order) must list the same members whichever table it reads, and the
+b-coloring layer (greedy colorings, validation certificates, singleton
+reports, vertex labels) must give the same outputs whichever adjacency and
+domination pass it uses.  Each
 digest below was recorded before the code it covers was rewritten; any
 change to a report's content or order shows up here.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
+from hyperb import bcoloring as bc
 from hyperb import compression as cp
 from hyperb import neighborhoods as nb
 from hyperb.cli import main
@@ -140,9 +146,151 @@ FAMILY_CASES = [
 ]
 
 
+def _greedy_graphs():
+    """Q_n^p for n <= 5 and H(n,q)^p for q^n <= 81, every p <= n."""
+    graphs = [bc.hypercube_power(n, p) for n in range(1, 6) for p in range(1, n + 1)]
+    for q in range(2, 82):
+        n = 1
+        while q**n <= 81:
+            graphs.extend(bc.hamming_power(n, q, p) for p in range(1, n + 1))
+            n += 1
+    return graphs
+
+
+def _greedy_assignments():
+    return [list(bc.greedy_b_coloring(g).assignment) for g in _greedy_graphs()]
+
+
+def _coset_certificates():
+    out = []
+    for q in range(2, 244):
+        n = 1
+        while q**n <= 243:
+            for p in range(1, n):
+                cert = bc.validate_coloring(bc.hamming_power(n, q, p), bc.coset_coloring(n, q))
+                out.append(cert.as_json_dict())
+            n += 1
+    return out
+
+
+def _greedy_certificates():
+    return [
+        bc.validate_coloring(g, bc.greedy_b_coloring(g)).as_json_dict() for g in _greedy_graphs()
+    ]
+
+
+def _random_coloring(rng, g):
+    """Even draws: uniform colors (mostly improper).  Odd draws: a coset
+    coloring with some classes split into singletons and the colors permuted
+    (proper, with varied domination)."""
+    count = g.vertex_count
+    if rng.randrange(2) == 0:
+        k = rng.randint(1, count)
+        assignment = list(range(k)) + [rng.randrange(k) for _ in range(count - k)]
+        rng.shuffle(assignment)
+        return bc.Coloring(tuple(assignment), k)
+    base = bc.coset_coloring(g.n, g.q)
+    if g.kind == "hypercube":
+        base = bc.to_rank_indexing(g.n, base)
+    assignment = list(base.assignment)
+    k = base.k
+    for v in range(count):
+        if rng.random() < 0.3:
+            assignment[v] = k
+            k += 1
+    used = sorted(set(assignment))
+    perm = list(range(len(used)))
+    rng.shuffle(perm)
+    relabel = {c: perm[i] for i, c in enumerate(used)}
+    return bc.Coloring(tuple(relabel[c] for c in assignment), len(used))
+
+
+def _random_certificates():
+    rng = random.Random(4242)
+    graphs = [
+        bc.hypercube_power(3, 1), bc.hypercube_power(3, 2), bc.hypercube_power(4, 2),
+        bc.hamming_power(2, 3, 1), bc.hamming_power(2, 4, 1), bc.hamming_power(3, 3, 2),
+    ]
+    out = []
+    for _ in range(50):
+        g = rng.choice(graphs)
+        c = _random_coloring(rng, g)
+        out.append([g.kind, g.n, g.q, g.p, list(c.assignment)])
+        out.append(bc.validate_coloring(g, c).as_json_dict())
+    return out
+
+
+def _vertex_labels():
+    graphs = [bc.hypercube_power(3, 1), bc.hamming_power(2, 3, 1), bc.hamming_power(3, 3, 1)]
+    return [[bc.vertex_label(g, v) for v in range(g.vertex_count)] for g in graphs]
+
+
+# The b-coloring layer: greedy colorings, validation certificates (coset,
+# greedy and seeded random colorings, some improper) and vertex labels,
+# serialised as JSON.
+BCOLORING_CASES = [
+    ("greedy_b_coloring", _greedy_assignments,
+     "7cc50aff162b4d53aa48b5ab71a927a5c4ea013f4e3d31f6a73c0098fbab1481"),
+    ("validate-coset-q^n<=243", _coset_certificates,
+     "6e93166f8b867e20a3e7d290e1c6ed7eeb14105dedaddf5334889e3fe5e5b5a3"),
+    ("validate-greedy", _greedy_certificates,
+     "f43a4ce21b4b03ee9bebf24bbd1eabebe8c7e5285b1a7f84a47ceefe1206c5b0"),
+    ("validate-random-50", _random_certificates,
+     "ae6a1c6648611736769776eafd3f2a36d3fd5889457a9f3e128ea917f3aef9f8"),
+    ("vertex_label", _vertex_labels,
+     "bdd56b2a35f45db41a2adb3d8deeff7c8d873ceb224af849ab7627b8301fa9ac"),
+]
+
+# SingletonReport dicts of the singleton-certificate test inputs: the coset
+# coloring of Q_3^1 at ell = 0, the identity colorings of Q_n^n (n = 2, 3,
+# 4) at ell = 2^(n-1), the solver witnesses of Q_n^p with ell > 0, then one
+# report per failure message on Q_3^1 at ell = 1 under a validator forged to
+# pass (a real b-coloring never reaches the first two).
+SINGLETON_REPORTS = "d015c74db3fd307e99e8bede137b4290e39d020965ecaf0e2f416ac13020c2ac"
+
+
 @pytest.mark.parametrize("tag,build,digest", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
 def test_family_layer_pinned(tag, build, digest):
     assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "tag,build,digest", BCOLORING_CASES, ids=[c[0] for c in BCOLORING_CASES]
+)
+def test_bcoloring_layer_pinned(tag, build, digest):
+    assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
+
+
+def test_singleton_reports_pinned(solve_cube, monkeypatch):
+    reports = [
+        bc.singleton_certificate(
+            bc.hypercube_power(3, 1), bc.to_rank_indexing(3, bc.coset_coloring(3, 2)), 0
+        )
+    ]
+    for n in (2, 3, 4):
+        k = 1 << n
+        identity = bc.Coloring(tuple(range(k)), k)
+        reports.append(bc.singleton_certificate(bc.hypercube_power(n, n), identity, k >> 1))
+    for n, p in [(2, 2), (3, 2), (3, 3), (4, 3)]:
+        res, _ = solve_cube(n, p)
+        ell = res.value - (1 << (n - 1))
+        if ell > 0:
+            reports.append(bc.singleton_certificate(bc.hypercube_power(n, p), res.coloring, ell))
+    real = bc.validate_coloring
+    forged = [
+        ((0, 2, 2, 3, 3, 4, 4, 1), {"singleton_classes": (0,)}),  # too few singletons
+        ((0, 2, 2, 3, 3, 4, 4, 1), {}),  # singletons at ranks 0 and 7, distance 3
+        ((0, 1, 2, 2, 3, 3, 4, 4), {}),  # adjacent singletons, empty open neighborhood
+    ]
+    for assignment, fields in forged:
+        monkeypatch.setattr(
+            bc, "validate_coloring",
+            lambda g, c: dataclasses.replace(real(g, c), valid_b=True, **fields),
+        )
+        coloring = bc.Coloring(assignment, 5)
+        reports.append(bc.singleton_certificate(bc.hypercube_power(3, 1), coloring, 1))
+    dicts = [r.as_json_dict() for r in reports]
+    assert hashlib.sha256(json.dumps(dicts).encode()).hexdigest() == SINGLETON_REPORTS
 
 
 @pytest.mark.parametrize("tag,argv,digest", CASES, ids=[c[0] for c in CASES])
