@@ -5,11 +5,18 @@ Vertices are integers.  On the cube side a vertex is the rank of its subset
 in the subset order, so initial segments are index prefixes; on the Hamming
 side a vertex encodes its coordinate tuple in base q, first coordinate least
 significant.  With q = 2 the Hamming index equals the subset bitmask.
+
+_adjacency_rows is the one adjacency: `adjacent`, the validator, the greedy
+coloring and the solver all read its neighbor bitsets, so every one of them
+stops at MAX_ADJACENCY_VERTICES.  The b-coloring condition is evaluated in
+one place too: _neighbor_color_masks gives the colors each vertex sees and
+_dominating the first vertex of each class that sees every other class.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -91,17 +98,6 @@ class PowerGraph:
         if not 0 <= v < self.vertex_count:
             raise ValueError(f"vertex {v} out of range [0, {self.vertex_count})")
 
-    def distance(self, u: int, v: int) -> int:
-        """Base-graph distance: number of differing coordinates."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if self.kind == "hypercube":
-            order = _tables.masks_in_order(self.n)
-            return (order[u] ^ order[v]).bit_count()
-        du = _digit_table(self.n, self.q)[u]
-        dv = _digit_table(self.n, self.q)[v]
-        return sum(a != b for a, b in zip(du, dv))
-
 
 def hypercube_power(n: int, p: int) -> PowerGraph:
     return PowerGraph("hypercube", n, 2, p)
@@ -112,16 +108,16 @@ def hamming_power(n: int, q: int, p: int) -> PowerGraph:
 
 
 def adjacent(g: PowerGraph, u: int, v: int) -> bool:
-    """Edge test in the power graph: distinct vertices within distance p."""
-    if u == v:
-        g._check_vertex(u)
-        return False
-    return g.distance(u, v) <= g.p
+    """Edge test in the power graph: distinct vertices within distance p.
+
+    Reads the adjacency rows, so it shares their vertex cap."""
+    g._check_vertex(u)
+    g._check_vertex(v)
+    return bool(_adjacency_rows(g)[u] >> v & 1)
 
 
-def check_adjacency_size(g: PowerGraph) -> None:
+def check_adjacency_size(count: int) -> None:
     """Refuse, before anything is built, a graph too large for adjacency rows."""
-    count = g.vertex_count
     if count > MAX_ADJACENCY_VERTICES:
         raise InfeasibleError(
             f"adjacency materialization capped at {MAX_ADJACENCY_VERTICES} vertices, got {count}"
@@ -138,8 +134,8 @@ def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     one-coordinate moves: B_r(x) = B_{r-1}(x) | OR over moves y of
     B_{r-1}(y), for r = 1..min(p, n).
     """
-    check_adjacency_size(g)
     count = g.vertex_count
+    check_adjacency_size(count)
     if g.kind == "hypercube":
         ball = _tables.balls(g.n, g.p)
         order = _tables.masks_in_order(g.n)
@@ -204,15 +200,27 @@ class BColorCertificate:
         return asdict(self)
 
 
-def _neighbor_color_masks(g: PowerGraph, c: Coloring) -> list[int]:
-    rows = _adjacency_rows(g)
-    assign = c.assignment
+def _neighbor_color_masks(rows, assign) -> list[int]:
+    """Bitset of the colors on the neighbors of each vertex.
+
+    Only the vertices of rows[v] are read, so `assign` may be a prefix of
+    the coloring when every row holds only vertices inside it."""
     out = []
-    for v in range(g.vertex_count):
+    for row in rows:
         acc = 0
-        for w in _tables.iter_bits(rows[v]):
+        for w in _tables.iter_bits(row):
             acc |= 1 << assign[w]
         out.append(acc)
+    return out
+
+
+def _dominating(ncolors, assign, k) -> list[int | None]:
+    """The first vertex of each class that sees every other class, or None."""
+    all_colors = (1 << k) - 1
+    out: list[int | None] = [None] * k
+    for v, t in enumerate(assign):
+        if out[t] is None and ncolors[v] | 1 << t == all_colors:
+            out[t] = v
     return out
 
 
@@ -222,35 +230,25 @@ def validate_coloring(g: PowerGraph, c: Coloring) -> BColorCertificate:
         raise ValueError(
             f"coloring covers {len(c.assignment)} vertices, graph has {g.vertex_count}"
         )
-    k = c.k
-    ncolors = _neighbor_color_masks(g, c)
     assign = c.assignment
-    proper = all(not ncolors[v] >> assign[v] & 1 for v in range(g.vertex_count))
-    all_colors = (1 << k) - 1
-    dominating: list[int | None] = [None] * k
-    sizes = [0] * k
-    for v in range(g.vertex_count):
-        t = assign[v]
-        sizes[t] += 1
-        if dominating[t] is None and ncolors[v] | 1 << t == all_colors:
-            dominating[t] = v
-    valid_b = proper and all(d is not None for d in dominating)
-    singles = tuple(t for t in range(k) if sizes[t] == 1)
+    ncolors = _neighbor_color_masks(_adjacency_rows(g), assign)
+    proper = all(not seen >> t & 1 for seen, t in zip(ncolors, assign))
+    dominating = _dominating(ncolors, assign, c.k)
+    sizes = Counter(assign)
     return BColorCertificate(
-        k=k,
+        k=c.k,
         valid_proper=proper,
-        valid_b=valid_b,
+        valid_b=proper and None not in dominating,
         dominating=tuple(dominating),
-        singleton_classes=singles,
+        singleton_classes=tuple(t for t in range(c.k) if sizes[t] == 1),
     )
 
 
 def all_vertices_dominating(g: PowerGraph, c: Coloring) -> bool:
     """Stronger property: every vertex sees every other color class."""
-    ncolors = _neighbor_color_masks(g, c)
-    all_colors = (1 << c.k) - 1
+    ncolors = _neighbor_color_masks(_adjacency_rows(g), c.assignment)
     return all(
-        ncolors[v] | 1 << c.assignment[v] == all_colors for v in range(g.vertex_count)
+        seen | 1 << t == (1 << c.k) - 1 for seen, t in zip(ncolors, c.assignment)
     )
 
 
@@ -262,6 +260,7 @@ def coset_coloring(n: int, q: int) -> Coloring:
     """
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
+    check_adjacency_size(q**n)  # a coloring too large to validate is refused
     digits = _digit_table(n, q)
     assignment = []
     for v in range(q**n):
@@ -283,9 +282,7 @@ def verify_coset_bcoloring(n: int, q: int, p: int) -> BColorCertificate:
     """
     if p > n - 1:
         raise ValueError("coset coloring is only proper for p <= n-1")
-    g = hamming_power(n, q, p)
-    check_adjacency_size(g)
-    cert = validate_coloring(g, coset_coloring(n, q))
+    cert = validate_coloring(hamming_power(n, q, p), coset_coloring(n, q))
     if bounds.hamming_gate(n, q, p) and not cert.valid_b:
         raise IntegrityError(
             f"coset coloring failed on a gated instance (n={n}, q={q}, p={p})"
@@ -321,45 +318,27 @@ def greedy_b_coloring(g: PowerGraph) -> Coloring:
     a valid lower bound for the b-chromatic number.
     """
     rows = _adjacency_rows(g)
-    count = g.vertex_count
-    assign = [-1] * count
-    k = 0
-    for v in range(count):
-        used = 0
-        for w in _tables.iter_bits(rows[v]):
-            if assign[w] >= 0:
-                used |= 1 << assign[w]
-        c = (~used & -~used).bit_length() - 1  # lowest zero bit
-        assign[v] = c
-        k = max(k, c + 1)
+    assign: list[int] = []
+    for v, row in enumerate(rows):
+        # the colors of the neighbors already colored, those below v
+        used = _neighbor_color_masks([row & ((1 << v) - 1)], assign)[0]
+        assign.append((~used & -~used).bit_length() - 1)  # lowest zero bit
+    k = max(assign) + 1
     while True:
-        all_colors = (1 << k) - 1
-        ncolors = [0] * count
-        for v in range(count):
-            for w in _tables.iter_bits(rows[v]):
-                ncolors[v] |= 1 << assign[w]
-        undominated = None
-        for t in range(k):
-            if not any(
-                assign[v] == t and ncolors[v] | 1 << t == all_colors
-                for v in range(count)
-            ):
-                undominated = t
-                break
-        if undominated is None:
+        ncolors = _neighbor_color_masks(rows, assign)
+        dominating = _dominating(ncolors, assign, k)
+        if None not in dominating:
             break
+        undominated = dominating.index(None)
         # every vertex of the class misses a color; move them all at once
-        # (the class is independent, so simultaneous recoloring stays proper)
-        moves = {}
-        for v in range(count):
-            if assign[v] == undominated:
+        # (the class is independent, so simultaneous recoloring stays proper),
+        # then close the gap the class leaves in the color range
+        all_colors = (1 << k) - 1
+        for v, c in enumerate(assign):
+            if c == undominated:
                 free = ~(ncolors[v] | 1 << undominated) & all_colors
-                moves[v] = (free & -free).bit_length() - 1
-        for v, c in moves.items():
-            assign[v] = c
-        for v in range(count):
-            if assign[v] > undominated:
-                assign[v] -= 1
+                c = (free & -free).bit_length() - 1
+            assign[v] = c - (c > undominated)
         k -= 1
     return Coloring(tuple(assign), k)
 
@@ -590,46 +569,36 @@ def singleton_certificate(g: PowerGraph, c: Coloring, ell: int) -> SingletonRepo
     classes = c.classes()
     singles = sorted(classes[t][0] for t in cert.singleton_classes)
     required = max(0, 2 * ell)
-    report = SingletonReport(
+    open_required = (1 << (n - 1)) - ell
+    chosen = tuple(singles[:required]) if len(singles) >= required else ()
+    rows = _adjacency_rows(g)
+    pairs = combinations(chosen, 2)
+    apart = next(((a, b) for a, b in pairs if not rows[a] >> b & 1), None)
+    open_size = None
+    failure = None
+    if len(singles) < required:
+        failure = f"only {len(singles)} singleton classes, need {required}"
+    elif apart is not None:
+        failure = f"chosen vertices {apart[0]} and {apart[1]} are not adjacent"
+    elif chosen:
+        # vertex index is the subset rank
+        open_size = _tables.open_size_bits(sum(1 << v for v in chosen), n, g.p)
+        if open_size < open_required:
+            failure = f"common open neighborhood has {open_size} subsets, need {open_required}"
+    return SingletonReport(
         n=n,
         p=g.p,
         k=c.k,
         ell=ell,
         singleton_count=len(singles),
         required=required,
-        clique_ok=True,
-        chosen=(),
-        open_size=None,
-        open_required=(1 << (n - 1)) - ell,
-        ok=True,
+        clique_ok=apart is None,
+        chosen=chosen,
+        open_size=open_size,
+        open_required=open_required,
+        ok=failure is None,
+        failure=failure,
     )
-    if required == 0:
-        return report
-    if len(singles) < required:
-        report.ok = False
-        report.failure = (
-            f"only {len(singles)} singleton classes, need {required}"
-        )
-        return report
-    chosen = tuple(singles[:required])
-    report.chosen = chosen
-    for a, b in combinations(chosen, 2):
-        if not adjacent(g, a, b):
-            report.clique_ok = False
-            report.ok = False
-            report.failure = f"chosen vertices {a} and {b} are not adjacent"
-            return report
-    fam_bits = 0
-    for v in chosen:
-        fam_bits |= 1 << v  # vertex index is the subset rank
-    report.open_size = _tables.open_size_bits(fam_bits, n, g.p)
-    if report.open_size < report.open_required:
-        report.ok = False
-        report.failure = (
-            f"common open neighborhood has {report.open_size} subsets, "
-            f"need {report.open_required}"
-        )
-    return report
 
 
 def to_rank_indexing(n: int, c: Coloring) -> Coloring:
@@ -651,7 +620,8 @@ def coloring_to_json(g: PowerGraph, c: Coloring) -> dict:
 
 def vertex_label(g: PowerGraph, v: int) -> str:
     """Human-readable vertex: subset notation or coordinate tuple."""
+    g._check_vertex(v)
     if g.kind == "hypercube":
         mask = _tables.masks_in_order(g.n)[v]
         return format_subset(SubsetMask(mask, GroundSet.range(g.n)))
-    return "(" + ",".join(str(d) for d in _digit_table(g.n, g.q)[v]) + ")"
+    return "(" + ",".join(str(d) for d in HammingVertex.from_index(v, g.n, g.q).coords) + ")"

@@ -140,18 +140,15 @@ def cmd_verify(args) -> int:
                         ok = False
                         results.append({"n": n, "q": q, "p": p, "error": str(exc)})
                         continue
-                    gated = bounds.hamming_gate(n, q, p)
                     results.append(
                         {
                             "n": n,
                             "q": q,
                             "p": p,
-                            "gated": gated,
+                            "gated": bounds.hamming_gate(n, q, p),
                             "certificate": cert.as_json_dict(),
                         }
                     )
-                    if gated and not cert.valid_b:
-                        ok = False
         payload = {"schema": 1, "command": "verify", "theorem": "coset", "results": results}
         code = _emit(payload, args.output)
         if code != EXIT_OK:
@@ -218,9 +215,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_color(args) -> int:
-    if args.p is not None:
-        g = bcoloring.hamming_power(args.n, args.q, args.p)
-        bcoloring.check_adjacency_size(g)
     coloring = bcoloring.coset_coloring(args.n, args.q)
     payload = {
         "schema": 1,
@@ -234,6 +228,7 @@ def cmd_color(args) -> int:
         },
     }
     if args.p is not None:
+        g = bcoloring.hamming_power(args.n, args.q, args.p)
         cert = bcoloring.validate_coloring(g, coloring)
         payload["coloring"]["p"] = args.p
         payload["certificate"] = cert.as_json_dict()
@@ -247,22 +242,15 @@ def cmd_rank(args) -> int:
         return EXIT_USAGE
     if args.subset is not None:
         x = parse_subset(args.subset, g)
-        payload = {
-            "schema": 1,
-            "command": "rank",
-            "n": args.n,
-            "subset": format_subset(x),
-            "rank": rank(x).value,
-        }
     else:
         x = unrank(args.rank, g)
-        payload = {
-            "schema": 1,
-            "command": "rank",
-            "n": args.n,
-            "subset": format_subset(x),
-            "rank": args.rank,
-        }
+    payload = {
+        "schema": 1,
+        "command": "rank",
+        "n": args.n,
+        "subset": format_subset(x),
+        "rank": rank(x).value,
+    }
     return _emit(payload, args.output)
 
 

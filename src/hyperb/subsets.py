@@ -232,17 +232,10 @@ def family_cmp(a: Family, b: Family) -> int:
     family owns the order-first member of the symmetric difference."""
     if a.ground.labels != b.ground.labels:
         raise ValueError("families live on different ground sets")
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    # members are sorted, so the first divergence holds the order-first
-    # element of the symmetric difference
-    for ma, mb in zip(a.members, b.members):
-        c = _cmp_masks(ma.bits, mb.bits)
-        if c < 0:
-            return -1
-        if c > 0:
-            return 1
-    return 0
+    # on rank bitsets the subset order's own comparison is this order: the
+    # popcount is the cardinality and the lowest differing bit is the
+    # order-first member of the symmetric difference
+    return _cmp_masks(family_to_bits(a), family_to_bits(b))
 
 
 def initial_segment(m: int, g: GroundSet) -> Family:

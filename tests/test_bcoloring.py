@@ -1,5 +1,6 @@
 """Power graphs, coloring validation, coset colorings, and the exact solver."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -41,6 +42,15 @@ class TestPowerGraph:
         g = bc.hypercube_power(2, 1)
         with pytest.raises(ValueError):
             bc.adjacent(g, 0, 4)
+        with pytest.raises(ValueError):
+            bc.adjacent(g, -1, 0)
+
+    def test_adjacency_cap_checked_before_tables(self):
+        # adjacent reads the adjacency rows, so it stops at their vertex cap
+        built = _tables.balls.cache_info().currsize
+        with pytest.raises(InfeasibleError):
+            bc.adjacent(bc.hypercube_power(13, 1), 0, 1)
+        assert _tables.balls.cache_info().currsize == built
 
     def test_adjacency_symmetric_irreflexive(self):
         g = bc.hamming_power(2, 3, 1)
@@ -361,6 +371,43 @@ class TestSingletonCertificate:
         with pytest.raises(ValueError, match="does not equal"):
             bc.singleton_certificate(g, bc.Coloring((0, 1, 2, 3), 4), 1)
 
+    # A valid b-coloring with 2^(n-1) + ell colors has at least 2*ell
+    # singleton classes, pairwise adjacent, so the first two failures need
+    # a validator forged to pass.  Q_3^1, ell = 1, k = 5 throughout.
+
+    @staticmethod
+    def _forge_valid(monkeypatch, **fields):
+        real = bc.validate_coloring
+        monkeypatch.setattr(
+            bc, "validate_coloring",
+            lambda g, c: dataclasses.replace(real(g, c), valid_b=True, **fields),
+        )
+
+    def test_too_few_singletons(self, monkeypatch):
+        self._forge_valid(monkeypatch, singleton_classes=(0,))
+        coloring = bc.Coloring((0, 2, 2, 3, 3, 4, 4, 1), 5)
+        rep = bc.singleton_certificate(bc.hypercube_power(3, 1), coloring, 1)
+        assert not rep.ok and rep.failure == "only 1 singleton classes, need 2"
+        assert rep.chosen == () and rep.clique_ok and rep.open_size is None
+
+    def test_chosen_pair_not_adjacent(self, monkeypatch):
+        # the singletons are ranks 0 and 7, {} and {1,2,3}, at distance 3
+        self._forge_valid(monkeypatch)
+        coloring = bc.Coloring((0, 2, 2, 3, 3, 4, 4, 1), 5)
+        rep = bc.singleton_certificate(bc.hypercube_power(3, 1), coloring, 1)
+        assert not rep.ok and rep.failure == "chosen vertices 0 and 7 are not adjacent"
+        assert rep.chosen == (0, 7) and not rep.clique_ok and rep.open_size is None
+
+    def test_small_open_neighborhood(self, monkeypatch):
+        # {} and {1} are adjacent, but no third subset is within 1 of both
+        self._forge_valid(monkeypatch)
+        coloring = bc.Coloring((0, 1, 2, 2, 3, 3, 4, 4), 5)
+        rep = bc.singleton_certificate(bc.hypercube_power(3, 1), coloring, 1)
+        assert not rep.ok
+        assert rep.failure == "common open neighborhood has 0 subsets, need 3"
+        assert rep.chosen == (0, 1) and rep.clique_ok
+        assert (rep.open_size, rep.open_required) == (0, 3)
+
 
 class TestBoundsSandwich:
     def test_exact_values_within_applicable_bounds(self, solve_cube):
@@ -392,3 +439,10 @@ class TestJson:
         assert bc.vertex_label(g, 0) == "{}"
         h = bc.hamming_power(2, 3, 1)
         assert bc.vertex_label(h, 5) == "(2,1)"
+
+    @pytest.mark.parametrize("v", [-1, 8])
+    def test_vertex_label_range_checked(self, v):
+        # -1 used to wrap around to the last vertex, 8 to raise IndexError
+        for g in (bc.hypercube_power(3, 1), bc.hamming_power(3, 2, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                bc.vertex_label(g, v)

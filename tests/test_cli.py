@@ -235,6 +235,7 @@ class TestExitCodes:
         [
             ["verify", "--theorem", "coset", "--n", "9", "--q", "4", "--p", "8"],
             ["color", "--n", "9", "--q", "4", "--p", "2"],
+            ["color", "--n", "9", "--q", "4"],
         ],
     )
     def test_adjacency_cap_fails_before_coloring(self, capsys, argv):

@@ -1,5 +1,6 @@
 """Ground sets, the subset order, rank/unrank, segments, and families."""
 
+import random
 from functools import cmp_to_key
 
 import pytest
@@ -209,6 +210,36 @@ class TestFamily:
     def test_family_cmp_ground_mismatch(self):
         with pytest.raises(ValueError):
             family_cmp(Family.from_labels(G3, [[1]]), Family.from_labels(G4, [[1]]))
+
+    @staticmethod
+    def _family_cmp_reference(a, b):
+        """Smaller cardinality first; ties go to the family that owns the
+        order-first member of the symmetric difference."""
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        ours, theirs = set(a.bit_masks()), set(b.bit_masks())
+        diff = ours ^ theirs
+        if not diff:
+            return 0
+        first = min(diff, key=lambda m: mask_rank(m, a.ground.size))
+        return -1 if first in ours else 1
+
+    def test_family_cmp_matches_reference(self):
+        for n in range(3):
+            g = GroundSet.range(n)
+            fams = [family_from_bits(bits, g) for bits in range(1 << (1 << n))]
+            for a in fams:
+                for b in fams:
+                    assert family_cmp(a, b) == self._family_cmp_reference(a, b)
+        rng = random.Random(31)
+        g = GroundSet.range(4)
+        for _ in range(2000):
+            a = rng.randrange(1 << 16)
+            # half the pairs share a cardinality, so the tiebreak decides
+            size = a.bit_count() if rng.randrange(2) else rng.randrange(17)
+            b = sum(1 << r for r in rng.sample(range(16), size))
+            fa, fb = family_from_bits(a, g), family_from_bits(b, g)
+            assert family_cmp(fa, fb) == self._family_cmp_reference(fa, fb)
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=100)
