@@ -8,8 +8,9 @@ however their JSON dicts are built, and the family layer (segments, levels,
 member order) must list the same members whichever table it reads, and the
 b-coloring layer (greedy colorings, validation certificates, singleton
 reports, vertex labels) must give the same outputs whichever adjacency and
-domination pass it uses.  Each
-digest below was recorded before the code it covers was rewritten; any
+domination pass it uses, and the kernel's segment-size tables and the
+pairwise-family sampler must give the same values however the ball tables
+are keyed.  Each digest below was recorded before the code it covers was rewritten; any
 change to a report's content or order shows up here.
 """
 
@@ -20,6 +21,7 @@ import random
 
 import pytest
 
+from hyperb import _tables
 from hyperb import bcoloring as bc
 from hyperb import compression as cp
 from hyperb import neighborhoods as nb
@@ -51,6 +53,12 @@ CASES = [
     (*_sampled("section", 4, 2000, 7), "f19ae69857dbe5afbea409b6bb4e0ebd1cf71544ae63f5521ed9ee880b0507cd"),
     (*_sampled("section", 5, 2000, 7), "3d27091724308eaa11abcb7e0eb9dfce07de11f8c3448b20c79bbd66fe6d1091"),
     (*_sampled("compression", 6, 200, 1), "2fa9a36b7351007a95b7f53cb2af05cd4bb290ff06b59dea49cf388cd1f2e1d5"),
+    ("open-n6p4-s2000", ["--theorem", "open", "--n", "6", "--p", "4",
+                         "--samples", "2000", "--seed", "17"],
+     "b236c9bc8b4370e4e31faad1d33e7e9135b3788c65739dd550b5fda054495e87"),
+    ("open-n10p5-s40", ["--theorem", "open", "--n", "10", "--p", "5",
+                        "--samples", "40", "--seed", "7"],
+     "90a53404fa7d9b6b0959110d37eca98691a359cff0b7d8c74e93029f3e198829"),
 ]
 
 # Every report type the CLI serialises: bound tables (JSON and CSV), solver
@@ -143,6 +151,34 @@ FAMILY_CASES = [
      "1c9624194d7a8242fe1b0dc224af1b524341328307a574b263e39985a04f6811"),
     ("from_masks-sparse-labels", _sparse_label_order,
      "0e0656bdc5ef9ae5a86c5f9ec532e28bfe2eecf55bc25d6b0deb7056a6b9a9d8"),
+]
+
+
+def _segment_sizes():
+    return [
+        [list(_tables.initial_segment_closed_sizes(n, p)),
+         list(_tables.initial_segment_open_sizes(n, p))]
+        for n in range(1, 13)
+        for p in range(1, n + 1)
+    ]
+
+
+def _pairwise_families():
+    out = []
+    for n, p, seed in [(6, 4, 17), (10, 5, 7)]:
+        rng = random.Random(seed)
+        out.append([list(nb._grow_pairwise_family(n, p, rng)) for _ in range(200)])
+    return out
+
+
+# The bitset kernel: |C^p[I_m]| and |C^p(I_m)| for every segment length at
+# 1 <= p <= n <= 12, and the (family, closed neighborhood) pairs drawn by the
+# open sweep's sampler, serialised as JSON.
+KERNEL_CASES = [
+    ("initial_segment_sizes-n1..12", _segment_sizes,
+     "5766db84c150ca30ac4dc58ba5a1582128ae3662755646bed3f4855defe9754c"),
+    ("grow_pairwise_family-n6p4-n10p5", _pairwise_families,
+     "fdf9d9469175bc78350ab0439c271133672abb1a4f49f2454ec60948b8a73f2c"),
 ]
 
 
@@ -251,6 +287,11 @@ SINGLETON_REPORTS = "d015c74db3fd307e99e8bede137b4290e39d020965ecaf0e2f416ac1302
 
 @pytest.mark.parametrize("tag,build,digest", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
 def test_family_layer_pinned(tag, build, digest):
+    assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tag,build,digest", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_pinned(tag, build, digest):
     assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
 
 
