@@ -8,14 +8,17 @@ Internal module.  Everything here works on raw integers:
 * a *family bitset* packs a family of subsets into one integer over the
   2^n-element universe: bit r is set iff the subset of rank r is a member.
 
-Family bitsets make the heavy sweeps cheap: intersecting common
-neighborhoods is a single big-int AND per family member, and an initial
-segment is exactly a bitset of the form 2^m - 1.
+Every per-subset table here but rank_of_mask (the mask -> rank inverse) is
+indexed by rank, so a family bitset's set bits index the tables directly,
+ball tables included.  Family bitsets make the heavy sweeps cheap:
+intersecting common neighborhoods is a single big-int AND per family member,
+and an initial segment is exactly a bitset of the form 2^m - 1.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -104,14 +107,36 @@ def ball_table_bytes(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def balls(n: int, p: int) -> tuple[int, ...]:
-    """balls(n, p)[mask] = family bitset of all y with |mask xor y| <= p.
+def flip_ranks(n: int) -> array:
+    """flip_ranks(n)[r*n + i] = rank of the subset of rank r with position i
+    toggled: its n neighbours in the hypercube Q_n, packed two bytes each
+    (ranks stay below 2^MAX_TABLE_BITS)."""
+    rank = rank_of_mask(n)
+    flips = [1 << i for i in range(n)]
+    return array("H", (rank[m ^ e] for m in masks_in_order(n) for e in flips))
 
-    Radius p is built from the cached radius p - 1 by the neighbour
-    recurrence B_p(x) = B_{p-1}(x) | OR_i B_{p-1}(x xor 2^i), so each radius
-    costs n big-int ORs per vertex.  Radii above n are the radius-n table.
-    Raises InfeasibleError, before allocating, when radii 0..p at this ground
-    would take more than MAX_BALL_BYTES.
+
+def ball_step(prev, moves) -> tuple[int, ...]:
+    """One radius of the ball recurrence B_r(x) = B_{r-1}(x) | OR over the
+    one-step neighbours y in moves[x] of B_{r-1}(y), given prev = B_{r-1}."""
+    out = []
+    for acc, near in zip(prev, moves):
+        for y in near:
+            acc |= prev[y]
+        out.append(acc)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def balls(n: int, p: int) -> tuple[int, ...]:
+    """balls(n, p)[r] = family bitset of all y with |x xor y| <= p, where x
+    is the subset of rank r.
+
+    Radius p is one ball_step over the hypercube moves (flip_ranks) from the
+    cached radius p - 1, so each radius costs n big-int ORs per vertex.
+    Radii above n are the radius-n table.  Raises InfeasibleError, before
+    allocating, when radii 0..p at this ground would take more than
+    MAX_BALL_BYTES.
     """
     _check_table_size(n)
     if p < 0:
@@ -125,19 +150,9 @@ def balls(n: int, p: int) -> tuple[int, ...]:
             f"over the {MAX_BALL_BYTES >> 20} MiB cap"
         )
     if p == 0:
-        table = [0] * (1 << n)
-        for r, m in enumerate(masks_in_order(n)):
-            table[m] = 1 << r
-        return tuple(table)
-    prev = balls(n, p - 1)
-    flips = [1 << i for i in range(n)]
-    out = []
-    for x in range(1 << n):
-        acc = prev[x]
-        for e in flips:
-            acc |= prev[x ^ e]
-        out.append(acc)
-    return tuple(out)
+        return tuple(1 << r for r in range(1 << n))
+    flips = flip_ranks(n)
+    return ball_step(balls(n, p - 1), (flips[i : i + n] for i in range(0, len(flips), n)))
 
 
 def closed_bits(family: int, n: int, p: int) -> int:
@@ -151,12 +166,11 @@ def closed_bits(family: int, n: int, p: int) -> int:
     if p >= n:
         return universe_bits(n)
     ball = balls(n, p)
-    order = masks_in_order(n)
     acc = universe_bits(n)
     rest = family
     while rest:
         low = rest & -rest
-        acc &= ball[order[low.bit_length() - 1]]
+        acc &= ball[low.bit_length() - 1]
         if not acc:
             return 0
         rest ^= low
@@ -165,26 +179,20 @@ def closed_bits(family: int, n: int, p: int) -> int:
 
 def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
     """[closed_bits(family, n, p) for p in 0..p_max], from one walk over the
-    members: the member masks are listed once and each radius intersects
+    members: the member ranks are listed once and each radius intersects
     their balls, stopping as soon as the intersection is empty.
 
     Sweeps that need a family's closed neighborhoods at every radius (the
     section identity) pay for one member walk instead of one per radius.
     """
-    order = masks_in_order(n)
-    members = []
-    rest = family
-    while rest:
-        low = rest & -rest
-        members.append(order[low.bit_length() - 1])
-        rest ^= low
+    members = list(iter_bits(family))
     universe = universe_bits(n)
     out = []
     for p in range(min(p_max + 1, n)):
         ball = balls(n, p)
         acc = universe
-        for mask in members:
-            acc &= ball[mask]
+        for r in members:
+            acc &= ball[r]
             if not acc:
                 break
         out.append(acc)
@@ -200,12 +208,11 @@ def closed_bits_all(n: int, p: int) -> list[int]:
     The list has 2^(2^n) entries (65 536 at n = 4, 2^32 at n = 5), so
     callers cap n first.
     """
-    ball = balls(n, p)
     out = [universe_bits(n)]
-    for mask in masks_in_order(n):
-        # the families whose top member is `mask` follow those below it; islice
-        # stops at the current end, so the list is extended without a copy
-        out += map(ball[mask].__and__, islice(out, len(out)))
+    for ball in balls(n, p):
+        # the families whose top member has this rank follow those below it;
+        # islice stops at the current end, so the list is extended without a copy
+        out += map(ball.__and__, islice(out, len(out)))
     return out
 
 
@@ -219,32 +226,27 @@ def open_size_bits(family: int, n: int, p: int) -> int:
     return (closed_bits(family, n, p) & ~family).bit_count()
 
 
+def segment_closures(n: int, p: int):
+    """Yield C^p[I_m] for m = 0..2^n: the running intersection of the balls
+    in rank order, starting from the universe."""
+    cur = universe_bits(n)
+    yield cur
+    for ball in balls(n, p):
+        cur &= ball
+        yield cur
+
+
 @lru_cache(maxsize=None)
 def initial_segment_closed_sizes(n: int, p: int) -> tuple[int, ...]:
-    """sizes[m] = |C^p[I_m]| for every prefix length m, via incremental ANDs."""
-    order = masks_in_order(n)
-    ball = balls(n, p)
-    cur = universe_bits(n)
-    sizes = [cur.bit_count()]
-    for mask in order:
-        cur &= ball[mask]
-        sizes.append(cur.bit_count())
-    return tuple(sizes)
+    """sizes[m] = |C^p[I_m]| for every prefix length m."""
+    return tuple(cur.bit_count() for cur in segment_closures(n, p))
 
 
 @lru_cache(maxsize=None)
 def initial_segment_open_sizes(n: int, p: int) -> tuple[int, ...]:
-    """sizes[m] = |C^p(I_m)| for every prefix length m."""
-    order = masks_in_order(n)
-    ball = balls(n, p)
-    cur = universe_bits(n)
-    sizes = [cur.bit_count()]
-    seg = 0
-    for m, mask in enumerate(order):
-        seg |= 1 << m  # rank of `mask` is m
-        cur &= ball[mask]
-        sizes.append((cur & ~seg).bit_count())
-    return tuple(sizes)
+    """sizes[m] = |C^p(I_m)| for every prefix length m: I_m is the low m
+    bits, so the open neighborhood is what remains above them."""
+    return tuple((cur >> m).bit_count() for m, cur in enumerate(segment_closures(n, p)))
 
 
 @dataclass(frozen=True)

@@ -128,38 +128,31 @@ def check_adjacency_size(count: int) -> None:
 def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     """Materialized neighbor bitsets; used by the validator and the solver.
 
-    Row u is the radius-p ball around u with u itself dropped.  Cube rows are
-    read from the rank-indexed ball tables, _tables.balls(n, p)[order[u]].
-    Hamming rows are grown by the same recurrence over the n(q-1)
-    one-coordinate moves: B_r(x) = B_{r-1}(x) | OR over moves y of
-    B_{r-1}(y), for r = 1..min(p, n).
+    Row u is the radius-p ball around u with u itself dropped.  Cube
+    vertices are ranks, so cube rows are the kernel's rank-keyed ball table
+    _tables.balls(n, p).  Hamming rows are grown by the same recurrence step,
+    _tables.ball_step, over the n(q-1) one-coordinate moves, for radii
+    1..min(p, n).
     """
     count = g.vertex_count
     check_adjacency_size(count)
     if g.kind == "hypercube":
         ball = _tables.balls(g.n, g.p)
-        order = _tables.masks_in_order(g.n)
-        return tuple(ball[order[u]] & ~(1 << u) for u in range(count))
-    digits = _digit_table(g.n, g.q)
-    moves = []
-    for x in range(count):
-        out = []
-        weight = 1
-        for d in digits[x]:
-            base = x - d * weight
-            out.extend(base + e * weight for e in range(g.q) if e != d)
-            weight *= g.q
-        moves.append(out)
-    ball = [1 << x for x in range(count)]
-    for _ in range(min(g.p, g.n)):
-        prev = ball
-        ball = []
+    else:
+        digits = _digit_table(g.n, g.q)
+        moves = []
         for x in range(count):
-            acc = prev[x]
-            for y in moves[x]:
-                acc |= prev[y]
-            ball.append(acc)
-    return tuple(ball[u] & ~(1 << u) for u in range(count))
+            out = []
+            weight = 1
+            for d in digits[x]:
+                base = x - d * weight
+                out.extend(base + e * weight for e in range(g.q) if e != d)
+                weight *= g.q
+            moves.append(out)
+        ball = [1 << x for x in range(count)]
+        for _ in range(min(g.p, g.n)):
+            ball = _tables.ball_step(ball, moves)
+    return tuple(b & ~(1 << u) for u, b in enumerate(ball))
 
 
 @dataclass(frozen=True)
@@ -372,9 +365,10 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     fallback = greedy_b_coloring(g)
     k_lo = fallback.k
     upper = min(count, max(degrees) + 1, _m_degree_bound(degrees))
-    if g.kind == "hypercube" and g.p <= g.n:
-        rep = bounds.bound_report(g.n, g.p)
-        for ub in (rep.upper_new, rep.upper_rough, rep.upper_old):
+    if g.kind == "hypercube":
+        # each paper bound is None outside its range (n = 1 and p >= n included)
+        for bound in (bounds.upper_new, bounds.upper_rough, bounds.upper_old):
+            ub = bound(g.n, g.p)
             if ub is not None:
                 upper = min(upper, ub)
     if upper < k_lo:

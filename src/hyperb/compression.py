@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import _tables
-from .errors import InfeasibleError, IntegrityError
+from .errors import IntegrityError
 from .neighborhoods import (
-    MAX_EXHAUSTIVE_N,
     VerifyReport,
     check_sweep_request,
     family_bits_to_strings,
@@ -191,8 +190,7 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
     the 65 536 families at n = 4), so each is classified once per sweep;
     an unclassifiable one is never remembered and is tried again.
     """
-    if n > MAX_EXHAUSTIVE_N:
-        raise InfeasibleError(f"fixpoint sweep is exhaustive only (n <= {MAX_EXHAUSTIVE_N})")
+    check_sweep_request(n, "exhaustive", None, None)
     report = VerifyReport(
         check="fixpoint", n=n, p=None, mode="exhaustive", families_checked=0
     )

@@ -184,7 +184,7 @@ def _require_exhaustible(n: int) -> None:
     if n > MAX_EXHAUSTIVE_N:
         raise InfeasibleError(
             f"exhaustive family sweep at n={n} would visit 2^{1 << n} families; "
-            f"use sampling (n <= {MAX_EXHAUSTIVE_N} for exhaustive mode)"
+            f"exhaustive mode is capped at n <= {MAX_EXHAUSTIVE_N}"
         )
 
 
@@ -194,10 +194,12 @@ def check_sweep_request(
     """Validate the mode, arguments and caps of a family sweep.
 
     Sweeps call this before building any table, so a refused request costs
-    nothing: ValueError for a malformed request (unknown mode, missing seed,
-    fewer than one sample), InfeasibleError for one over the exhaustive or
-    sampling cap.
+    nothing: ValueError for a malformed request (negative ground size,
+    unknown mode, missing seed, fewer than one sample), InfeasibleError for
+    one over the exhaustive or sampling cap.
     """
+    if n < 0:
+        raise ValueError(f"ground size must be non-negative, got {n}")
     if mode == "exhaustive":
         _require_exhaustible(n)
         return
@@ -349,7 +351,6 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
     member drawn uniformly from the subsets compatible with all current
     ones, stopping early when none is left."""
     ball = _tables.balls(n, p)
-    order = _tables.masks_in_order(n)
     members = 0
     closed = _tables.universe_bits(n)
     for _ in range(rng.randint(1, 1 << (n - 1))):
@@ -358,7 +359,7 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
             break
         r = _pick_set_bit(pool, 1 << n, rng)
         members |= 1 << r
-        closed &= ball[order[r]]
+        closed &= ball[r]
     return members, closed
 
 
@@ -367,16 +368,13 @@ def verify_initial_segment_closure(n: int) -> VerifyReport:
     sweep every segment length a in [0, 2^n] and every p in [1, n]."""
     if n < 1:
         raise ValueError(f"simplicial sweep needs n >= 1 for a radius in 1..n, got {n}")
-    order = _tables.masks_in_order(n)
     _tables.balls(n, n)  # every radius is read: build all, or refuse before allocating
     report = VerifyReport(
         check="simplicial", n=n, p=None, mode="exhaustive", families_checked=0
     )
     checked = 0
     for p in range(1, n + 1):
-        ball = _tables.balls(n, p)
-        cur = _tables.universe_bits(n)
-        for a in range(0, (1 << n) + 1):
+        for a, cur in enumerate(_tables.segment_closures(n, p)):
             if not _tables.is_prefix_bits(cur):
                 report.violations.append(
                     {
@@ -386,8 +384,6 @@ def verify_initial_segment_closure(n: int) -> VerifyReport:
                     }
                 )
             checked += 1
-            if a < (1 << n):
-                cur &= ball[order[a]]
     report.families_checked = checked
     return report
 

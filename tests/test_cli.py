@@ -132,6 +132,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == 3
 
+    @pytest.mark.parametrize("instance", [["--hypercube", "1"], ["--hamming", "1,2"]])
+    def test_single_edge(self, capsys, instance):
+        # Q_1^1 and H(1,2)^1 are both K_2, which no paper bound covers
+        code, out, _ = run(["solve", *instance, "--p", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == 2
+
     def test_budget_exit_code(self, capsys):
         code, out, _ = run(
             ["solve", "--hypercube", "3", "--p", "1", "--max-nodes", "2"], capsys
@@ -210,6 +217,7 @@ class TestExitCodes:
             ["verify", "--theorem", "fixpoint", "--n", "4..3"],
             ["verify", "--theorem", "close", "--n", "4", "--p", "3..2", "--exhaustive"],
             ["rank", "--n", "-1", "--subset", "{}"],
+            ["verify", "--theorem", "fixpoint", "--n", "-1"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):

@@ -197,6 +197,10 @@ class TestSweeps:
         with pytest.raises(InfeasibleError):
             cp.verify_fixpoint_classification(5)
 
+    def test_fixpoint_sweep_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="ground size"):
+            cp.verify_fixpoint_classification(-1)
+
     def test_compression_inequality_exhaustive_n3(self):
         rep = cp.verify_compression_inequality(3, "exhaustive")
         assert rep.ok and rep.families_checked == 256

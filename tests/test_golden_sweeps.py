@@ -10,8 +10,8 @@ b-coloring layer (greedy colorings, validation certificates, singleton
 reports, vertex labels) must give the same outputs whichever adjacency and
 domination pass it uses, and the kernel's segment-size tables and the
 pairwise-family sampler must give the same values however the ball tables
-are keyed.  Each digest below was recorded before the code it covers was rewritten; any
-change to a report's content or order shows up here.
+are keyed.  Each digest below was recorded before the code it covers was
+rewritten; any change to a report's content or order shows up here.
 """
 
 import dataclasses

@@ -248,23 +248,16 @@ class TestOpenInequality:
         assert own <= bound
 
     def test_sampled_families_qualify(self):
-        # re-run the sampler and check the pairwise hypothesis directly
+        # run the sampler itself and check the pairwise hypothesis and the
+        # closed neighborhood it returns directly
         rng = random.Random(3)
         order = _tables.masks_in_order(4)
-        ball = _tables.balls(4, 2)
         for _ in range(200):
-            m_target = rng.randint(1, 8)
-            members = 0
-            closed = _tables.universe_bits(4)
-            for _ in range(m_target):
-                pool = closed & ~members
-                if not pool:
-                    break
-                r = nb._pick_set_bit(pool, 16, rng)
-                members |= 1 << r
-                closed &= ball[order[r]]
+            members, closed = nb._grow_pairwise_family(4, 2, rng)
+            assert members
             masks = [order[r] for r in _tables.iter_bits(members)]
             assert all((a ^ b).bit_count() <= 2 for a in masks for b in masks)
+            assert closed == _tables.closed_bits(members, 4, 2)
 
     def test_sample_mode(self):
         rep = nb.verify_open_inequality(6, 4, "sample", samples=2000, seed=17)
@@ -338,6 +331,21 @@ class TestInitialSegmentClosure:
         for n in range(1, 9):
             rep = nb.verify_initial_segment_closure(n)
             assert rep.ok
+
+    def test_fault_in_ball_table_is_reported(self, monkeypatch):
+        # The radius-1 ball of {} at n = 3 gaining {1,2,3} (rank 7) makes
+        # C^1[I_1] a non-segment; I_2 and longer meet the ball of {1}, which
+        # drops the extra rank again, so that is the only violation.
+        real = _tables.balls
+        real(3, 3)  # build every radius before the fault goes in
+        bad = list(real(3, 1))
+        bad[0] |= 1 << 7
+        bad = tuple(bad)
+        monkeypatch.setattr(_tables, "balls", lambda n, p: bad if (n, p) == (3, 1) else real(n, p))
+        rep = nb.verify_initial_segment_closure(3)
+        assert [(v["a"], v["p"]) for v in rep.violations] == [(1, 1)]
+        assert rep.violations[0]["closed"] == ["{}", "{1}", "{2}", "{3}", "{1,2,3}"]
+        assert rep.families_checked == 3 * 9
 
 
 class TestWitnessFormatting:
