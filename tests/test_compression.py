@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperb import _tables
 from hyperb import compression as cp
 from hyperb.errors import InfeasibleError, IntegrityError
 from hyperb.subsets import (
@@ -219,6 +220,22 @@ class TestSweeps:
         for n in (5, 6):
             rep = cp.verify_compression_inequality(n, "sample", samples=100_000, seed=n)
             assert rep.ok and rep.families_checked == 100_000
+
+    @pytest.mark.parametrize("n,mode,samples,seed", [(3, "exhaustive", None, None),
+                                                     (5, "sample", 300, 2)])
+    def test_compression_inequality_reports_faulty_compression(
+        self, monkeypatch, n, mode, samples, seed
+    ):
+        # a compression that returns the whole power set has an empty common
+        # closed neighborhood at every radius below n, so every family with a
+        # nonempty one must be reported against it
+        monkeypatch.setattr(
+            _tables.SectionTables, "compress", lambda self, fam: _tables.universe_bits(self.n)
+        )
+        rep = cp.verify_compression_inequality(n, mode, samples=samples, seed=seed)
+        assert rep.violations
+        assert all(v["compressed_size"] == 0 and v["size"] > 0 for v in rep.violations)
+        assert {v["i"] for v in rep.violations} == set(range(1, n + 1))
 
     def test_compression_inequality_needs_seed(self):
         with pytest.raises(ValueError):

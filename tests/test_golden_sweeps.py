@@ -10,7 +10,9 @@ b-coloring layer (greedy colorings, validation certificates, singleton
 reports, vertex labels) must give the same outputs whichever adjacency and
 domination pass it uses, and the kernel's segment-size tables and the
 pairwise-family sampler must give the same values however the ball tables
-are keyed.  Each digest below was recorded before the code it covers was
+are keyed, and the object layer (`Family` rendering, membership,
+neighborhoods, sections, compression, fixpoints and the family order) must
+give the same outputs however a `Family` stores its members.  Each digest below was recorded before the code it covers was
 rewritten; any change to a report's content or order shows up here.
 """
 
@@ -26,7 +28,15 @@ from hyperb import bcoloring as bc
 from hyperb import compression as cp
 from hyperb import neighborhoods as nb
 from hyperb.cli import main
-from hyperb.subsets import Family, GroundSet, family_from_bits, initial_segment, level_set
+from hyperb.subsets import (
+    Family,
+    GroundSet,
+    SubsetMask,
+    family_cmp,
+    family_from_bits,
+    initial_segment,
+    level_set,
+)
 
 
 def _exhaustive(theorem, n):
@@ -277,6 +287,57 @@ BCOLORING_CASES = [
      "bdd56b2a35f45db41a2adb3d8deeff7c8d873ceb224af849ab7627b8301fa9ac"),
 ]
 
+def _object_families():
+    """Seeded families at n = 5 and 6 and on the sparse ground {2, 5, 7, 11}:
+    empty, full, sizes 1 to 4 (nonempty neighborhoods at small radii) and
+    eight larger sizes."""
+    rng = random.Random(2021)
+    out = []
+    for g in (GroundSet.range(5), GroundSet.range(6), GroundSet((2, 5, 7, 11))):
+        size = 1 << g.size
+        out.append(Family.from_masks(g, []))
+        out.append(Family.from_masks(g, range(size)))
+        for k in [1, 2, 3, 4] + [rng.randint(5, size - 1) for _ in range(8)]:
+            out.append(Family.from_masks(g, rng.sample(range(size), k)))
+    return out
+
+
+def _object_layer():
+    fams = _object_families()
+    out = []
+    for a in fams:
+        g = a.ground
+        row = [str(a), len(a), [SubsetMask(x, g) in a for x in range(1 << g.size)]]
+        for p in range(1, g.size + 1):
+            nbh = nb.common_neighborhood(a, p)
+            row.append([str(nb.common_closed(a, p)), str(nb.common_open(a, p)),
+                        str(nbh.closed), str(nbh.open), nbh.p])
+        for i in g.labels:
+            sec = cp.sections(a, i)
+            row.append([str(sec.minus), str(sec.plus), sec.i, str(cp.compress(a, i)),
+                        cp.is_compressed(a, i)])
+        fixed, steps = cp.compress_fully(a)
+        for f in (a, fixed):
+            cls = cp.classify_fixpoint(f)
+            row.append([cls.kind, None if cls.witness is None else str(cls.witness)])
+        row.append([str(fixed), steps])
+        out.append(row)
+    pairs = [(a, b) for a, b in zip(fams, fams[1:]) if a.ground == b.ground]
+    pairs += [(a, Family.from_labels(a.ground, [x.labels() for x in reversed(a.members)]))
+              for a in fams[::5]]
+    out.append([[family_cmp(a, b), family_cmp(b, a), a == b] for a, b in pairs])
+    return out
+
+
+# The object layer on seeded families: str, len and membership of every
+# subset; common closed/open neighborhoods at every radius; sections,
+# compression and is_compressed at every label; compress_fully and the
+# fixpoint class of the family and of its fixpoint; family_cmp and == over
+# consecutive pairs on one ground and against a rebuilt copy, serialised as
+# JSON.
+OBJECT_LAYER = "b5dc2de0ef1f1d8ed87c929ac1e82adbe45fc1f4575c7f6afa0fd44c6daaee05"
+
+
 # SingletonReport dicts of the singleton-certificate test inputs: the coset
 # coloring of Q_3^1 at ell = 0, the identity colorings of Q_n^n (n = 2, 3,
 # 4) at ell = 2^(n-1), the solver witnesses of Q_n^p with ell > 0, then one
@@ -288,6 +349,10 @@ SINGLETON_REPORTS = "d015c74db3fd307e99e8bede137b4290e39d020965ecaf0e2f416ac1302
 @pytest.mark.parametrize("tag,build,digest", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
 def test_family_layer_pinned(tag, build, digest):
     assert hashlib.sha256(json.dumps(build()).encode()).hexdigest() == digest
+
+
+def test_object_layer_pinned():
+    assert hashlib.sha256(json.dumps(_object_layer()).encode()).hexdigest() == OBJECT_LAYER
 
 
 @pytest.mark.parametrize("tag,build,digest", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])

@@ -1,6 +1,7 @@
 """Ground sets, the subset order, rank/unrank, segments, and families."""
 
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -191,6 +192,33 @@ class TestFamily:
         assert [format_subset(x) for x in f] == ["{}", "{3}", "{1,2}"]
         with pytest.raises(ValueError):
             Family.from_labels(G3, [[1], [1]])
+
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda: Family.from_masks(G3, [3, 3]), "{1,2}"),
+            (lambda: Family.from_masks(G3, [5, 0, 5]), "{1,3}"),
+            (lambda: Family.from_labels(G3, [[1], [1]]), "{1}"),
+            (lambda: Family.from_labels(G3, [[], [2], []]), "{}"),
+        ],
+    )
+    def test_duplicate_member_named(self, make, name):
+        with pytest.raises(ValueError, match="duplicate member " + re.escape(name)):
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: family_from_bits(1 << 16, GroundSet.range(4)),
+            lambda: family_from_bits(-1, GroundSet.range(4)),
+            lambda: Family.from_masks(G3, [1, 8]),
+            lambda: Family.from_masks(G3, [-1]),
+            lambda: Family.from_labels(G3, [[4]]),
+        ],
+    )
+    def test_members_outside_ground_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_family_cmp_cardinality(self):
         a = Family.from_labels(G3, [[]])
