@@ -38,7 +38,7 @@ MAX_TABLE_BITS = 14
 MAX_BALL_BYTES = 160 * 2**20
 
 
-def _check_table_size(n: int) -> None:
+def check_table_size(n: int) -> None:
     if n < 0:
         raise ValueError(f"ground size must be non-negative, got {n}")
     if n > MAX_TABLE_BITS:
@@ -56,7 +56,7 @@ def masks_in_order(n: int) -> tuple[int, ...]:
     tuples in ascending lexicographic order, which is exactly the order
     induced by "smallest differing label wins".
     """
-    _check_table_size(n)
+    check_table_size(n)
     out = []
     for k in range(n + 1):
         for combo in combinations(range(n), k):
@@ -138,7 +138,7 @@ def balls(n: int, p: int) -> tuple[int, ...]:
     allocating, when radii 0..p at this ground would take more than
     MAX_BALL_BYTES.
     """
-    _check_table_size(n)
+    check_table_size(n)
     if p < 0:
         raise ValueError("radius must be non-negative")
     if p > n:

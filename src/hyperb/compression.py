@@ -25,8 +25,6 @@ from .subsets import (
     Family,
     GroundSet,
     SubsetMask,
-    family_from_bits,
-    family_to_bits,
     initial_segment,
 )
 
@@ -60,16 +58,16 @@ def sections(a: Family, i: int) -> SectionPair:
     bit = 1 << pos
     low = bit - 1
     minus, plus = [], []
-    for m in a.members:
-        compact = (m.bits & low) | ((m.bits >> (pos + 1)) << pos)
-        (plus if m.bits & bit else minus).append(SubsetMask(compact, sub))
-    return SectionPair(Family(tuple(minus), sub), Family(tuple(plus), sub), i)
+    for m in a.bit_masks():
+        compact = (m & low) | ((m >> (pos + 1)) << pos)
+        (plus if m & bit else minus).append(compact)
+    return SectionPair(Family.from_masks(sub, minus), Family.from_masks(sub, plus), i)
 
 
 def compress(a: Family, i: int) -> Family:
     """Replace both i-sections by initial segments of the same size.
 
-    Works on the member objects; the tests hold the kernel's
+    Works member by member on the masks; the tests hold the kernel's
     SectionTables.compress to this.
     """
     pos = a.ground.position(i)
@@ -78,20 +76,16 @@ def compress(a: Family, i: int) -> Family:
     bit = 1 << pos
     low = bit - 1
     members = []
-    for m in initial_segment(len(sec.minus), sub).members:
-        expanded = (m.bits & low) | ((m.bits >> pos) << (pos + 1))
-        members.append(SubsetMask(expanded, a.ground))
-    for m in initial_segment(len(sec.plus), sub).members:
-        expanded = (m.bits & low) | ((m.bits >> pos) << (pos + 1))
-        members.append(SubsetMask(expanded | bit, a.ground))
-    return Family(tuple(members), a.ground)
+    for section, extra in ((sec.minus, 0), (sec.plus, bit)):
+        for m in initial_segment(len(section), sub).bit_masks():
+            members.append((m & low) | ((m >> pos) << (pos + 1)) | extra)
+    return Family.from_masks(a.ground, members)
 
 
 def is_compressed(a: Family, i: int) -> bool:
     """True iff compressing at label i leaves the family unchanged."""
     pos = a.ground.position(i)
-    bits = family_to_bits(a)
-    return _tables.compress_bits(bits, a.ground.size, pos) == bits
+    return _tables.compress_bits(a.bits, a.ground.size, pos) == a.bits
 
 
 def compress_fully(a: Family) -> tuple[Family, int]:
@@ -101,8 +95,8 @@ def compress_fully(a: Family) -> tuple[Family, int]:
     Each applied compression moves the family strictly earlier in the family
     order, so the scan terminates.
     """
-    fixed, steps = compress_fully_bits(family_to_bits(a), a.ground.size)
-    return family_from_bits(fixed, a.ground), steps
+    fixed, steps = compress_fully_bits(a.bits, a.ground.size)
+    return Family(fixed, a.ground), steps
 
 
 def compress_fully_bits(fam: int, n: int) -> tuple[int, int]:
@@ -145,7 +139,7 @@ def exceptional_params(n: int) -> tuple[int, int]:
 
 def exceptional_family(g: GroundSet) -> Family:
     """The exceptional all-coordinate fixpoint for this ground size."""
-    return family_from_bits(exceptional_bits(g.size), g)
+    return Family(exceptional_bits(g.size), g)
 
 
 def exceptional_bits(n: int) -> int:
@@ -176,7 +170,7 @@ def classify_fixpoint(a: Family) -> FixpointClass:
     Raises IntegrityError if the family is compressed at every label yet is
     neither an initial segment nor the parity-matching exceptional form.
     """
-    kind, removed = classify_fixpoint_bits(family_to_bits(a), a.ground.size)
+    kind, removed = classify_fixpoint_bits(a.bits, a.ground.size)
     witness = SubsetMask(removed, a.ground) if removed is not None else None
     return FixpointClass(kind, witness)
 
@@ -248,8 +242,9 @@ def verify_compression_inequality(
     """Check |C^p[A]| <= |C^p[S_i(A)]| for every coordinate i and every
     radius p in [1, n-1].
 
-    The compressed side depends only on (i, |A_i-|, |A_i+|, p), so sampled
-    runs cache it and pay mostly for the direct side of each family.  Needs
+    A compressed family is fixed by (i, |A_i-|, |A_i+|), so few of them
+    recur; sampled runs cache their neighborhood size by (compressed
+    family, p) and pay mostly for the direct side of each family.  Needs
     n >= 2, so that 1..n-1 holds a radius.
     """
     if n < 2:
@@ -258,9 +253,9 @@ def verify_compression_inequality(
     report = VerifyReport(
         check="compression", n=n, p=None, mode=mode, families_checked=0, seed=seed
     )
+    compressors = [_tables.section_tables(n, j).compress for j in range(n)]
     if mode == "exhaustive":
         total = 1 << (1 << n)
-        compressors = [_tables.section_tables(n, j).compress for j in range(n)]
         by_radius = [
             (p, [val.bit_count() for val in _tables.closed_bits_all(n, p)])
             for p in range(1, n)
@@ -282,25 +277,19 @@ def verify_compression_inequality(
         report.families_checked = total
         return report
     rng = random.Random(seed)
-    tables = [_tables.section_tables(n, j) for j in range(n)]
-    compressed_size_cache: dict[tuple[int, int, int, int], int] = {}
+    compressed_size_cache: dict[tuple[int, int], int] = {}
     for _ in range(samples):
         fam = sample_family_bits(n, rng)
-        m = fam.bit_count()
-        ab = []
-        for j in range(n):
-            a = (fam & tables[j].minus_selector).bit_count()
-            ab.append((a, m - a))
+        compressed = [compress_j(fam) for compress_j in compressors]
         for p in range(1, n):
             direct = _tables.closed_size_bits(fam, n, p)
             if direct == 0:
                 continue  # 0 <= anything
-            for j, (a, b) in enumerate(ab):
-                key = (j, a, b, p)
-                comp_size = compressed_size_cache.get(key)
+            for j, comp in enumerate(compressed):
+                comp_size = compressed_size_cache.get((comp, p))
                 if comp_size is None:
-                    comp_size = _tables.closed_size_bits(tables[j].compress(fam), n, p)
-                    compressed_size_cache[key] = comp_size
+                    comp_size = _tables.closed_size_bits(comp, n, p)
+                    compressed_size_cache[comp, p] = comp_size
                 if direct > comp_size:
                     report.violations.append(
                         {

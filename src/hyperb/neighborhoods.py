@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import _tables
 from .errors import InfeasibleError
-from .subsets import Family, GroundSet, family_from_bits, family_to_bits
+from .subsets import Family, GroundSet
 
 # Exhaustive family sweeps enumerate all 2^(2^n) families; n = 4 (65 536)
 # is the largest that stays a desk job.
@@ -109,35 +109,29 @@ def common_closed(a: Family, p: int) -> Family:
     """
     if p < 1:
         raise ValueError("radius p must be at least 1")
-    n = a.ground.size
-    bits = _tables.closed_bits(family_to_bits(a), n, p)
-    return family_from_bits(bits, a.ground)
+    return Family(_tables.closed_bits(a.bits, a.ground.size, p), a.ground)
 
 
 def common_open(a: Family, p: int) -> Family:
     """common_closed with the members of a removed."""
     if p < 1:
         raise ValueError("radius p must be at least 1")
-    fam_bits = family_to_bits(a)
-    bits = _tables.closed_bits(fam_bits, a.ground.size, p) & ~fam_bits
-    return family_from_bits(bits, a.ground)
+    bits = _tables.closed_bits(a.bits, a.ground.size, p) & ~a.bits
+    return Family(bits, a.ground)
 
 
 def common_neighborhood(a: Family, p: int) -> CommonNeighborhood:
     if p < 1:
         raise ValueError("radius p must be at least 1")
-    fam_bits = family_to_bits(a)
-    closed_bits = _tables.closed_bits(fam_bits, a.ground.size, p)
+    closed_bits = _tables.closed_bits(a.bits, a.ground.size, p)
     return CommonNeighborhood(
-        family_from_bits(closed_bits, a.ground),
-        family_from_bits(closed_bits & ~fam_bits, a.ground),
-        p,
+        Family(closed_bits, a.ground), Family(closed_bits & ~a.bits, a.ground), p
     )
 
 
 def is_initial_segment(f: Family) -> bool:
     """True iff f consists of the first |f| subsets of its power set."""
-    return _tables.is_prefix_bits(family_to_bits(f))
+    return _tables.is_prefix_bits(f.bits)
 
 
 def closed_form_open_count(params: ClosedFormParams) -> int:
@@ -177,7 +171,7 @@ class VerifyReport:
 
 def family_bits_to_strings(bits: int, n: int) -> list[str]:
     """Render a family bitset as subset notation strings (witness output)."""
-    return [str(m) for m in family_from_bits(bits, GroundSet.range(n))]
+    return [str(m) for m in Family(bits, GroundSet.range(n))]
 
 
 def _require_exhaustible(n: int) -> None:

@@ -183,48 +183,65 @@ def unrank(r: SimplicialRank | int, g: GroundSet) -> SubsetMask:
 
 @dataclass(frozen=True)
 class Family:
-    """An ordered collection of distinct subsets of one ground set.
+    """A set of distinct subsets of one ground set, held as its rank bitset.
 
-    Members are stored sorted in the subset order; duplicates are rejected.
-    Grounds above the table capacity raise InfeasibleError.
+    Bit r of `bits` is set iff the subset of rank r is a member, so members
+    iterate in the subset order and the family is exactly what the `_tables`
+    kernel computes on.  Grounds above the table capacity raise
+    InfeasibleError.  Build from masks or labels with `from_masks` /
+    `from_labels`, which reject duplicates.
     """
 
-    members: tuple[SubsetMask, ...]
+    bits: int
     ground: GroundSet
 
     def __post_init__(self):
-        rank_of = _tables.rank_of_mask(self.ground.size)
-        for m in self.members:
-            if m.ground.labels != self.ground.labels:
-                raise ValueError("family member on a different ground set")
-        ordered = tuple(sorted(self.members, key=lambda s: rank_of[s.bits]))
-        for prev, m in zip(ordered, ordered[1:]):
-            if prev.bits == m.bits:
-                raise ValueError(f"duplicate member {format_subset(m)}")
-        object.__setattr__(self, "members", ordered)
+        if not isinstance(self.bits, int):
+            raise TypeError(
+                "Family takes a rank bitset; build from masks with Family.from_masks"
+            )
+        n = self.ground.size
+        _tables.check_table_size(n)
+        if self.bits < 0 or self.bits >> (1 << n):
+            raise ValueError("family bitset has bits outside the universe")
 
     @staticmethod
     def from_masks(ground: GroundSet, masks: Iterable[int]) -> "Family":
-        return Family(tuple(SubsetMask(b, ground) for b in masks), ground)
+        rank_of = _tables.rank_of_mask(ground.size)
+        bits = 0
+        for m in masks:
+            if m < 0 or m >> ground.size:
+                raise ValueError("mask has bits outside the ground set")
+            bit = 1 << rank_of[m]
+            if bits & bit:
+                raise ValueError(f"duplicate member {format_subset(SubsetMask(m, ground))}")
+            bits |= bit
+        return Family(bits, ground)
 
     @staticmethod
     def from_labels(ground: GroundSet, sets: Iterable[Iterable[int]]) -> "Family":
-        return Family(tuple(ground.subset(s) for s in sets), ground)
+        return Family.from_masks(ground, (ground.subset(s).bits for s in sets))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[SubsetMask]:
-        return iter(self.members)
-
-    def __contains__(self, x: SubsetMask) -> bool:
-        return any(m.bits == x.bits for m in self.members)
+    @property
+    def members(self) -> tuple[SubsetMask, ...]:
+        return tuple(self)
 
     def bit_masks(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
+        order = _tables.masks_in_order(self.ground.size)
+        return tuple(order[r] for r in _tables.iter_bits(self.bits))
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __iter__(self) -> Iterator[SubsetMask]:
+        return (SubsetMask(m, self.ground) for m in self.bit_masks())
+
+    def __contains__(self, x: SubsetMask) -> bool:
+        n = self.ground.size
+        return not x.bits >> n and bool(self.bits >> _tables.rank_of_mask(n)[x.bits] & 1)
 
     def __str__(self) -> str:
-        return "[" + ",".join(format_subset(m) for m in self.members) + "]"
+        return "[" + ",".join(format_subset(m) for m in self) + "]"
 
 
 def family_cmp(a: Family, b: Family) -> int:
@@ -235,14 +252,14 @@ def family_cmp(a: Family, b: Family) -> int:
     # on rank bitsets the subset order's own comparison is this order: the
     # popcount is the cardinality and the lowest differing bit is the
     # order-first member of the symmetric difference
-    return _cmp_masks(family_to_bits(a), family_to_bits(b))
+    return _cmp_masks(a.bits, b.bits)
 
 
 def initial_segment(m: int, g: GroundSet) -> Family:
     """The first m subsets of the power set of g."""
     if not 0 <= m <= (1 << g.size):
         raise ValueError(f"segment length {m} out of range for ground size {g.size}")
-    return Family.from_masks(g, _tables.masks_in_order(g.size)[:m])
+    return Family(_tables.prefix_bits(m), g)
 
 
 def level_set(i: int, g: GroundSet) -> Family:
@@ -250,7 +267,7 @@ def level_set(i: int, g: GroundSet) -> Family:
     if not 0 <= i <= g.size:
         raise ValueError(f"level {i} out of range for ground size {g.size}")
     start = sum(comb(g.size, k) for k in range(i))
-    return Family.from_masks(g, _tables.masks_in_order(g.size)[start : start + comb(g.size, i)])
+    return Family(_tables.prefix_bits(comb(g.size, i)) << start, g)
 
 
 def format_subset(x: SubsetMask) -> str:
@@ -274,17 +291,10 @@ def parse_subset(text: str, g: GroundSet) -> SubsetMask:
 
 
 def family_to_bits(fam: Family) -> int:
-    """Pack a family into a rank-indexed bitset over its 2^n universe."""
-    rank_of = _tables.rank_of_mask(fam.ground.size)
-    bits = 0
-    for m in fam.members:
-        bits |= 1 << rank_of[m.bits]
-    return bits
+    """The rank bitset of a family over its 2^n universe."""
+    return fam.bits
 
 
 def family_from_bits(bits: int, g: GroundSet) -> Family:
     """Inverse of family_to_bits."""
-    if bits < 0 or bits >> (1 << g.size):
-        raise ValueError("family bitset has bits outside the universe")
-    order = _tables.masks_in_order(g.size)
-    return Family.from_masks(g, (order[r] for r in _tables.iter_bits(bits)))
+    return Family(bits, g)

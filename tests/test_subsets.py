@@ -220,6 +220,11 @@ class TestFamily:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("bits", [(), [3], "0", 1.0])
+    def test_non_int_bits_name_from_masks(self, bits):
+        with pytest.raises(TypeError, match="from_masks"):
+            Family(bits, G3)
+
     def test_family_cmp_cardinality(self):
         a = Family.from_labels(G3, [[]])
         b = Family.from_labels(G3, [[], [1]])
@@ -298,7 +303,7 @@ class TestFamily:
         built = _tables.masks_in_order.cache_info().currsize
         ranks = _tables.rank_of_mask.cache_info().currsize
         for make in (
-            lambda: Family((), g),
+            lambda: Family(0, g),
             lambda: Family.from_masks(g, [0, 1]),
             lambda: family_from_bits(0b11, g),
             lambda: initial_segment(2, g),
