@@ -181,9 +181,13 @@ def bound_report(n: int, p: int, q: int | None = None) -> BoundReport:
 
 
 def bound_table(n_values, p_values=None) -> list[BoundReport]:
-    """Bound reports over a grid, ordered by (n, p)."""
+    """Bound reports over a grid, ordered by (n, p).  Any n < 2 is refused
+    before a row is built; an empty grid gives an empty table."""
+    n_values = sorted(n_values)
+    if n_values and n_values[0] < 2:
+        raise ValueError(f"bound table needs n >= 2, got n = {n_values[0]}")
     rows = []
-    for n in sorted(n_values):
+    for n in n_values:
         ps = range(1, n + 1) if p_values is None else [p for p in p_values if p <= n]
         for p in sorted(ps):
             rows.append(bound_report(n, p))

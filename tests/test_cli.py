@@ -218,6 +218,8 @@ class TestExitCodes:
             ["verify", "--theorem", "close", "--n", "4", "--p", "3..2", "--exhaustive"],
             ["rank", "--n", "-1", "--subset", "{}"],
             ["verify", "--theorem", "fixpoint", "--n", "-1"],
+            ["table", "--n", "0"],
+            ["table", "--n", "-1"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):
