@@ -9,6 +9,8 @@ covers so every (n, p) cell is exercised.
 import math
 import time
 
+import pytest
+
 from hyperb import bcoloring as bc
 from hyperb import bounds as bd
 from hyperb import compression as cp
@@ -59,6 +61,7 @@ def test_criterion_02_initial_segment_closure():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_close_inequality():
     for n in (3, 4):
         for p in range(1, n):
@@ -82,6 +85,7 @@ def test_criterion_03_close_inequality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_open_inequality():
     for n in (3, 4):
         for p in range(1, n):

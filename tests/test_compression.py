@@ -214,6 +214,7 @@ class TestSweeps:
         rep = cp.verify_compression_inequality(4, "exhaustive")
         assert rep.ok and rep.families_checked == 65536
 
+    @pytest.mark.slow
     def test_compression_inequality_full_scale(self):
         # compression never shrinks the common closed neighborhood: 10^5
         # random families at each of n = 5 and 6, all coordinates and radii
