@@ -242,8 +242,8 @@ def verify_compression_inequality(
     """Check |C^p[A]| <= |C^p[S_i(A)]| for every coordinate i and every
     radius p in [1, n-1].
 
-    A compressed family is fixed by (i, |A_i-|, |A_i+|), so few of them
-    recur; sampled runs cache their neighborhood size by (compressed
+    A compressed family is fixed by (i, |A_i-|, |A_i+|), so few distinct
+    ones occur; sampled runs cache their neighborhood size by (compressed
     family, p) and pay mostly for the direct side of each family.  Needs
     n >= 2, so that 1..n-1 holds a radius.
     """

@@ -8,10 +8,12 @@ order on the sorted element lists.
 
 Ranks are 0-indexed, so "the first m subsets" are the ranks 0..m-1.
 
-Single subsets and rank/unrank work on grounds of up to 62 labels.  Families
-are a thin shell over the rank tables of `_tables`, so they share the tables'
-cap: a family on a ground of more than `_tables.MAX_TABLE_BITS` labels is
-refused with InfeasibleError before any table is built.
+Single subsets and rank/unrank work on grounds of up to 62 labels.  A
+family is its rank bitset (bit r set iff the subset of rank r is a member),
+the form the `_tables` kernel computes on, so callers pass `.bits` straight
+to the kernel and wrap its results without converting.  Families share the
+tables' cap: a family on a ground of more than `_tables.MAX_TABLE_BITS`
+labels is refused with InfeasibleError before any table is built.
 """
 
 from __future__ import annotations
@@ -183,13 +185,10 @@ def unrank(r: SimplicialRank | int, g: GroundSet) -> SubsetMask:
 
 @dataclass(frozen=True)
 class Family:
-    """A set of distinct subsets of one ground set, held as its rank bitset.
-
-    Bit r of `bits` is set iff the subset of rank r is a member, so members
-    iterate in the subset order and the family is exactly what the `_tables`
-    kernel computes on.  Grounds above the table capacity raise
-    InfeasibleError.  Build from masks or labels with `from_masks` /
-    `from_labels`, which reject duplicates.
+    """A set of subsets of one ground set, held as its rank bitset: bit r
+    of `bits` is set iff the subset of rank r is a member.  Members iterate
+    in the subset order.  `from_masks` / `from_labels` reject duplicates.
+    Grounds above the table capacity raise InfeasibleError.
     """
 
     bits: int
@@ -197,12 +196,9 @@ class Family:
 
     def __post_init__(self):
         if not isinstance(self.bits, int):
-            raise TypeError(
-                "Family takes a rank bitset; build from masks with Family.from_masks"
-            )
-        n = self.ground.size
-        _tables.check_table_size(n)
-        if self.bits < 0 or self.bits >> (1 << n):
+            raise TypeError("Family takes a rank bitset; build from masks with Family.from_masks")
+        _tables.check_table_size(self.ground.size)
+        if self.bits < 0 or self.bits >> (1 << self.ground.size):
             raise ValueError("family bitset has bits outside the universe")
 
     @staticmethod

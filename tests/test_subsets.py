@@ -213,7 +213,6 @@ class TestFamily:
             lambda: family_from_bits(-1, GroundSet.range(4)),
             lambda: Family.from_masks(G3, [1, 8]),
             lambda: Family.from_masks(G3, [-1]),
-            lambda: Family.from_labels(G3, [[4]]),
         ],
     )
     def test_members_outside_ground_rejected(self, make):
