@@ -12,8 +12,11 @@ domination pass it uses, and the kernel's segment-size tables and the
 pairwise-family sampler must give the same values however the ball tables
 are keyed, and the object layer (`Family` rendering, membership,
 neighborhoods, sections, compression, fixpoints and the family order) must
-give the same outputs however a `Family` stores its members.  Each digest below was recorded before the code it covers was
-rewritten; any change to a report's content or order shows up here.
+give the same outputs however a `Family` stores its members, and the two
+samplers must draw the same families and leave the generator in the same
+state however they consume its bits.  Each digest below was recorded before
+the code it covers was rewritten; any change to a report's content or order
+shows up here.
 """
 
 import dataclasses
@@ -181,14 +184,47 @@ def _pairwise_families():
     return out
 
 
+# random.sample switches from its pool branch to its set branch below this
+# many draws from 2^12 ranks (and from 2^11).
+SAMPLE_SET_BRANCH_MAX = 341
+
+
+def _family_draws():
+    """sample_family_bits draws for n = 1..12, then the sha256 of the final
+    generator state.  The n = 12 draws include sizes on both sides of
+    random.sample's set/pool switch."""
+    rng = random.Random(1729)
+    out = [[nb.sample_family_bits(n, rng) for _ in range(40 if n == 12 else 12)]
+           for n in range(1, 13)]
+    sizes = [fam.bit_count() for fam in out[-1]]
+    assert min(sizes) <= SAMPLE_SET_BRANCH_MAX < max(sizes)
+    out.append(hashlib.sha256(repr(rng.getstate()).encode()).hexdigest())
+    return out
+
+
+def _pairwise_families_full():
+    """_grow_pairwise_family at n = 11 and 12 for every p in 1..n-1."""
+    rng = random.Random(31)
+    return [
+        [list(nb._grow_pairwise_family(n, p, rng)) for _ in range(3)]
+        for n in (11, 12)
+        for p in range(1, n)
+    ]
+
+
 # The bitset kernel: |C^p[I_m]| and |C^p(I_m)| for every segment length at
-# 1 <= p <= n <= 12, and the (family, closed neighborhood) pairs drawn by the
-# open sweep's sampler, serialised as JSON.
+# 1 <= p <= n <= 12, the (family, closed neighborhood) pairs drawn by the
+# open sweep's sampler, and the families and final generator state of the
+# close sweep's sampler, serialised as JSON.
 KERNEL_CASES = [
     ("initial_segment_sizes-n1..12", _segment_sizes,
      "5766db84c150ca30ac4dc58ba5a1582128ae3662755646bed3f4855defe9754c"),
     ("grow_pairwise_family-n6p4-n10p5", _pairwise_families,
      "fdf9d9469175bc78350ab0439c271133672abb1a4f49f2454ec60948b8a73f2c"),
+    ("sample_family_bits-n1..12", _family_draws,
+     "3bac3af50235cac2da745c1c34ecc87c61a7489d7a34a3be2b48ce75ebd4abb5"),
+    ("grow_pairwise_family-n11..12-all-p", _pairwise_families_full,
+     "2057de3305fc21e65a34a5d23009afc0a889896303be53d69ecca0d5c994a98a"),
 ]
 
 
