@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from math import comb
+from math import ceil, comb, log
 from typing import Iterable
 
 from . import _tables
@@ -213,39 +213,87 @@ def _check_radius(n: int, p: int) -> None:
 
 
 def sample_family_bits(n: int, rng: random.Random) -> int:
-    """Random family: size m uniform in [1, 2^(n-1)], then m distinct subsets."""
+    """Random family: size m uniform in [1, 2^(n-1)], then m distinct subsets.
+
+    The ranks are those of rng.sample(range(2^n), m), drawn inline from
+    rng.getrandbits with the same pool/set switch and the same rejection
+    step, so the families and the generator state afterwards match it
+    exactly (tests/test_neighborhoods.py::TestSamplerStream checks this
+    against the running interpreter's random module).
+    """
     m = rng.randint(1, 1 << (n - 1))
-    bits = 0
-    for r in rng.sample(range(1 << n), m):
-        bits |= 1 << r
-    return bits
+    size = 1 << n
+    getrandbits = rng.getrandbits
+    drawn = ord("1")
+    flags = bytearray(b"0") * size  # flags[r] is b"1" once rank r is drawn
+    setsize = 21
+    if m > 5:
+        setsize += 4 ** ceil(log(m * 3, 4))
+    if size <= setsize:
+        # pool branch: the undrawn ranks sit at pool[0 : left].  The first
+        # draw is below 2^n (n + 1 bits); every later bound lies in
+        # (2^(n-1), 2^n), as m <= 2^(n-1), so it draws n bits.
+        pool = list(range(size))
+        k = n + 1
+        for left in range(size, size - m, -1):
+            j = getrandbits(k)
+            while j >= left:
+                j = getrandbits(k)
+            flags[pool[j]] = drawn
+            pool[j] = pool[left - 1]
+            k = n
+    else:
+        # set branch: redraw a rank already taken
+        k = size.bit_length()
+        for _ in range(m):
+            j = getrandbits(k)
+            while j >= size or flags[j] == drawn:
+                j = getrandbits(k)
+            flags[j] = drawn
+    return int(flags[::-1], 2)
 
 
 def _pick_set_bit(bits: int, n_universe_bits: int, rng: random.Random) -> int:
-    """Uniform random set-bit index of a big-int pool."""
+    """Uniform random set-bit index of a big-int pool.
+
+    Draws from rng.getrandbits exactly as rng.randrange(n_universe_bits)
+    (dense pools, by rejection) or rng.randrange(bits.bit_count()) (sparse
+    pools, the j-th set bit) would, so its picks and the generator state
+    match those calls (tests/test_neighborhoods.py::TestSamplerStream).
+    """
     count = bits.bit_count()
+    if not count:
+        raise ValueError("cannot pick from an empty pool")
+    getrandbits = rng.getrandbits
     # dense pools: rejection sampling is O(1) expected
     if count * 8 >= n_universe_bits:
+        k = n_universe_bits.bit_length()
         while True:
-            r = rng.randrange(n_universe_bits)
-            if bits >> r & 1:
+            r = getrandbits(k)
+            if r < n_universe_bits and bits >> r & 1:
                 return r
-    # sparse pools: walk 64-bit chunks to the j-th set bit
-    j = rng.randrange(count)
+    # sparse pools: halve the window towards the j-th set bit
+    k = count.bit_length()
+    j = getrandbits(k)
+    while j >= count:
+        j = getrandbits(k)
     pos = 0
-    while True:
-        chunk = bits & 0xFFFFFFFFFFFFFFFF
-        c = chunk.bit_count()
+    width = bits.bit_length()
+    while width > 64:
+        half = width >> 1
+        low = bits & ((1 << half) - 1)
+        c = low.bit_count()
         if j < c:
-            while True:
-                low = chunk & -chunk
-                if j == 0:
-                    return pos + low.bit_length() - 1
-                chunk ^= low
-                j -= 1
-        j -= c
-        bits >>= 64
-        pos += 64
+            bits = low
+            width = half
+        else:
+            j -= c
+            bits >>= half
+            pos += half
+            width -= half
+    for _ in range(j):
+        bits &= bits - 1
+    return pos + (bits & -bits).bit_length() - 1
 
 
 def verify_close_inequality(
@@ -346,15 +394,17 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
     ones, stopping early when none is left."""
     ball = _tables.balls(n, p)
     members = 0
-    closed = _tables.universe_bits(n)
+    # pool = closed & ~members, kept in place; every member lies in every
+    # member's ball, so the closed neighborhood is pool | members
+    pool = _tables.universe_bits(n)
     for _ in range(rng.randint(1, 1 << (n - 1))):
-        pool = closed & ~members
         if not pool:
             break
         r = _pick_set_bit(pool, 1 << n, rng)
-        members |= 1 << r
-        closed &= ball[r]
-    return members, closed
+        bit = 1 << r
+        members |= bit
+        pool = (pool ^ bit) & ball[r]
+    return members, pool | members
 
 
 def verify_initial_segment_closure(n: int) -> VerifyReport:

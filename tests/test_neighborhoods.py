@@ -259,6 +259,35 @@ class TestOpenInequality:
             assert all((a ^ b).bit_count() <= 2 for a in masks for b in masks)
             assert closed == _tables.closed_bits(members, 4, 2)
 
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_sampled_families_qualify_full_size(self, n, monkeypatch):
+        # the sampler keeps its pool in place and returns pool | members as
+        # the closed neighborhood; p = 1 stops early (two adjacent members
+        # share no neighbour), p = n - 1 stays on the dense branch and
+        # p = n // 2 moves from the dense to the sparse branch
+        branches = set()
+        real = nb._pick_set_bit
+
+        def pick(bits, n_universe_bits, rng):
+            branches.add(bits.bit_count() * 8 >= n_universe_bits)
+            return real(bits, n_universe_bits, rng)
+
+        monkeypatch.setattr(nb, "_pick_set_bit", pick)
+        rng = random.Random(n)
+        for p in (1, n // 2, n - 1):
+            ball = _tables.balls(n, p)
+            sizes = []
+            for _ in range(4):
+                members, closed = nb._grow_pairwise_family(n, p, rng)
+                assert members
+                # pairwise within p: every member's ball holds every member
+                assert all(not members & ~ball[r] for r in _tables.iter_bits(members))
+                assert closed == _tables.closed_bits(members, n, p)
+                sizes.append(members.bit_count())
+            if p == 1:
+                assert max(sizes) <= 2
+        assert branches == {True, False}
+
     def test_sample_mode(self):
         rep = nb.verify_open_inequality(6, 4, "sample", samples=2000, seed=17)
         assert rep.ok and rep.families_checked == 2000
@@ -352,3 +381,114 @@ class TestWitnessFormatting:
     def test_family_strings(self):
         bits = family_to_bits(Family.from_labels(G3, [[], [1, 3]]))
         assert nb.family_bits_to_strings(bits, 3) == ["{}", "{1,3}"]
+
+
+def _reference_family_bits(n, rng):
+    m = rng.randint(1, 1 << (n - 1))
+    bits = 0
+    for r in rng.sample(range(1 << n), m):
+        bits |= 1 << r
+    return bits
+
+
+def _reference_pick(bits, n_universe_bits, rng):
+    count = bits.bit_count()
+    if count * 8 >= n_universe_bits:
+        while True:
+            r = rng.randrange(n_universe_bits)
+            if bits >> r & 1:
+                return r
+    return list(_tables.iter_bits(bits))[rng.randrange(count)]
+
+
+def _reference_pairwise_family(n, p, rng):
+    ball = _tables.balls(n, p)
+    members = 0
+    closed = _tables.universe_bits(n)
+    for _ in range(rng.randint(1, 1 << (n - 1))):
+        pool = closed & ~members
+        if not pool:
+            break
+        r = _reference_pick(pool, 1 << n, rng)
+        members |= 1 << r
+        closed &= ball[r]
+    return members, closed
+
+
+class TestSamplerStream:
+    """The samplers draw from rng.getrandbits directly.  They must pick what
+    rng.sample, rng.randint and rng.randrange would pick on the running
+    interpreter and leave the generator in the same state, so a change to
+    the random module fails here instead of silently changing outputs."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 104729])
+    def test_family_bits_match_random_sample(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 13):
+            for _ in range(40 if n == 12 else 15):
+                assert nb.sample_family_bits(n, ours) == _reference_family_bits(n, ref), n
+        assert ours.getstate() == ref.getstate()
+
+    def test_family_bits_cover_both_sample_branches(self):
+        # random.sample tracks a pool list when 2^n <= 21 + 4^ceil(log4(3m)),
+        # else a set of taken ranks: at n = 12 the switch is m = 341 / 342
+        ours, ref = random.Random(11), random.Random(11)
+        sizes = set()
+        for _ in range(60):
+            fam = nb.sample_family_bits(12, ours)
+            assert fam == _reference_family_bits(12, ref)
+            sizes.add(fam.bit_count())
+        assert min(sizes) <= 341 < max(sizes)
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_pairwise_families_match_randrange(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 13):
+            for p in sorted({1, (n + 1) // 2, max(1, n - 1), n}):
+                for _ in range(3):
+                    assert nb._grow_pairwise_family(n, p, ours) == _reference_pairwise_family(
+                        n, p, ref
+                    ), (n, p)
+        assert ours.getstate() == ref.getstate()
+
+    @staticmethod
+    def _pools():
+        rng = random.Random(5)
+        edges = 1 | 1 << 63 | 1 << 64 | 1 << 65 | 1 << 4095
+        pools = [(edges, 4096)]
+        pools += [(1 << r, 4096) for r in (0, 63, 64, 65, 4095)]
+        pools += [(1, 1), (1 << 6, 7), (1 << 99, 100)]
+        for width in (7, 65, 100, 1000, 4095, 4096):
+            full = (1 << width) - 1
+            pools.append((full, width))  # dense
+            pools.append((rng.getrandbits(width) | 1 << (width - 1), width))  # dense
+            sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+            sparse &= rng.getrandbits(width)
+            pools.append((sparse | 1 << rng.randrange(width), width))
+        # count * 8 >= width exactly at the threshold, and one bit below it
+        pools.append(((1 << 512) - 1 << 1000, 4096))
+        pools.append(((1 << 510) - 1 << 1000 | 1 << 4095, 4096))
+        return pools
+
+    def test_pick_set_bit_matches_randrange(self):
+        pools = self._pools()
+        branches = {bits.bit_count() * 8 >= width for bits, width in pools}
+        assert branches == {True, False}
+        ours, ref = random.Random(3), random.Random(3)
+        for bits, width in pools:
+            for _ in range(50):
+                r = nb._pick_set_bit(bits, width, ours)
+                assert r == _reference_pick(bits, width, ref), (bits, width)
+                assert bits >> r & 1
+        assert ours.getstate() == ref.getstate()
+
+    def test_pick_set_bit_reaches_every_bit(self):
+        rng = random.Random(9)
+        edges = 1 | 1 << 63 | 1 << 64 | 1 << 65 | 1 << 4095
+        seen = {nb._pick_set_bit(edges, 4096, rng) for _ in range(200)}
+        assert seen == {0, 63, 64, 65, 4095}
+
+    def test_pick_set_bit_refuses_an_empty_pool(self):
+        with pytest.raises(ValueError, match="empty pool"):
+            nb._pick_set_bit(0, 4096, random.Random(1))
