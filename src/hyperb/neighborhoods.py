@@ -189,8 +189,10 @@ def check_sweep_request(
 
     Sweeps call this before building any table, so a refused request costs
     nothing: ValueError for a malformed request (negative ground size,
-    unknown mode, missing seed, fewer than one sample), InfeasibleError for
-    one over the exhaustive or sampling cap.
+    unknown mode, missing or negative seed, fewer than one sample),
+    InfeasibleError for one over the exhaustive or sampling cap.  A negative
+    seed is refused because random.Random(-s) seeds like Random(s): it would
+    draw the families of s under another name.
     """
     if n < 0:
         raise ValueError(f"ground size must be non-negative, got {n}")
@@ -201,6 +203,8 @@ def check_sweep_request(
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None or samples is None:
         raise ValueError("sample mode requires both samples and seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if samples < 1:
         raise ValueError(f"sample mode needs at least one sample, got {samples}")
     if n > MAX_SAMPLED_N:

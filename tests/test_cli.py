@@ -220,6 +220,8 @@ class TestExitCodes:
             ["verify", "--theorem", "fixpoint", "--n", "-1"],
             ["table", "--n", "0"],
             ["table", "--n", "-1"],
+            ["verify", "--theorem", "close", "--n", "6", "--p", "2",
+             "--samples", "50", "--seed", "-5"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):
@@ -281,6 +283,19 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2 and out == "" and "at least one sample" in err
+        assert _tables.balls.cache_info().misses == misses
+
+    @pytest.mark.parametrize("theorem", ["close", "open", "section", "compression"])
+    def test_negative_seed_exits_2_before_building_tables(self, capsys, theorem):
+        # random.Random(-5) seeds like Random(5): the report would differ
+        # from the seed-5 one only in its "seed" field
+        misses = _tables.balls.cache_info().misses
+        code, out, err = run(
+            ["verify", "--theorem", theorem, "--n", "12", "--p", "2",
+             "--samples", "50", "--seed", "-5"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "seed must be non-negative" in err
         assert _tables.balls.cache_info().misses == misses
 
     @pytest.mark.parametrize(

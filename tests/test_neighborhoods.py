@@ -184,6 +184,20 @@ class TestCloseInequality:
         with pytest.raises(ValueError):
             nb.verify_close_inequality(6, 3, "sample", samples=10)
 
+    def test_negative_seed_rejected_before_building_tables(self):
+        # random.Random(-5) seeds like Random(5), so -5 would silently rerun 5
+        assert random.Random(-5).random() == random.Random(5).random()
+        misses = _tables.balls.cache_info().misses
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            nb.check_sweep_request(6, "sample", 50, -5)
+        for sweep in (nb.verify_close_inequality, nb.verify_open_inequality):
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                sweep(6, 2, "sample", samples=50, seed=-5)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            nb.verify_section_identity(5, "sample", samples=50, seed=-1)
+        assert _tables.balls.cache_info().misses == misses
+        nb.check_sweep_request(6, "sample", 50, 0)
+
     def test_radius_outside_ground_rejected(self):
         for p in (0, 7):
             with pytest.raises(ValueError):
