@@ -439,19 +439,13 @@ class TestSamplerStream:
     def test_family_bits_match_random_sample(self, seed):
         ours, ref = random.Random(seed), random.Random(seed)
         for n in range(1, 13):
+            sizes = []
             for _ in range(40 if n == 12 else 15):
-                assert nb.sample_family_bits(n, ours) == _reference_family_bits(n, ref), n
-        assert ours.getstate() == ref.getstate()
-
-    def test_family_bits_cover_both_sample_branches(self):
+                fam = nb.sample_family_bits(n, ours)
+                assert fam == _reference_family_bits(n, ref), n
+                sizes.append(fam.bit_count())
         # random.sample tracks a pool list when 2^n <= 21 + 4^ceil(log4(3m)),
         # else a set of taken ranks: at n = 12 the switch is m = 341 / 342
-        ours, ref = random.Random(11), random.Random(11)
-        sizes = set()
-        for _ in range(60):
-            fam = nb.sample_family_bits(12, ours)
-            assert fam == _reference_family_bits(12, ref)
-            sizes.add(fam.bit_count())
         assert min(sizes) <= 341 < max(sizes)
         assert ours.getstate() == ref.getstate()
 
@@ -496,12 +490,6 @@ class TestSamplerStream:
                 assert r == _reference_pick(bits, width, ref), (bits, width)
                 assert bits >> r & 1
         assert ours.getstate() == ref.getstate()
-
-    def test_pick_set_bit_reaches_every_bit(self):
-        rng = random.Random(9)
-        edges = 1 | 1 << 63 | 1 << 64 | 1 << 65 | 1 << 4095
-        seen = {nb._pick_set_bit(edges, 4096, rng) for _ in range(200)}
-        assert seen == {0, 63, 64, 65, 4095}
 
     def test_pick_set_bit_refuses_an_empty_pool(self):
         with pytest.raises(ValueError, match="empty pool"):
