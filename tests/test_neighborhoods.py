@@ -186,7 +186,6 @@ class TestCloseInequality:
 
     def test_negative_seed_rejected_before_building_tables(self):
         # random.Random(-5) seeds like Random(5), so -5 would silently rerun 5
-        assert random.Random(-5).random() == random.Random(5).random()
         misses = _tables.balls.cache_info().misses
         with pytest.raises(ValueError, match="seed must be non-negative"):
             nb.check_sweep_request(6, "sample", 50, -5)
