@@ -193,17 +193,22 @@ class BColorCertificate:
         return asdict(self)
 
 
-def _neighbor_color_masks(rows, assign) -> list[int]:
+def _neighbor_color_masks(rows, assign, k) -> list[int]:
     """Bitset of the colors on the neighbors of each vertex.
 
-    Only the vertices of rows[v] are read, so `assign` may be a prefix of
-    the coloring when every row holds only vertices inside it."""
-    out = []
-    for row in rows:
-        acc = 0
-        for w in _tables.iter_bits(row):
-            acc |= 1 << assign[w]
-        out.append(acc)
+    Adjacency is symmetric, so v sees color t iff v lies in near[t], the
+    union of the rows of the t-colored vertices: one OR per vertex builds
+    the k x V matrix near, and its transpose, taken column by column over
+    binary strings, gives the masks.  Walking the rows instead would cost
+    one Python step per edge end."""
+    near = [0] * k
+    for row, t in zip(rows, assign):
+        near[t] |= row
+    width = len(rows)
+    # string i of `planes` is near[k-1-i], its character j is vertex width-1-j
+    planes = [format(bits, f"0{width}b") for bits in reversed(near)]
+    out = [int("".join(column), 2) for column in zip(*planes)]
+    out.reverse()
     return out
 
 
@@ -224,7 +229,7 @@ def validate_coloring(g: PowerGraph, c: Coloring) -> BColorCertificate:
             f"coloring covers {len(c.assignment)} vertices, graph has {g.vertex_count}"
         )
     assign = c.assignment
-    ncolors = _neighbor_color_masks(_adjacency_rows(g), assign)
+    ncolors = _neighbor_color_masks(_adjacency_rows(g), assign, c.k)
     proper = all(not seen >> t & 1 for seen, t in zip(ncolors, assign))
     dominating = _dominating(ncolors, assign, c.k)
     sizes = Counter(assign)
@@ -239,7 +244,7 @@ def validate_coloring(g: PowerGraph, c: Coloring) -> BColorCertificate:
 
 def all_vertices_dominating(g: PowerGraph, c: Coloring) -> bool:
     """Stronger property: every vertex sees every other color class."""
-    ncolors = _neighbor_color_masks(_adjacency_rows(g), c.assignment)
+    ncolors = _neighbor_color_masks(_adjacency_rows(g), c.assignment, c.k)
     return all(
         seen | 1 << t == (1 << c.k) - 1 for seen, t in zip(ncolors, c.assignment)
     )
@@ -312,13 +317,17 @@ def greedy_b_coloring(g: PowerGraph) -> Coloring:
     """
     rows = _adjacency_rows(g)
     assign: list[int] = []
+    members: list[int] = []  # the vertex bitset of each class so far
     for v, row in enumerate(rows):
-        # the colors of the neighbors already colored, those below v
-        used = _neighbor_color_masks([row & ((1 << v) - 1)], assign)[0]
-        assign.append((~used & -~used).bit_length() - 1)  # lowest zero bit
-    k = max(assign) + 1
+        # the lowest color that no neighbor colored so far (below v) has
+        c = next((t for t, m in enumerate(members) if not row & m), len(members))
+        if c == len(members):
+            members.append(0)
+        members[c] |= 1 << v
+        assign.append(c)
+    k = len(members)
     while True:
-        ncolors = _neighbor_color_masks(rows, assign)
+        ncolors = _neighbor_color_masks(rows, assign, k)
         dominating = _dominating(ncolors, assign, k)
         if None not in dominating:
             break
@@ -349,9 +358,10 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     """Exact b-chromatic number by descending-k backtracking.
 
     For each k, candidate dominating vertices (degree >= k-1) are seeded in
-    index order with the k colors, then the remaining vertices are assigned
-    by most-constrained-first backtracking under properness and the
-    requirement that every seed ends up seeing all other colors.  The first
+    index order with the k colors, vertex 0 always among them (the graph is
+    vertex-transitive, see _decide_b_coloring), then the remaining vertices
+    are assigned by most-constrained-first backtracking under properness and
+    the requirement that every seed ends up seeing all other colors.  The first
     k that admits a coloring is the answer; if every k above the greedy
     fallback fails, the fallback count is exact.
 
@@ -409,21 +419,39 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
 def _decide_b_coloring(rows, degrees, k, charge):
     """Search for a b-coloring with exactly k colors; None if impossible.
 
+    The seed search is rooted at vertex 0.  Every PowerGraph is a Cayley
+    graph: cube vertices are subsets under symmetric difference (relabelled
+    by rank, with the empty set at rank 0), Hamming vertices are Z_q^n under
+    addition, and adjacency depends only on the difference of the two ends.
+    So the translation by -d is an automorphism that moves d to vertex 0
+    and maps b-colorings to b-colorings.  Applied to one dominating vertex
+    d of a k-b-coloring, it gives a k-b-coloring in which vertex 0
+    dominates its class; hence k is feasible iff some seed tuple that
+    contains vertex 0 extends.
+
     Seed tuples (one dominating vertex per color, degree >= k-1) are tried
-    in itertools.combinations order over the candidates; seed t gets color t.
-    The rest of the search state is bitsets, handed to _extend: can[c] holds
-    the vertices that no c-colored vertex is adjacent to, so its uncolored
-    members are the vertices that may still take color c, and missing[t]
-    holds the colors that seed t does not see yet.
+    as (0, *rest) for rest in itertools.combinations of the other
+    candidates, k-1 at a time; seed t gets color t.  Those are exactly the
+    tuples that combinations over all candidates yields first, in the same
+    order, so on a feasible k the first witness, and the node count spent
+    on that k, are those of the unrooted search; only the refuted k values
+    get cheaper.  The graph is regular, so when vertex 0 has degree below
+    k-1 no vertex qualifies and k is refuted at once.
+
+    The rest of the search state is bitsets, handed to _extend: can[c]
+    holds the vertices that no c-colored vertex is adjacent to, so its
+    uncolored members are the vertices that may still take color c, and
+    missing[t] holds the colors that seed t does not see yet.
     """
     count = len(rows)
-    cand = [v for v in range(count) if degrees[v] >= k - 1]
-    if len(cand) < k:
+    if degrees[0] < k - 1:
         return None
+    others = [v for v in range(1, count) if degrees[v] >= k - 1]
     all_colors = (1 << k) - 1
     everyone = (1 << count) - 1
-    for seeds in combinations(cand, k):
+    for rest in combinations(others, k - 1):
         charge()
+        seeds = (0, *rest)
         seed_mask = 0
         seed_of = {}
         color = [-1] * count
@@ -436,8 +464,11 @@ def _decide_b_coloring(rows, degrees, k, charge):
         missing = []
         for t, d in enumerate(seeds):
             seen = 0
-            for w in _tables.iter_bits(rows[d] & seed_mask):
-                seen |= 1 << color[w]
+            hits = rows[d] & seed_mask
+            while hits:
+                low = hits & -hits
+                seen |= 1 << seed_of[low.bit_length() - 1]
+                hits ^= low
             missing.append(all_colors & ~(1 << t) & ~seen)
         if _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, charge):
             return color

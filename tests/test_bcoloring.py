@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -281,6 +282,73 @@ class TestExactSolver:
             assert values[-1] == 1 << n
 
 
+def _unrooted_decision(rows, degrees, k):
+    """Oracle: the seed search over every combinations(cand, k) tuple, with
+    no vertex pinned; True iff some tuple extends to a b-coloring."""
+    count = len(rows)
+    cand = [v for v in range(count) if degrees[v] >= k - 1]
+    for seeds in itertools.combinations(cand, k):
+        seed_mask = sum(1 << d for d in seeds)
+        seed_of = {d: t for t, d in enumerate(seeds)}
+        color = [-1] * count
+        for d, t in seed_of.items():
+            color[d] = t
+        uncolored = (1 << count) - 1 & ~seed_mask
+        can = [uncolored & ~rows[d] for d in seeds]
+        missing = []
+        for t, d in enumerate(seeds):
+            seen = sum(1 << seed_of[w] for w in seeds if rows[d] >> w & 1)
+            missing.append((1 << k) - 1 & ~(1 << t) & ~seen)
+        if bc._extend(rows, seeds, seed_mask, seed_of, color, can, missing,
+                      uncolored, lambda: None):
+            return True
+    return False
+
+
+class TestRootedSeeds:
+    """The seed search pinned at vertex 0 decides every k as the unrooted
+    search does (the power graphs are vertex-transitive)."""
+
+    GRAPHS = [
+        ("Q2p1", bc.hypercube_power(2, 1)),
+        ("Q3p1", bc.hypercube_power(3, 1)),
+        ("Q3p2", bc.hypercube_power(3, 2)),
+        ("Q4p1", bc.hypercube_power(4, 1)),
+        ("H2q3p1", bc.hamming_power(2, 3, 1)),
+        ("H3q2p1", bc.hamming_power(3, 2, 1)),
+    ]
+
+    @pytest.mark.parametrize("tag,g", GRAPHS, ids=[c[0] for c in GRAPHS])
+    def test_agrees_with_unrooted_search(self, tag, g):
+        rows = list(bc._adjacency_rows(g))
+        degrees = [r.bit_count() for r in rows]
+        value = bc.exact_b_chromatic(g, BUDGET).value
+        # from one above max degree + 1, where vertex 0 is refused at once,
+        # down through every k the solver can try (its upper bound is at
+        # most max degree + 1)
+        decisions = []
+        for k in range(max(degrees) + 2, value - 1, -1):
+            rooted = bc._decide_b_coloring(rows, degrees, k, lambda: None) is not None
+            assert rooted == _unrooted_decision(rows, degrees, k), k
+            decisions.append(rooted)
+        assert decisions[-1] and not any(decisions[:-1])
+
+    WITNESSED = GRAPHS + [
+        ("H2q4p1", bc.hamming_power(2, 4, 1)),
+        ("H3q3p1", bc.hamming_power(3, 3, 1)),
+    ]
+
+    @pytest.mark.parametrize("tag,g", WITNESSED, ids=[c[0] for c in WITNESSED])
+    def test_witness_dominated_at_vertex_0(self, tag, g):
+        res = bc.exact_b_chromatic(g, BUDGET)
+        fallback = bc.greedy_b_coloring(g)
+        if res.value == fallback.k:
+            # every k above the greedy count was refuted: no search witness
+            assert res.coloring == fallback
+        else:
+            assert bc.validate_coloring(g, res.coloring).dominating[0] == 0
+
+
 def _assignment_digest(coloring):
     return hashlib.sha256(json.dumps(list(coloring.assignment)).encode()).hexdigest()
 
@@ -293,17 +361,17 @@ class TestGoldenSearch:
     """
 
     CASES = [
-        ("Q3p2", bc.hypercube_power(3, 2), 4, 184,
+        ("Q3p2", bc.hypercube_power(3, 2), 4, 126,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
         ("Q4p1", bc.hypercube_power(4, 1), 5, 1153,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p3", bc.hypercube_power(4, 3), 8, 52_664,
+        ("Q4p3", bc.hypercube_power(4, 3), 8, 32_766,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 1201,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 603,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
         ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 10,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 146_379,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 114_042,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
         ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 8503,
          "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),

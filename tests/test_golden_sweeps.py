@@ -83,9 +83,9 @@ SERIALISER_CASES = [
     ("table-csv", ["table", "--n", "2..9", "--format", "csv"],
      "3becd29eb8cc65d195c47e7f2681d4cc7460c7f367f7f8b79c69691ca2bded5a"),
     ("solve-Q3p2", ["solve", "--hypercube", "3", "--p", "2"],
-     "a8019b9af105f162dd9483f69da1cae8fbfc589d7584010776941e9bfc40feaf"),
+     "c8f6bc8665f127c17eeb44518f9e30869cb254798d74c901312f39207b96c694"),
     ("solve-H2q3p1", ["solve", "--hamming", "2,3", "--p", "1"],
-     "57839122c2bf3bd1257fef51d65f25c01ce9a48931d4b2ad54c96890ef5435a6"),
+     "8d19e4bb1984179ba54183d0ad8e9ce37a5b291bd1cdb368ebae5e234877a0e0"),
     ("color-n3q2p2", ["color", "--n", "3", "--q", "2", "--p", "2"],
      "7f6b84ea6e3116fda560b905c73f03acb8e513c904741cc57467fd28b8fe660b"),
     ("coset-n4q3p3", ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"],
