@@ -54,6 +54,8 @@ class HammingVertex:
 
     @staticmethod
     def from_index(value: int, n: int, q: int) -> "HammingVertex":
+        if not 0 <= value < q**n:
+            raise ValueError(f"index {value} out of range [0, {q**n})")
         coords = []
         for _ in range(n):
             coords.append(value % q)
@@ -295,6 +297,12 @@ class SolveBudget:
     max_nodes: int = 5_000_000
     max_seconds: float = 45.0
 
+    def __post_init__(self):
+        if self.max_nodes < 0:
+            raise ValueError(f"node budget must be non-negative, got {self.max_nodes}")
+        if not self.max_seconds >= 0:  # also refuses NaN, which no clock reaches
+            raise ValueError(f"time budget must be non-negative, got {self.max_seconds}")
+
 
 @dataclass
 class BChromaticResult:
@@ -345,23 +353,14 @@ def greedy_b_coloring(g: PowerGraph) -> Coloring:
     return Coloring(tuple(assign), k)
 
 
-def _m_degree_bound(degrees: list[int]) -> int:
-    ordered = sorted(degrees, reverse=True)
-    best = 1
-    for k in range(1, len(ordered) + 1):
-        if ordered[k - 1] >= k - 1:
-            best = k
-    return best
-
-
 def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     """Exact b-chromatic number by descending-k backtracking.
 
-    For each k, candidate dominating vertices (degree >= k-1) are seeded in
-    index order with the k colors, vertex 0 always among them (the graph is
-    vertex-transitive, see _decide_b_coloring), then the remaining vertices
-    are assigned by most-constrained-first backtracking under properness and
-    the requirement that every seed ends up seeing all other colors.  The first
+    For each k, k dominating vertices are seeded in index order with the
+    k colors, vertex 0 always among them (the graph is vertex-transitive,
+    see _decide_b_coloring), then the remaining vertices are assigned by
+    most-constrained-first backtracking under properness and the
+    requirement that every seed ends up seeing all other colors.  The first
     k that admits a coloring is the answer; if every k above the greedy
     fallback fails, the fallback count is exact.
 
@@ -371,10 +370,9 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     if count > MAX_SOLVER_VERTICES:
         raise InfeasibleError(f"solver capped at {MAX_SOLVER_VERTICES} vertices, got {count}")
     rows = list(_adjacency_rows(g))
-    degrees = [r.bit_count() for r in rows]
     fallback = greedy_b_coloring(g)
     k_lo = fallback.k
-    upper = min(count, max(degrees) + 1, _m_degree_bound(degrees))
+    upper = rows[0].bit_count() + 1  # the graph is regular, so Delta + 1 is also its m-degree
     if g.kind == "hypercube":
         # each paper bound is None outside its range (n = 1 and p >= n included)
         for bound in (bounds.upper_new, bounds.upper_rough, bounds.upper_old):
@@ -398,7 +396,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
 
     try:
         for k in range(upper, k_lo, -1):
-            witness = _decide_b_coloring(rows, degrees, k, charge)
+            witness = _decide_b_coloring(rows, k, charge)
             if witness is not None:
                 coloring = Coloring(tuple(witness), k)
                 cert = validate_coloring(g, coloring)
@@ -416,7 +414,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
         )
 
 
-def _decide_b_coloring(rows, degrees, k, charge):
+def _decide_b_coloring(rows, k, charge):
     """Search for a b-coloring with exactly k colors; None if impossible.
 
     The seed search is rooted at vertex 0.  Every PowerGraph is a Cayley
@@ -429,53 +427,50 @@ def _decide_b_coloring(rows, degrees, k, charge):
     dominates its class; hence k is feasible iff some seed tuple that
     contains vertex 0 extends.
 
-    Seed tuples (one dominating vertex per color, degree >= k-1) are tried
-    as (0, *rest) for rest in itertools.combinations of the other
-    candidates, k-1 at a time; seed t gets color t.  Those are exactly the
-    tuples that combinations over all candidates yields first, in the same
-    order, so on a feasible k the first witness, and the node count spent
-    on that k, are those of the unrooted search; only the refuted k values
-    get cheaper.  The graph is regular, so when vertex 0 has degree below
-    k-1 no vertex qualifies and k is refuted at once.
+    A Cayley graph is regular, so every vertex has vertex 0's degree: when
+    that is below k-1 no vertex can dominate a class and k is refuted at
+    once, and otherwise every vertex is a candidate.  Seed tuples (one
+    dominating vertex per color) are tried as (0, *rest) for rest in
+    itertools.combinations of vertices 1..count-1, k-1 at a time; seed t
+    gets color t.  Those are exactly the tuples that combinations over all
+    vertices yields first, in the same order, so on a feasible k the first
+    witness, and the node count spent on that k, are those of the unrooted
+    search; only the refuted k values get cheaper.
 
     The rest of the search state is bitsets, handed to _extend: can[c]
     holds the vertices that no c-colored vertex is adjacent to, so its
     uncolored members are the vertices that may still take color c, and
-    missing[t] holds the colors that seed t does not see yet.
+    missing[t] holds the colors that seed t does not see yet: at the start,
+    those of the other seeds it is not adjacent to.
     """
     count = len(rows)
-    if degrees[0] < k - 1:
+    if rows[0].bit_count() < k - 1:
         return None
-    others = [v for v in range(1, count) if degrees[v] >= k - 1]
-    all_colors = (1 << k) - 1
-    everyone = (1 << count) - 1
-    for rest in combinations(others, k - 1):
+    for rest in combinations(range(1, count), k - 1):
         charge()
         seeds = (0, *rest)
         seed_mask = 0
-        seed_of = {}
         color = [-1] * count
         for t, d in enumerate(seeds):
             seed_mask |= 1 << d
-            seed_of[d] = t
             color[d] = t
-        uncolored = everyone & ~seed_mask
+        uncolored = (1 << count) - 1 ^ seed_mask
         can = [uncolored & ~rows[d] for d in seeds]
         missing = []
-        for t, d in enumerate(seeds):
-            seen = 0
-            hits = rows[d] & seed_mask
-            while hits:
-                low = hits & -hits
-                seen |= 1 << seed_of[low.bit_length() - 1]
-                hits ^= low
-            missing.append(all_colors & ~(1 << t) & ~seen)
-        if _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, charge):
+        for d in seeds:
+            apart = seed_mask & ~rows[d] & ~(1 << d)
+            m = 0
+            while apart:
+                low = apart & -apart
+                m |= 1 << color[low.bit_length() - 1]
+                apart ^= low
+            missing.append(m)
+        if _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
             return color
     return None
 
 
-def _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, charge):
+def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
     """Color the vertices of `uncolored`, or return False if no completion
     gives every seed all of its missing colors.
 
@@ -543,12 +538,12 @@ def _extend(rows, seeds, seed_mask, seed_of, color, can, missing, uncolored, cha
         hits = seen_seeds
         while hits:
             low = hits & -hits
-            t = seed_of[low.bit_length() - 1]
+            t = color[low.bit_length() - 1]  # seed t has color t
             if missing[t] & bit:
                 missing[t] ^= bit
                 touched.append(t)
             hits ^= low
-        if _extend(rows, seeds, seed_mask, seed_of, color, can, missing, rest, charge):
+        if _extend(rows, seeds, seed_mask, color, can, missing, rest, charge):
             return True
         can[c] = before
         for t in touched:

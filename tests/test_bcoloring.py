@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -116,6 +117,23 @@ class TestAdjacencyRows:
                     assert rows == want[p - 1], (n, q, p)
                 n += 1
 
+    REGULAR = [bc.hypercube_power(n, p) for n in range(1, 5) for p in range(1, n + 2)] + [
+        bc.hamming_power(2, 3, 1),
+        bc.hamming_power(3, 2, 1),
+        bc.hamming_power(2, 4, 1),
+        bc.hamming_power(3, 3, 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "g", REGULAR, ids=[f"{g.kind}-n{g.n}q{g.q}p{g.p}" for g in REGULAR]
+    )
+    def test_regular(self, g):
+        # the exact solver reads only vertex 0's degree and relies on this
+        degree = sum(
+            math.comb(g.n, i) * (g.q - 1) ** i for i in range(1, min(g.p, g.n) + 1)
+        )
+        assert {row.bit_count() for row in bc._adjacency_rows(g)} == {degree}
+
     def test_vertex_cap_checked_first(self):
         misses = bc._digit_table.cache_info().misses
         with pytest.raises(InfeasibleError):
@@ -132,6 +150,12 @@ class TestHammingVertex:
             bc.HammingVertex((0, 3), 3)
         with pytest.raises(ValueError):
             bc.HammingVertex((0, 0), 1)
+
+    @pytest.mark.parametrize("index", [-1, 9, 10])
+    def test_from_index_range(self, index):
+        # an out-of-range index must not wrap onto a valid vertex
+        with pytest.raises(ValueError):
+            bc.HammingVertex.from_index(index, 2, 3)
 
 
 class TestColoring:
@@ -299,8 +323,8 @@ def _unrooted_decision(rows, degrees, k):
         for t, d in enumerate(seeds):
             seen = sum(1 << seed_of[w] for w in seeds if rows[d] >> w & 1)
             missing.append((1 << k) - 1 & ~(1 << t) & ~seen)
-        if bc._extend(rows, seeds, seed_mask, seed_of, color, can, missing,
-                      uncolored, lambda: None):
+        if bc._extend(rows, seeds, seed_mask, color, can, missing, uncolored,
+                      lambda: None):
             return True
     return False
 
@@ -328,7 +352,7 @@ class TestRootedSeeds:
         # most max degree + 1)
         decisions = []
         for k in range(max(degrees) + 2, value - 1, -1):
-            rooted = bc._decide_b_coloring(rows, degrees, k, lambda: None) is not None
+            rooted = bc._decide_b_coloring(rows, k, lambda: None) is not None
             assert rooted == _unrooted_decision(rows, degrees, k), k
             decisions.append(rooted)
         assert decisions[-1] and not any(decisions[:-1])

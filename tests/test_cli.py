@@ -222,6 +222,9 @@ class TestExitCodes:
             ["table", "--n", "-1"],
             ["verify", "--theorem", "close", "--n", "6", "--p", "2",
              "--samples", "50", "--seed", "-5"],
+            ["solve", "--hypercube", "3", "--p", "1", "--max-nodes", "-1"],
+            ["solve", "--hypercube", "3", "--p", "1", "--max-seconds", "-5"],
+            ["solve", "--hypercube", "3", "--p", "1", "--max-seconds", "nan"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):
