@@ -296,6 +296,14 @@ class TestExactSolver:
         g = bc.hypercube_power(3, 1)
         assert bc.validate_coloring(g, res.coloring).valid_b  # partial witness still valid
 
+    def test_node_cap_is_exact(self):
+        # Q_3^2 takes 38 nodes: a cap of 38 lets it finish, 37 stops it at 37
+        g = bc.hypercube_power(3, 2)
+        done = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=38))
+        stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=37))
+        assert (done.exact, done.nodes) == (True, 38)
+        assert (stopped.exact, stopped.nodes) == (False, 37)
+
     def test_monotone_in_p_small(self):
         for n in (2, 3):
             values = [
@@ -330,8 +338,9 @@ def _unrooted_decision(rows, degrees, k):
 
 
 class TestRootedSeeds:
-    """The seed search pinned at vertex 0 decides every k as the unrooted
-    search does (the power graphs are vertex-transitive)."""
+    """The seed search pinned at vertex 0 (the power graphs are
+    vertex-transitive) and pruned by symmetries that fix vertex 0 decides
+    every k as the unrooted, unpruned search does."""
 
     GRAPHS = [
         ("Q2p1", bc.hypercube_power(2, 1)),
@@ -342,17 +351,23 @@ class TestRootedSeeds:
         ("H3q2p1", bc.hamming_power(3, 2, 1)),
     ]
 
-    @pytest.mark.parametrize("tag,g", GRAPHS, ids=[c[0] for c in GRAPHS])
+    DECIDED = GRAPHS + [
+        ("H2q4p1", bc.hamming_power(2, 4, 1)),
+        ("Q4p3", bc.hypercube_power(4, 3)),
+    ]
+
+    @pytest.mark.parametrize("tag,g", DECIDED, ids=[c[0] for c in DECIDED])
     def test_agrees_with_unrooted_search(self, tag, g):
         rows = list(bc._adjacency_rows(g))
         degrees = [r.bit_count() for r in rows]
+        symmetries = bc._symmetries_fixing_0(g)
         value = bc.exact_b_chromatic(g, BUDGET).value
         # from one above max degree + 1, where vertex 0 is refused at once,
         # down through every k the solver can try (its upper bound is at
         # most max degree + 1)
         decisions = []
         for k in range(max(degrees) + 2, value - 1, -1):
-            rooted = bc._decide_b_coloring(rows, k, lambda: None) is not None
+            rooted = bc._decide_b_coloring(rows, k, lambda: None, symmetries) is not None
             assert rooted == _unrooted_decision(rows, degrees, k), k
             decisions.append(rooted)
         assert decisions[-1] and not any(decisions[:-1])
@@ -372,6 +387,47 @@ class TestRootedSeeds:
         else:
             assert bc.validate_coloring(g, res.coloring).dominating[0] == 0
 
+    AUTOMORPHISMS = WITNESSED + [("H3q3p2", bc.hamming_power(3, 3, 2))]
+
+    @pytest.mark.parametrize("tag,g", AUTOMORPHISMS, ids=[c[0] for c in AUTOMORPHISMS])
+    def test_symmetries_are_automorphisms_fixing_0(self, tag, g):
+        rows = bc._adjacency_rows(g)
+        symmetries = bc._symmetries_fixing_0(g)
+        n, q = g.n, g.q
+        # the coordinate transpositions, and on the Hamming side the
+        # transpositions of two nonzero symbols in one coordinate
+        expected = math.comb(n, 2) + (n * math.comb(q - 1, 2) if g.kind == "hamming" else 0)
+        assert len(set(symmetries)) == len(symmetries) == expected
+        for sigma in symmetries:
+            assert sigma[0] == 0
+            assert sorted(sigma) == list(range(g.vertex_count))
+            for u, row in enumerate(rows):
+                image = sum(1 << sigma[v] for v in _tables.iter_bits(row))
+                assert rows[sigma[u]] == image, (sigma, u)
+
+    PRUNED = [
+        ("Q3p2", bc.hypercube_power(3, 2)),
+        ("Q4p1", bc.hypercube_power(4, 1)),
+        ("H2q3p1", bc.hamming_power(2, 3, 1)),
+        ("H2q4p1", bc.hamming_power(2, 4, 1)),
+    ]
+
+    @pytest.mark.parametrize("tag,g", PRUNED, ids=[c[0] for c in PRUNED])
+    def test_seed_tuples_are_the_unmapped_combinations(self, tag, g):
+        # pruning by prefixes keeps exactly the tuples that no symmetry maps
+        # below themselves, in combinations order
+        count = g.vertex_count
+        symmetries = bc._symmetries_fixing_0(g)
+        for k in range(1, 7):
+            expected = [
+                seeds
+                for seeds in ((0, *rest) for rest in itertools.combinations(range(1, count), k - 1))
+                if all(tuple(sorted(sigma[v] for v in seeds)) >= seeds for sigma in symmetries)
+            ]
+            assert list(bc._seed_tuples(count, k, symmetries)) == expected, k
+            if k > 2:
+                assert len(expected) < math.comb(count - 1, k - 1)
+
 
 def _assignment_digest(coloring):
     return hashlib.sha256(json.dumps(list(coloring.assignment)).encode()).hexdigest()
@@ -385,19 +441,19 @@ class TestGoldenSearch:
     """
 
     CASES = [
-        ("Q3p2", bc.hypercube_power(3, 2), 4, 126,
+        ("Q3p2", bc.hypercube_power(3, 2), 4, 38,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("Q4p1", bc.hypercube_power(4, 1), 5, 1153,
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 407,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p3", bc.hypercube_power(4, 3), 8, 32_766,
+        ("Q4p3", bc.hypercube_power(4, 3), 8, 2086,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 603,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 125,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
         ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 10,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 114_042,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 10_243,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
-        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 8503,
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2046,
          "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
     ]
 

@@ -163,6 +163,27 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["exact"] is False
 
+    @pytest.mark.parametrize("cap", [0, 2, 5000])
+    def test_node_cap_bounds_the_report(self, capsys, cap):
+        # the cap is tested before a node is counted, so a stopped solve
+        # reports exactly the cap
+        code, out, _ = run(
+            ["solve", "--hypercube", "4", "--p", "2", "--max-nodes", str(cap)], capsys
+        )
+        assert code == 4
+        payload = json.loads(out)
+        assert (payload["exact"], payload["nodes"]) == (False, cap)
+
+    def test_complete_graph_needs_no_search(self, capsys):
+        # H(1, q) is K_q: greedy meets the bound, so no k is searched and
+        # nothing is built for the search, even at the vertex cap
+        start = time.monotonic()
+        code, out, _ = run(["solve", "--hamming", "1,1024", "--p", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["exact"], payload["nodes"]) == (1024, True, 0)
+        assert time.monotonic() - start < 10
+
 
 class TestColorAndRank:
     def test_color(self, capsys):
