@@ -12,7 +12,9 @@ Every per-subset table here but rank_of_mask (the mask -> rank inverse) is
 indexed by rank, so a family bitset's set bits index the tables directly,
 ball tables included.  Family bitsets make the heavy sweeps cheap:
 intersecting common neighborhoods is a single big-int AND per family member,
-and an initial segment is exactly a bitset of the form 2^m - 1.
+and an initial segment is exactly a bitset of the form 2^m - 1.  closed_bits
+finds the members of a wide family a byte at a time; the walks used on small
+section ints peel the lowest set bit, which is faster below a few words.
 """
 
 from __future__ import annotations
@@ -92,6 +94,18 @@ def is_prefix_bits(bits: int) -> bool:
     return bits & (bits + 1) == 0
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """By doubling: the byte v + 2^j with v < 2^j has the offsets of v, then j."""
+    table = [()]
+    for j in range(8):
+        table += [t + (j,) for t in table]
+    return tuple(table)
+
+
+# BYTE_BITS[v] = the offsets of the set bits of the byte value v, lowest first.
+BYTE_BITS = _byte_bits()
+
+
 def iter_bits(bits: int):
     """Yield the indices of the set bits, lowest first."""
     while bits:
@@ -158,8 +172,13 @@ def balls(n: int, p: int) -> tuple[int, ...]:
 def closed_bits(family: int, n: int, p: int) -> int:
     """Family bitset of the common closed p-neighborhood of `family`.
 
-    Empty family yields the full universe (vacuous quantification).  Stops
-    as soon as the running intersection is empty.
+    Empty family yields the full universe (vacuous quantification).  The
+    members are read a byte at a time (BYTE_BITS), and the walk stops after
+    the first nonzero byte that leaves the intersection empty.  Peeling the
+    lowest member instead costs three full-width big-int operations each;
+    that is cheaper only on ints of a few words, which is why iter_bits,
+    split_bits, join_bits and closed_bits_upto, hot on n <= 5 sections,
+    still peel.
     """
     if p < 0:
         raise ValueError("radius must be non-negative")
@@ -167,13 +186,14 @@ def closed_bits(family: int, n: int, p: int) -> int:
         return universe_bits(n)
     ball = balls(n, p)
     acc = universe_bits(n)
-    rest = family
-    while rest:
-        low = rest & -rest
-        acc &= ball[low.bit_length() - 1]
-        if not acc:
-            return 0
-        rest ^= low
+    base = 0
+    for byte in family.to_bytes((family.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for j in BYTE_BITS[byte]:
+                acc &= ball[base + j]
+            if not acc:
+                return 0
+        base += 8
     return acc
 
 

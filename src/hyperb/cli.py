@@ -11,6 +11,7 @@ out.  Wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -323,8 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads with: built once per process, since building it
+    costs more than most solve jobs.  Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -1,11 +1,16 @@
 """End-to-end command-line tests: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from hyperb import _tables, bcoloring
+import hyperb
+from hyperb import _tables, bcoloring, cli
 from hyperb.cli import main
 
 
@@ -350,6 +355,48 @@ class TestExitCodes:
         code, _, err = run(["verify", "--theorem", theorem, "--n", "14"], capsys)
         assert code == 3 and "MiB" in err
         assert _tables.balls.cache_info().currsize == size
+
+
+class TestParserReuse:
+    """main parses with one parser per process; every call must behave as
+    a fresh process would."""
+
+    JOBS = [
+        ["solve", "--hypercube", "3", "--p", "2"],
+        ["verify", "--theorem", "close", "--n", "6", "--p", "2", "--samples", "30", "--seed", "3"],
+        ["table", "--n", "5..7", "--format", "json"],
+        ["color", "--n", "3", "--q", "3", "--p", "1"],
+        ["rank", "--n", "5", "--subset", "{2,4}"],
+        ["solve", "--hamming", "2,3", "--p", "1"],
+    ]
+
+    def test_one_process_matches_separate_processes(self, tmp_path, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperb.__file__).parents[1]))
+        for i, argv in enumerate(self.JOBS):
+            here, alone = tmp_path / f"here{i}", tmp_path / f"alone{i}"
+            assert main([*argv, "--output", str(here)]) == 0
+            subprocess.run(
+                [sys.executable, "-m", "hyperb", *argv, "--output", str(alone)],
+                env=env, check=True, capture_output=True,
+            )
+            assert here.read_bytes() == alone.read_bytes(), argv
+        capsys.readouterr()
+
+    def test_usage_errors_leave_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--hypercube", "3"])  # --p missing: argparse exits 2
+        assert exc.value.code == 2
+        assert main(["solve", "--p", "1"]) == 2  # neither instance given
+        out = tmp_path / "out.json"
+        assert main(["solve", "--hypercube", "3", "--p", "1", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["graph"] == {"kind": "hypercube", "n": 3, "q": 2, "p": 1}
+        assert payload["exact"] is True
+        capsys.readouterr()
+
+    def test_build_parser_is_fresh_and_main_reuses_one(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestViolationWitnesses:

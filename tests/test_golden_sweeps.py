@@ -14,9 +14,10 @@ are keyed, and the object layer (`Family` rendering, membership,
 neighborhoods, sections, compression, fixpoints and the family order) must
 give the same outputs however a `Family` stores its members, and the two
 samplers must draw the same families and leave the generator in the same
-state however they consume its bits.  Each digest below was recorded before
-the code it covers was rewritten; any change to a report's content or order
-shows up here.
+state however they consume its bits, and the sampled close sweeps on 1-4
+kbit families must give the same reports however `closed_bits` walks the
+members.  Each digest below was recorded before the code it covers was
+rewritten; any change to a report's content or order shows up here.
 """
 
 import dataclasses
@@ -72,6 +73,12 @@ CASES = [
     ("open-n10p5-s40", ["--theorem", "open", "--n", "10", "--p", "5",
                         "--samples", "40", "--seed", "7"],
      "90a53404fa7d9b6b0959110d37eca98691a359cff0b7d8c74e93029f3e198829"),
+    ("close-n10p5-s40", ["--theorem", "close", "--n", "10", "--p", "5",
+                         "--samples", "40", "--seed", "7"],
+     "ea0470a80b66aa8ae4fd3ca8033ef6c03084b949a8aa5685c61652640503bd5a"),
+    ("close-n12p11-s40", ["--theorem", "close", "--n", "12", "--p", "11",
+                          "--samples", "40", "--seed", "7"],
+     "1b2c649ce89b474196a3a1c96500036d72ef0ec6494288783fcbcc172a9222ec"),
 ]
 
 # Every report type the CLI serialises: bound tables (JSON and CSV), solver

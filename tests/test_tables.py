@@ -75,3 +75,78 @@ class TestClosedBitsAll:
             assert len(table) == 1 << 16
             for f in families:
                 assert table[f] == _tables.closed_bits(f, 4, p), (p, f)
+
+
+def brute_force_closed(family, n, p):
+    """Definition-level oracle: rank-order bitset of all y within p of every
+    member of the family bitset."""
+    masks = _tables.masks_in_order(n)
+    members = [masks[r] for r in range(1 << n) if family >> r & 1]
+    bits = 0
+    for r, y in enumerate(masks):
+        if all((x ^ y).bit_count() <= p for x in members):
+            bits |= 1 << r
+    return bits
+
+
+def anded_balls(family, n, p):
+    """The closed neighborhood as the AND of the member balls, with no early
+    stop and the members peeled by iter_bits."""
+    ball = _tables.balls(n, p)
+    acc = _tables.universe_bits(n)
+    for r in _tables.iter_bits(family):
+        acc &= ball[r]
+    return acc
+
+
+def kernel_families(n, rng):
+    """Seeded families over 2^[n] plus the edge cases of a byte-wise member
+    walk: empty, universe, the single top rank, ranks 7 and 8 (either side
+    of a byte boundary), dense, sparse and ball-clustered families (whose
+    intersection stays nonempty), and initial segments."""
+    size = 1 << n
+    universe = _tables.universe_bits(n)
+    out = [0, universe, 1 << (size - 1)]
+    if size > 8:
+        out += [1 << 7, 1 << 8, 1 << 7 | 1 << 8]
+    for _ in range(8):
+        out.append(rng.getrandbits(size))
+        out.append(sum(1 << rng.randrange(size) for _ in range(rng.randint(1, 6))))
+        out.append(_tables.prefix_bits(rng.randint(0, size)))
+    for radius in range(n + 1):
+        around = _tables.balls(n, radius)[rng.randrange(size)]
+        out.append(around & rng.getrandbits(size))
+    return out
+
+
+class TestClosedBits:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_every_family_of_a_small_ground(self, n):
+        # grounds of at most one byte (n <= 3), every family and radius
+        for p in range(0, n + 2):
+            for f in range(1 << (1 << n)):
+                assert _tables.closed_bits(f, n, p) == brute_force_closed(f, n, p), (n, p, f)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_seeded_families_match_reference(self, n):
+        reference = brute_force_closed if n <= 6 else anded_balls
+        for p in range(0, n + 2):
+            for f in kernel_families(n, random.Random(1000 * n + p)):
+                assert _tables.closed_bits(f, n, p) == reference(f, n, p), (n, p, f)
+
+    def test_intersection_emptied_inside_a_byte(self):
+        # at n = 4, p = 1 the members 0, 1, 2 leave {1} and {2}, member 5
+        # ({1,2}) empties it, and members 6 and 9 follow
+        n, p = 4, 1
+        assert anded_balls(0b111, n, p) != 0 and anded_balls(0b100111, n, p) == 0
+        family = 0b1100111 | 1 << 9
+        assert _tables.closed_bits(family, n, p) == 0 == brute_force_closed(family, n, p)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            _tables.closed_bits(0b1011, 3, -1)
+
+    def test_byte_table(self):
+        assert len(_tables.BYTE_BITS) == 256
+        for v, offsets in enumerate(_tables.BYTE_BITS):
+            assert sum(1 << j for j in offsets) == v and list(offsets) == sorted(offsets)
