@@ -126,7 +126,7 @@ def check_adjacency_size(count: int) -> None:
         )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     """Materialized neighbor bitsets; used by the validator and the solver.
 
@@ -134,7 +134,8 @@ def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
     vertices are ranks, so cube rows are the kernel's rank-keyed ball table
     _tables.balls(n, p).  Hamming rows are grown by the same recurrence step,
     _tables.ball_step, over the n(q-1) one-coordinate moves, for radii
-    1..min(p, n).
+    1..min(p, n).  Kept for the life of the process, like the ball tables;
+    the vertex cap holds one graph's rows to about 2 MiB.
     """
     count = g.vertex_count
     check_adjacency_size(count)
@@ -370,7 +371,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     count = g.vertex_count
     if count > MAX_SOLVER_VERTICES:
         raise InfeasibleError(f"solver capped at {MAX_SOLVER_VERTICES} vertices, got {count}")
-    rows = list(_adjacency_rows(g))
+    rows = _adjacency_rows(g)
     fallback = greedy_b_coloring(g)
     k_lo = fallback.k
     upper = rows[0].bit_count() + 1  # the graph is regular, so Delta + 1 is also its m-degree

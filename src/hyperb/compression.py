@@ -9,7 +9,6 @@ or one of two exceptional forms of size 2^(n-1) (one per parity of n).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 
@@ -17,9 +16,8 @@ from . import _tables
 from .errors import IntegrityError
 from .neighborhoods import (
     VerifyReport,
-    check_sweep_request,
     family_bits_to_strings,
-    sample_family_bits,
+    sweep_families,
 )
 from .subsets import (
     Family,
@@ -53,31 +51,27 @@ class FixpointClass:
 
 def sections(a: Family, i: int) -> SectionPair:
     """Split a family at label i into its avoiding / containing sections."""
-    pos = a.ground.position(i)
     sub = a.ground.without(i)
-    bit = 1 << pos
-    low = bit - 1
-    minus, plus = [], []
-    for m in a.bit_masks():
-        compact = (m & low) | ((m >> (pos + 1)) << pos)
-        (plus if m & bit else minus).append(compact)
-    return SectionPair(Family.from_masks(sub, minus), Family.from_masks(sub, plus), i)
+    minus, plus = _tables.split_bits(a.bits, a.ground.size, a.ground.position(i))
+    return SectionPair(Family(minus, sub), Family(plus, sub), i)
 
 
 def compress(a: Family, i: int) -> Family:
     """Replace both i-sections by initial segments of the same size.
 
-    Works member by member on the masks; the tests hold the kernel's
+    Works member by member on the masks, counting the sections itself
+    rather than through the kernel; the tests hold the kernel's
     SectionTables.compress to this.
     """
     pos = a.ground.position(i)
-    sec = sections(a, i)
-    sub = sec.minus.ground
+    sub = a.ground.without(i)
     bit = 1 << pos
     low = bit - 1
+    masks = a.bit_masks()
+    n_plus = sum(1 for m in masks if m & bit)
     members = []
-    for section, extra in ((sec.minus, 0), (sec.plus, bit)):
-        for m in initial_segment(len(section), sub).bit_masks():
+    for size, extra in ((len(masks) - n_plus, 0), (n_plus, bit)):
+        for m in initial_segment(size, sub).bit_masks():
             members.append((m & low) | ((m >> pos) << (pos + 1)) | extra)
     return Family.from_masks(a.ground, members)
 
@@ -184,9 +178,9 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
     the 65 536 families at n = 4), so each is classified once per sweep;
     an unclassifiable one is never remembered and is tried again.
     """
-    check_sweep_request(n, "exhaustive", None, None)
+    families, count = sweep_families(n, "exhaustive", None, None)
     report = VerifyReport(
-        check="fixpoint", n=n, p=None, mode="exhaustive", families_checked=0
+        check="fixpoint", n=n, p=None, mode="exhaustive", families_checked=count
     )
     counts = {
         KIND_INITIAL_SEGMENT: 0,
@@ -195,7 +189,7 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
     }
     max_steps = 0
     kind_of: dict[int, str] = {}
-    for fam in range(1 << (1 << n)):
+    for fam in families:
         fixed, steps = compress_fully_bits(fam, n)
         if fixed.bit_count() != fam.bit_count():
             report.violations.append(
@@ -228,7 +222,6 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
         counts[kind] += 1
         if steps > max_steps:
             max_steps = steps
-    report.families_checked = 1 << (1 << n)
     report.details = {"kinds": counts, "max_steps": max_steps}
     return report
 
@@ -249,18 +242,17 @@ def verify_compression_inequality(
     """
     if n < 2:
         raise ValueError(f"compression sweep needs n >= 2 for a radius in 1..n-1, got {n}")
-    check_sweep_request(n, mode, samples, seed)
+    families, count = sweep_families(n, mode, samples, seed)
     report = VerifyReport(
-        check="compression", n=n, p=None, mode=mode, families_checked=0, seed=seed
+        check="compression", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
     compressors = [_tables.section_tables(n, j).compress for j in range(n)]
     if mode == "exhaustive":
-        total = 1 << (1 << n)
         by_radius = [
             (p, [val.bit_count() for val in _tables.closed_bits_all(n, p)])
             for p in range(1, n)
         ]
-        for fam in range(total):
+        for fam in families:
             for j, compress_j in enumerate(compressors):
                 comp = compress_j(fam)
                 for p, sz in by_radius:
@@ -274,12 +266,9 @@ def verify_compression_inequality(
                                 "compressed_size": sz[comp],
                             }
                         )
-        report.families_checked = total
         return report
-    rng = random.Random(seed)
     compressed_size_cache: dict[tuple[int, int], int] = {}
-    for _ in range(samples):
-        fam = sample_family_bits(n, rng)
+    for fam in families:
         compressed = [compress_j(fam) for compress_j in compressors]
         for p in range(1, n):
             direct = _tables.closed_size_bits(fam, n, p)
@@ -300,5 +289,4 @@ def verify_compression_inequality(
                             "compressed_size": comp_size,
                         }
                     )
-    report.families_checked = samples
     return report

@@ -191,7 +191,7 @@ def check_sweep_request(
     nothing: ValueError for a malformed request (negative ground size,
     unknown mode, missing or negative seed, fewer than one sample),
     InfeasibleError for one over the exhaustive or sampling cap.  A negative
-    seed is refused because random.Random(-s) seeds like Random(s): it would
+    seed is refused because Random(-s) seeds like Random(s): it would
     draw the families of s under another name.
     """
     if n < 0:
@@ -209,6 +209,20 @@ def check_sweep_request(
         raise ValueError(f"sample mode needs at least one sample, got {samples}")
     if n > MAX_SAMPLED_N:
         raise InfeasibleError(f"sampling capped at n <= {MAX_SAMPLED_N}")
+
+
+def sweep_families(
+    n: int, mode: str, samples: int | None, seed: int | None
+) -> tuple[Iterable[int], int]:
+    """(families, count) for a family sweep, after check_sweep_request:
+    every family bitset of 2^[n] in exhaustive mode, or `samples` lazy
+    sample_family_bits draws from random.Random(seed) in sample mode."""
+    check_sweep_request(n, mode, samples, seed)
+    if mode == "exhaustive":
+        count = 1 << (1 << n)
+        return range(count), count
+    rng = random.Random(seed)
+    return (sample_family_bits(n, rng) for _ in range(samples)), samples
 
 
 def _check_radius(n: int, p: int) -> None:
@@ -313,30 +327,34 @@ def verify_close_inequality(
     draws seeded random families.  Any violation is reported with a full
     witness; slack is the bound minus the achieved size.
     """
-    check_sweep_request(n, mode, samples, seed)
+    families, count = sweep_families(n, mode, samples, seed)
     _check_radius(n, p)
     bound = _tables.initial_segment_closed_sizes(n, p)
     if mode == "exhaustive":
-        closed = enumerate(_tables.closed_bits_all(n, p))
-        count = 1 << (1 << n)
+        sizes = zip(families, map(int.bit_count, _tables.closed_bits_all(n, p)))
     else:
-        rng = random.Random(seed)
-        families = (sample_family_bits(n, rng) for _ in range(samples))
-        closed = ((fam, _tables.closed_bits(fam, n, p)) for fam in families)
-        count = samples
+        sizes = ((fam, _tables.closed_bits(fam, n, p).bit_count()) for fam in families)
     report = VerifyReport(
         check="close", n=n, p=p, mode=mode, families_checked=count, seed=seed
     )
+    _tally(report, sizes, bound, "closed_size")
+    return report
+
+
+def _tally(report: VerifyReport, sizes, bound, size_key: str) -> None:
+    """Hold each (family, neighborhood size) against bound[|family|]: a
+    violation gets a witness, and report.max_slack is the largest slack.
+    The loop counts nothing, as the exhaustive close sweep runs it 2^16
+    times per radius; callers set families_checked."""
+    n, p = report.n, report.p
     max_slack = 0
-    for fam, val in closed:
-        size = val.bit_count()
+    for fam, size in sizes:
         slack = bound[fam.bit_count()] - size
         if slack < 0:
-            report.violations.append(_witness(fam, n, p, "closed_size", size, bound))
+            report.violations.append(_witness(fam, n, p, size_key, size, bound))
         elif slack > max_slack:
             max_slack = slack
     report.max_slack = max_slack
-    return report
 
 
 def _witness(fam: int, n: int, p: int, size_key: str, size: int, bound) -> dict:
@@ -371,23 +389,15 @@ def verify_open_inequality(
     report = VerifyReport(check="open", n=n, p=p, mode=mode, families_checked=0, seed=seed)
     if mode == "exhaustive":
         scanned = enumerate(_tables.closed_bits_all(n, p))
-        closed = ((fam, val) for fam, val in scanned if not fam & ~val)
+        closed = [(fam, val) for fam, val in scanned if not fam & ~val]
         report.details["families_scanned"] = 1 << (1 << n)
+        report.families_checked = len(closed)
     else:
         rng = random.Random(seed)
         closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
-    checked = 0
-    max_slack = 0
-    for fam, val in closed:
-        checked += 1
-        size = (val & ~fam).bit_count()
-        slack = open_bound[fam.bit_count()] - size
-        if slack < 0:
-            report.violations.append(_witness(fam, n, p, "open_size", size, open_bound))
-        elif slack > max_slack:
-            max_slack = slack
-    report.families_checked = checked
-    report.max_slack = max_slack
+        report.families_checked = samples
+    sizes = ((fam, (val & ~fam).bit_count()) for fam, val in closed)
+    _tally(report, sizes, open_bound, "open_size")
     return report
 
 
@@ -512,17 +522,10 @@ def verify_section_identity(
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
-    check_sweep_request(n, mode, samples, seed)
+    families, count = sweep_families(n, mode, samples, seed)
     report = VerifyReport(
-        check="section", n=n, p=None, mode=mode, families_checked=0, seed=seed
+        check="section", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
-    if mode == "exhaustive":
-        families: Iterable[int] = range(1 << (1 << n))
-        count = 1 << (1 << n)
-    else:
-        rng = random.Random(seed)
-        families = (sample_family_bits(n, rng) for _ in range(samples))
-        count = samples
     m = n - 1
     for fam in families:
         direct = _tables.closed_bits_upto(fam, n, n)
@@ -541,7 +544,6 @@ def verify_section_identity(
                             "p": p,
                         }
                     )
-    report.families_checked = count
     return report
 
 

@@ -233,8 +233,9 @@ class Family:
         return (SubsetMask(m, self.ground) for m in self.bit_masks())
 
     def __contains__(self, x: SubsetMask) -> bool:
-        n = self.ground.size
-        return not x.bits >> n and bool(self.bits >> _tables.rank_of_mask(n)[x.bits] & 1)
+        if x.ground != self.ground:
+            return False
+        return bool(self.bits >> _tables.rank_of_mask(self.ground.size)[x.bits] & 1)
 
     def __str__(self) -> str:
         return "[" + ",".join(format_subset(m) for m in self) + "]"

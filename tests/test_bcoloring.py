@@ -134,6 +134,18 @@ class TestAdjacencyRows:
         )
         assert {row.bit_count() for row in bc._adjacency_rows(g)} == {degree}
 
+    def test_rows_built_once_per_graph(self):
+        # 50 graphs cycled twice: an LRU cap below 50 would rebuild every
+        # one of them on the second pass
+        graphs = [bc.hypercube_power(n, p) for n in range(1, 9) for p in range(1, n + 2)]
+        graphs += [bc.hamming_power(n, 3, p) for n in range(1, 4) for p in range(1, n + 1)]
+        assert len(set(graphs)) >= 40
+        first = [bc._adjacency_rows(g) for g in graphs]
+        misses = bc._adjacency_rows.cache_info().misses
+        second = [bc._adjacency_rows(g) for g in graphs]
+        assert bc._adjacency_rows.cache_info().misses == misses
+        assert all(a is b for a, b in zip(first, second))
+
     def test_vertex_cap_checked_first(self):
         misses = bc._digit_table.cache_info().misses
         with pytest.raises(InfeasibleError):

@@ -25,6 +25,20 @@ def random_family(g, bits):
     return family_from_bits(bits, g)
 
 
+def mask_sections(a, i):
+    """Oracle for cp.sections that bypasses the kernel: each member mask is
+    compacted by dropping label i's bit."""
+    pos = a.ground.position(i)
+    sub = a.ground.without(i)
+    bit = 1 << pos
+    low = bit - 1
+    minus, plus = [], []
+    for m in a.bit_masks():
+        compact = (m & low) | ((m >> (pos + 1)) << pos)
+        (plus if m & bit else minus).append(compact)
+    return Family.from_masks(sub, minus), Family.from_masks(sub, plus)
+
+
 class TestSections:
     def test_spec_example(self):
         sec = cp.sections(Family.from_labels(G2, [[], [1], [1, 2]]), 1)
@@ -64,6 +78,15 @@ class TestSections:
             b = m.bits
             rebuilt.add((b & ((1 << pos) - 1)) | ((b >> pos) << (pos + 1)) | (1 << pos))
         assert rebuilt == set(fam.bit_masks())
+
+
+    @given(st.sampled_from([G4, GroundSet((2, 5, 7, 11, 12))]), st.data())
+    @settings(max_examples=150)
+    def test_matches_mask_oracle(self, g, data):
+        fam = random_family(g, data.draw(st.integers(0, (1 << (1 << g.size)) - 1)))
+        i = data.draw(st.sampled_from(g.labels))
+        sec = cp.sections(fam, i)
+        assert (sec.minus, sec.plus) == mask_sections(fam, i)
 
 
 class TestCompress:

@@ -224,6 +224,13 @@ class TestFamily:
         with pytest.raises(TypeError, match="from_masks"):
             Family(bits, G3)
 
+    def test_membership_needs_the_same_ground(self):
+        fam = Family.from_labels(GroundSet((1, 2)), [[1]])
+        assert GroundSet((1, 2)).subset([1]) in fam
+        assert GroundSet((5, 9)).subset([5]) not in fam
+        assert GroundSet((1, 2, 3)).subset([1]) not in fam
+        assert G3.subset([1]) not in Family.from_labels(GroundSet((1, 2, 4)), [[1]])
+
     def test_family_cmp_cardinality(self):
         a = Family.from_labels(G3, [[]])
         b = Family.from_labels(G3, [[], [1]])

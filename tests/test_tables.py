@@ -150,3 +150,25 @@ class TestClosedBits:
         assert len(_tables.BYTE_BITS) == 256
         for v, offsets in enumerate(_tables.BYTE_BITS):
             assert sum(1 << j for j in offsets) == v and list(offsets) == sorted(offsets)
+
+
+class TestSplitJoin:
+    @staticmethod
+    def check_round_trip(f, n):
+        sub_universe = _tables.universe_bits(n - 1)
+        for j in range(n):
+            minus, plus = _tables.split_bits(f, n, j)
+            assert not minus & ~sub_universe and not plus & ~sub_universe, (n, j, f)
+            assert minus.bit_count() == (f & _tables.section_tables(n, j).minus_selector).bit_count()
+            assert minus.bit_count() + plus.bit_count() == f.bit_count()
+            assert _tables.join_bits(minus, plus, n, j) == f, (n, j, f)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_family_of_a_small_ground(self, n):
+        for f in range(1 << (1 << n)):
+            self.check_round_trip(f, n)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_seeded_families(self, n):
+        for f in kernel_families(n, random.Random(n)):
+            self.check_round_trip(f, n)
