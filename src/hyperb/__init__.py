@@ -24,7 +24,6 @@ from .bounds import (
     bound_table,
     clique_number,
     hamming_lower,
-    rs_params,
     upper_new,
     upper_old,
     upper_rough,

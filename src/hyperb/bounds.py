@@ -51,16 +51,11 @@ def upper_old(n: int, p: int) -> int | None:
     return (1 << (n - 1)) + _clique_value(n, p) // 2
 
 
-def rs_params(n: int, p: int) -> ClosedFormParams:
-    """Exact (r, s) or (r', s') for the refined bounds; errors outside range."""
-    return ClosedFormParams.from_dimensions(n, p)
-
-
 def upper_rough(n: int, p: int) -> int | None:
     """2^(n-1) + ceil(main_sum/2) - 1 over the refined range."""
     if refined_gate_reason(n, p):
         return None
-    params = ClosedFormParams.from_dimensions(n, p)
+    params = ClosedFormParams(n, p)
     return (1 << (n - 1)) + (params.main_sum + 1) // 2 - 1
 
 
@@ -68,7 +63,7 @@ def upper_new(n: int, p: int) -> int | None:
     """2^(n-1) + floor((main_sum - overlap)/2) over the refined range."""
     if refined_gate_reason(n, p):
         return None
-    params = ClosedFormParams.from_dimensions(n, p)
+    params = ClosedFormParams(n, p)
     return (1 << (n - 1)) + (params.main_sum - params.overlap) // 2
 
 

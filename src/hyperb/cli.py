@@ -89,7 +89,7 @@ def _radii(args, n: int) -> list:
     radii = [
         p
         for p in range(1, n)
-        if args.theorem != "closedform" or neighborhoods.ClosedFormParams.in_range(n, p)
+        if args.theorem != "closedform" or neighborhoods.refined_gate_reason(n, p) is None
     ]
     if not radii:
         raise ValueError(f"no radius to check for --theorem {args.theorem} at n={n}")
@@ -302,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--hypercube", help="dimension n")
     p_solve.add_argument("--hamming", help="dimension and alphabet as N,Q")
     p_solve.add_argument("--p", type=int, required=True)
-    p_solve.add_argument("--max-nodes", type=int, default=5_000_000)
-    p_solve.add_argument("--max-seconds", type=float, default=45.0)
+    p_solve.add_argument("--max-nodes", type=int, default=bcoloring.SolveBudget.max_nodes)
+    p_solve.add_argument(
+        "--max-seconds", type=float, default=bcoloring.SolveBudget.max_seconds
+    )
     p_solve.add_argument("--output")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -52,53 +52,34 @@ def refined_gate_reason(n: int, p: int) -> str | None:
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Exact parameters of the near-critical segment count formulas.
+    """The two numbers of the near-critical segment count formulas at (n, p),
+    derived from n and p; a cell outside refined_gate_reason raises
+    ValueError.  With q = p - floor(n/2):
 
-    Odd ground size n uses (r, s); even uses (r_prime, s_prime):
-      odd:  r  = sum_{i<=p-(n-1)/2} C(n,i),              s  = C(p, p-(n-1)/2)
-      even: r' = sum_{i<=p-n/2} C(n,i) + C(n-1, p-n/2),  s' = C(p-1, p-n/2)
+      odd n:  main_sum = r  = sum_{i<=q} C(n,i),              overlap = s  = C(p, q)
+      even n: main_sum = r' = sum_{i<=q} C(n,i) + C(n-1, q),  overlap = s' = C(p-1, q)
     """
 
     n: int
     p: int
-    r: int | None = None
-    s: int | None = None
-    r_prime: int | None = None
-    s_prime: int | None = None
+    main_sum: int = field(init=False)
+    overlap: int = field(init=False)
 
-    @staticmethod
-    def in_range(n: int, p: int) -> bool:
-        return refined_gate_reason(n, p) is None
-
-    @classmethod
-    def from_dimensions(cls, n: int, p: int) -> "ClosedFormParams":
-        reason = refined_gate_reason(n, p)
+    def __post_init__(self):
+        reason = refined_gate_reason(self.n, self.p)
         if reason:
-            raise ValueError(f"(n={n}, p={p}) outside the closed-form range: {reason}")
-        if n % 2 == 1:
-            q = p - (n - 1) // 2
-            return cls(n=n, p=p, r=sum(comb(n, i) for i in range(q + 1)), s=comb(p, q))
-        q = p - n // 2
-        return cls(
-            n=n,
-            p=p,
-            r_prime=sum(comb(n, i) for i in range(q + 1)) + comb(n - 1, q),
-            s_prime=comb(p - 1, q),
-        )
-
-    @property
-    def main_sum(self) -> int:
-        """r for odd n, r' for even n."""
-        val = self.r if self.n % 2 == 1 else self.r_prime
-        assert val is not None
-        return val
-
-    @property
-    def overlap(self) -> int:
-        """s for odd n, s' for even n."""
-        val = self.s if self.n % 2 == 1 else self.s_prime
-        assert val is not None
-        return val
+            raise ValueError(
+                f"(n={self.n}, p={self.p}) outside the closed-form range: {reason}"
+            )
+        q = self.p - self.n // 2
+        main_sum = sum(comb(self.n, i) for i in range(q + 1))
+        if self.n % 2 == 1:
+            overlap = comb(self.p, q)
+        else:
+            main_sum += comb(self.n - 1, q)
+            overlap = comb(self.p - 1, q)
+        object.__setattr__(self, "main_sum", main_sum)
+        object.__setattr__(self, "overlap", overlap)
 
 
 def common_closed(a: Family, p: int) -> Family:
@@ -137,8 +118,6 @@ def is_initial_segment(f: Family) -> bool:
 def closed_form_open_count(params: ClosedFormParams) -> int:
     """Open-neighborhood size of the segment of length main_sum - overlap:
     2^(n-1) - (main_sum - 2*overlap)."""
-    if not ClosedFormParams.in_range(params.n, params.p):
-        raise ValueError(f"(n={params.n}, p={params.p}) outside the closed-form range")
     return (1 << (params.n - 1)) - (params.main_sum - 2 * params.overlap)
 
 
@@ -450,14 +429,14 @@ def verify_closed_form(n: int, p: int) -> VerifyReport:
     """Brute-force the two near-critical segment counts against the formulas:
     the segment of length main_sum - overlap meets the closed form exactly,
     and one subset longer already falls strictly below the shifted value."""
-    params = ClosedFormParams.from_dimensions(n, p)
+    params = ClosedFormParams(n, p)
     seg = params.main_sum - params.overlap
     expected = closed_form_open_count(params)
     fam = _tables.prefix_bits(seg)
     actual = _tables.open_size_bits(fam, n, p)
     fam_next = _tables.prefix_bits(seg + 1)
     next_actual = _tables.open_size_bits(fam_next, n, p)
-    next_bound = (1 << (n - 1)) - (params.main_sum - 2 * params.overlap + 1)
+    next_bound = expected - 1
     report = VerifyReport(
         check="closedform",
         n=n,

@@ -130,7 +130,7 @@ def test_criterion_06_closed_form_and_strict_drop():
     cells = 0
     for n in range(5, 12):
         for p in range(1, n):
-            if not nb.ClosedFormParams.in_range(n, p):
+            if nb.refined_gate_reason(n, p) is not None:
                 continue
             report = nb.verify_closed_form(n, p)
             assert report.ok, (n, p, report.violations, report.details)

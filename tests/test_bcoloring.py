@@ -12,7 +12,7 @@ import pytest
 from hyperb import _tables
 from hyperb import bcoloring as bc
 from hyperb import bounds
-from hyperb.errors import InfeasibleError
+from hyperb.errors import InfeasibleError, IntegrityError
 
 BUDGET = bc.SolveBudget()
 
@@ -315,6 +315,22 @@ class TestExactSolver:
         stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=37))
         assert (done.exact, done.nodes) == (True, 38)
         assert (stopped.exact, stopped.nodes) == (False, 37)
+
+    def test_paper_bound_seeds_the_search(self):
+        # Q_5^3 is the smallest solved cube inside a paper bound's gate: the
+        # search starts at upper_new = 17, below Delta + 1 = 26, and meets it
+        g = bc.hypercube_power(5, 3)
+        assert bounds.upper_new(5, 3) == 17 < bc._adjacency_rows(g)[0].bit_count() + 1
+        res = bc.exact_b_chromatic(g, BUDGET)
+        assert (res.value, res.exact, res.nodes) == (17, True, 612)
+        assert bc.validate_coloring(g, res.coloring).valid_b
+
+    def test_bound_below_greedy_is_an_integrity_error(self, monkeypatch):
+        g = bc.hypercube_power(5, 3)
+        k = bc.greedy_b_coloring(g).k
+        monkeypatch.setattr(bounds, "upper_new", lambda n, p: k - 1)
+        with pytest.raises(IntegrityError, match="above the proven upper bound"):
+            bc.exact_b_chromatic(g, BUDGET)
 
     def test_monotone_in_p_small(self):
         for n in (2, 3):

@@ -1,9 +1,12 @@
 """Bound formulas, applicability gates, and the auxiliary inequality sweep."""
 
+from dataclasses import fields
+from math import comb
+
 import pytest
 
 from hyperb import bounds as bd
-from hyperb.neighborhoods import ClosedFormParams
+from hyperb.neighborhoods import ClosedFormParams, refined_gate_reason
 
 
 class TestClique:
@@ -31,20 +34,43 @@ class TestUpperOld:
 
 class TestParams:
     def test_spec_values(self):
-        p75 = bd.rs_params(7, 5)
-        assert (p75.r, p75.s) == (29, 10)
-        p53 = bd.rs_params(5, 3)
-        assert (p53.r, p53.s) == (6, 3)
-        p64 = bd.rs_params(6, 4)
-        assert (p64.r_prime, p64.s_prime) == (12, 3)
+        p75 = ClosedFormParams(7, 5)
+        assert (p75.main_sum, p75.overlap) == (29, 10)
+        p53 = ClosedFormParams(5, 3)
+        assert (p53.main_sum, p53.overlap) == (6, 3)
+        p64 = ClosedFormParams(6, 4)
+        assert (p64.main_sum, p64.overlap) == (12, 3)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            bd.rs_params(6, 3)
+            ClosedFormParams(6, 3)
 
     def test_parity_fields(self):
-        assert bd.rs_params(7, 5).r_prime is None
-        assert bd.rs_params(6, 4).r is None
+        # the two numbers are derived from (n, p), never passed in
+        with pytest.raises(TypeError):
+            ClosedFormParams(7, 5, main_sum=29, overlap=10)
+        assert [f.name for f in fields(ClosedFormParams)] == ["n", "p", "main_sum", "overlap"]
+
+    def test_paper_formulas_up_to_64(self):
+        # the paper's two branches, written out: odd n uses (r, s) with
+        # q = p - (n-1)/2, even n uses (r', s') with q = p - n/2
+        cells = 0
+        for n in range(2, 65):
+            for p in range(1, n):
+                if refined_gate_reason(n, p) is not None:
+                    continue
+                if n % 2 == 1:
+                    q = p - (n - 1) // 2
+                    main_sum = sum(comb(n, i) for i in range(q + 1))
+                    overlap = comb(p, q)
+                else:
+                    q = p - n // 2
+                    main_sum = sum(comb(n, i) for i in range(q + 1)) + comb(n - 1, q)
+                    overlap = comb(p - 1, q)
+                params = ClosedFormParams(n, p)
+                assert (params.main_sum, params.overlap) == (main_sum, overlap), (n, p)
+                cells += 1
+        assert cells == 930  # 1 + 2 + ... + 30 for odd n, and again for even n
 
 
 class TestRefinedBounds:
@@ -81,7 +107,7 @@ class TestRefinedBounds:
                     in_ref = n >= 5 and (n + 1) // 2 <= p <= n - 2
                 else:
                     in_ref = n >= 6 and n // 2 + 1 <= p <= n - 2
-                assert ClosedFormParams.in_range(n, p) == in_ref
+                assert (refined_gate_reason(n, p) is None) == in_ref
                 assert (bd.upper_rough(n, p) is not None) == in_ref
                 assert (bd.upper_new(n, p) is not None) == in_ref
 

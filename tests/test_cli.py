@@ -251,6 +251,7 @@ class TestExitCodes:
             ["solve", "--hypercube", "3", "--p", "1", "--max-nodes", "-1"],
             ["solve", "--hypercube", "3", "--p", "1", "--max-seconds", "-5"],
             ["solve", "--hypercube", "3", "--p", "1", "--max-seconds", "nan"],
+            ["verify", "--theorem", "closedform", "--n", "6", "--p", "3"],
         ],
     )
     def test_usage_error_exits_2(self, capsys, argv):

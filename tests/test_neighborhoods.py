@@ -113,16 +113,15 @@ class TestClosedForm:
         "n,p,expected", [(5, 3, 16), (7, 5, 55), (6, 4, 26)]
     )
     def test_spec_values(self, n, p, expected):
-        params = nb.ClosedFormParams.from_dimensions(n, p)
-        assert nb.closed_form_open_count(params) == expected
+        assert nb.closed_form_open_count(nb.ClosedFormParams(n, p)) == expected
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            nb.ClosedFormParams.from_dimensions(5, 4)  # p = n-1 excluded
+            nb.ClosedFormParams(5, 4)  # p = n-1 excluded
         with pytest.raises(ValueError):
-            nb.ClosedFormParams.from_dimensions(4, 3)  # even n < 6
-        with pytest.raises(ValueError):
-            nb.closed_form_open_count(nb.ClosedFormParams(n=5, p=4, r=1, s=1))
+            nb.ClosedFormParams(4, 3)  # even n < 6
+        with pytest.raises(TypeError):  # the formula's numbers cannot be passed in
+            nb.ClosedFormParams(n=5, p=3, r=999, s=0)
 
     def test_brute_force_small(self):
         for (n, p) in [(5, 3), (6, 4), (7, 4), (7, 5)]:
@@ -134,9 +133,9 @@ class TestClosedForm:
         # subsets, for every (n, p) in the closed-form range up to n = 9
         for n in range(5, 10):
             for p in range(1, n):
-                if not nb.ClosedFormParams.in_range(n, p):
+                if nb.refined_gate_reason(n, p) is not None:
                     continue
-                r = nb.ClosedFormParams.from_dimensions(n, p).main_sum
+                r = nb.ClosedFormParams(n, p).main_sum
                 got = _tables.closed_bits(_tables.prefix_bits(r), n, p)
                 assert got == _tables.prefix_bits(1 << (n - 1)), (n, p)
 
