@@ -376,11 +376,11 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     k_lo = fallback.k
     upper = rows[0].bit_count() + 1  # the graph is regular, so Delta + 1 is also its m-degree
     if g.kind == "hypercube":
-        # each paper bound is None outside its range (n = 1 and p >= n included)
-        for bound in (bounds.upper_new, bounds.upper_rough, bounds.upper_old):
-            ub = bound(g.n, g.p)
-            if ub is not None:
-                upper = min(upper, ub)
+        # upper_new is the least of the paper's upper bounds where they apply,
+        # and None outside its range (n = 1 and p >= n included)
+        ub = bounds.upper_new(g.n, g.p)
+        if ub is not None:
+            upper = min(upper, ub)
     if upper < k_lo:
         raise IntegrityError(
             f"fallback b-coloring uses {k_lo} colors, above the proven upper "
@@ -426,20 +426,13 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     sigma[v] is the image of vertex v.
 
     They preserve Hamming distance, so they are automorphisms of every
-    power too.  Both sides get the C(n,2) transpositions of two coordinates;
-    the Hamming side also gets, in each coordinate, the C(q-1,2)
-    transpositions of two nonzero symbols.  Cube vertices are read through
-    the rank tables, Hamming vertices through their base-q digits.
+    power too: the C(n,2) transpositions of two coordinates and, in each
+    coordinate, the C(q-1,2) transpositions of two nonzero symbols, built
+    once over the base-q digits.  For q = 2 the digit index of a vertex is
+    its mask and there are no symbol transpositions; cube vertices are
+    ranks, so each permutation is renumbered through the rank tables.
     """
     n, q = g.n, g.q
-    if g.kind == "hypercube":
-        order = _tables.masks_in_order(n)
-        rank = _tables.rank_of_mask(n)
-        out = []
-        for i, j in combinations(range(n), 2):
-            swap = 1 << i | 1 << j
-            out.append(tuple(rank[m ^ swap if (m >> i ^ m >> j) & 1 else m] for m in order))
-        return tuple(out)
     digits = _digit_table(n, q)
     weight = [q**i for i in range(n)]
     out = [
@@ -454,6 +447,9 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
                 v + step if d[i] == a else v - step if d[i] == b else v
                 for v, d in enumerate(digits)
             ))
+    if g.kind == "hypercube":
+        rank = _tables.rank_of_mask(n)
+        out = [tuple(rank[sigma[m]] for m in _tables.masks_in_order(n)) for sigma in out]
     return tuple(out)
 
 

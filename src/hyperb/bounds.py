@@ -46,9 +46,7 @@ def lower_bound(n: int, p: int) -> int | None:
 
 def upper_old(n: int, p: int) -> int | None:
     """2^(n-1) + floor(clique/2), claimed for floor(n/2) < p < n-1."""
-    if _old_gate_reason(n, p):
-        return None
-    return (1 << (n - 1)) + _clique_value(n, p) // 2
+    return None if _old_gate_reason(n, p) else (1 << (n - 1)) + _clique_value(n, p) // 2
 
 
 def upper_rough(n: int, p: int) -> int | None:
@@ -65,6 +63,16 @@ def upper_new(n: int, p: int) -> int | None:
         return None
     params = ClosedFormParams(n, p)
     return (1 << (n - 1)) + (params.main_sum - params.overlap) // 2
+
+
+# (column, bound, gate) per b-chromatic bound on Q_n^p, in CSV column order;
+# a bound is None exactly where its gate gives a reason
+_CUBE_BOUNDS = (
+    ("lower", lower_bound, _old_gate_reason),
+    ("upper_old", upper_old, _old_gate_reason),
+    ("upper_rough", upper_rough, refined_gate_reason),
+    ("upper_new", upper_new, refined_gate_reason),
+)
 
 
 def verify_r_ge_3s(n_max: int) -> VerifyReport:
@@ -119,8 +127,7 @@ class BoundReport:
     CSV_HEADER = "n,p,clique,lower,upper_old,upper_rough,upper_new"
 
     def as_csv_row(self) -> str:
-        cells = [self.n, self.p, self.clique, self.lower, self.upper_old,
-                 self.upper_rough, self.upper_new]
+        cells = (getattr(self, column) for column in self.CSV_HEADER.split(","))
         return ",".join("" if c is None else str(c) for c in cells)
 
     def as_json_dict(self) -> dict:
@@ -136,43 +143,20 @@ def bound_report(n: int, p: int, q: int | None = None) -> BoundReport:
     """
     if n < 2 or p < 1 or p > n:
         raise ValueError(f"bound_report needs n >= 2 and 1 <= p <= n, got ({n}, {p})")
+    complete = p == n
+    # the clique formula is stated for n >= 3; Q_2^1 is a 4-cycle whose
+    # clique is an edge, which the odd-p expression also yields
+    clique = 1 << n if complete else _clique_value(n, p)
+    values: dict[str, int | None] = {}
     reasons: dict[str, str] = {}
-    if p >= n:
-        clique = 1 << n
-        note = "p >= n: complete graph, b = 2^n exactly"
-        for name in ("lower", "upper_old", "upper_rough", "upper_new"):
-            reasons[name] = note
-        lower = old = rough = new = None
-    else:
-        # the clique formula is stated for n >= 3; Q_2^1 is a 4-cycle whose
-        # clique is an edge, which the odd-p expression also yields
-        clique = _clique_value(n, p)
-        lower = lower_bound(n, p)
-        old = upper_old(n, p)
-        rough = upper_rough(n, p)
-        new = upper_new(n, p)
-        gate_old = _old_gate_reason(n, p)
-        if gate_old:
-            reasons["lower"] = gate_old
-            reasons["upper_old"] = gate_old
-        gate_ref = refined_gate_reason(n, p)
-        if gate_ref:
-            reasons["upper_rough"] = gate_ref
-            reasons["upper_new"] = gate_ref
+    for name, bound, gate in _CUBE_BOUNDS:
+        values[name] = bound(n, p)
+        if values[name] is None:
+            reasons[name] = "p >= n: complete graph, b = 2^n exactly" if complete else gate(n, p)
     ham = hamming_lower(n, q, p) if q is not None else None
     if q is not None and ham is None:
         reasons["hamming_lower"] = "outside the coset-construction gates"
-    return BoundReport(
-        n=n,
-        p=p,
-        clique=clique,
-        lower=lower,
-        upper_old=old,
-        upper_rough=rough,
-        upper_new=new,
-        hamming_lower=ham,
-        reasons=reasons,
-    )
+    return BoundReport(n=n, p=p, clique=clique, **values, hamming_lower=ham, reasons=reasons)
 
 
 def bound_table(n_values, p_values=None) -> list[BoundReport]:

@@ -10,7 +10,6 @@ or one of two exceptional forms of size 2^(n-1) (one per parity of n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import _tables
 from .errors import IntegrityError
@@ -116,19 +115,13 @@ def exceptional_params(n: int) -> tuple[int, int]:
 
     Odd n: remove {(n+3)/2, ..., n} from the segment of length
     sum_{i<=(n-1)/2} C(n,i) + 1.  Even n: remove {1, n/2+2, ..., n} from the
-    segment of length sum_{i<=n/2-1} C(n,i) + C(n-1, n/2-1) + 1.
+    segment of length sum_{i<=n/2-1} C(n,i) + C(n-1, n/2-1) + 1.  Both sums
+    are 2^(n-1), as C(n,i) = C(n,n-i); (n+3)/2 = n//2 + 2 for odd n.
     """
-    if n % 2 == 1:
-        ell = sum(comb(n, i) for i in range((n - 1) // 2 + 1)) + 1
-        removed = 0
-        for lab in range((n + 3) // 2, n + 1):
-            removed |= 1 << (lab - 1)
-        return ell, removed
-    ell = sum(comb(n, i) for i in range(n // 2)) + comb(n - 1, n // 2 - 1) + 1
-    removed = 1  # label 1
+    removed = 0 if n % 2 else 1  # label 1, removed for even n only
     for lab in range(n // 2 + 2, n + 1):
         removed |= 1 << (lab - 1)
-    return ell, removed
+    return (1 << (n - 1)) + 1, removed
 
 
 def exceptional_family(g: GroundSet) -> Family:

@@ -88,17 +88,12 @@ def common_closed(a: Family, p: int) -> Family:
     For an empty family this is the full power set (the membership condition
     quantifies over no members).  Members are returned in subset order.
     """
-    if p < 1:
-        raise ValueError("radius p must be at least 1")
-    return Family(_tables.closed_bits(a.bits, a.ground.size, p), a.ground)
+    return common_neighborhood(a, p).closed
 
 
 def common_open(a: Family, p: int) -> Family:
     """common_closed with the members of a removed."""
-    if p < 1:
-        raise ValueError("radius p must be at least 1")
-    bits = _tables.closed_bits(a.bits, a.ground.size, p) & ~a.bits
-    return Family(bits, a.ground)
+    return common_neighborhood(a, p).open
 
 
 def common_neighborhood(a: Family, p: int) -> CommonNeighborhood:
@@ -168,7 +163,8 @@ def check_sweep_request(
 
     Sweeps call this before building any table, so a refused request costs
     nothing: ValueError for a malformed request (negative ground size,
-    unknown mode, missing or negative seed, fewer than one sample),
+    unknown mode, samples or seed given in exhaustive mode, missing or
+    negative seed, fewer than one sample),
     InfeasibleError for one over the exhaustive or sampling cap.  A negative
     seed is refused because Random(-s) seeds like Random(s): it would
     draw the families of s under another name.
@@ -176,6 +172,8 @@ def check_sweep_request(
     if n < 0:
         raise ValueError(f"ground size must be non-negative, got {n}")
     if mode == "exhaustive":
+        if samples is not None or seed is not None:
+            raise ValueError("exhaustive mode takes neither samples nor seed")
         _require_exhaustible(n)
         return
     if mode != "sample":

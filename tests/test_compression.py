@@ -1,5 +1,7 @@
 """Sections, one-coordinate compression, fixpoints, and their sweeps."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,18 @@ class TestClassify:
         for i in (1, 2, 3, 4):
             assert cp.is_compressed(fam, i)
         assert not set(fam.bit_masks()) == set(initial_segment(8, G4).bit_masks())
+
+    def test_exceptional_params_match_the_paper_sums(self):
+        # the paper's segment lengths and removed labels, written out per parity
+        for n in range(1, 65):
+            if n % 2 == 1:
+                ell = sum(comb(n, i) for i in range((n - 1) // 2 + 1)) + 1
+                labels = range((n + 3) // 2, n + 1)
+            else:
+                ell = sum(comb(n, i) for i in range(n // 2)) + comb(n - 1, n // 2 - 1) + 1
+                labels = [1, *range(n // 2 + 2, n + 1)]
+            removed = sum(1 << (lab - 1) for lab in labels)
+            assert cp.exceptional_params(n) == (ell, removed), n
 
     def test_not_fixpoint(self):
         assert (

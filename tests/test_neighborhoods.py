@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperb import _tables
+from hyperb import compression as cp
 from hyperb import neighborhoods as nb
 from hyperb.errors import InfeasibleError
 from hyperb.subsets import (
@@ -195,6 +196,27 @@ class TestCloseInequality:
             nb.verify_section_identity(5, "sample", samples=50, seed=-1)
         assert _tables.balls.cache_info().misses == misses
         nb.check_sweep_request(6, "sample", 50, 0)
+
+    @pytest.mark.parametrize("extra", [{"seed": 5}, {"samples": 7}])
+    def test_exhaustive_refuses_samples_and_seed(self, monkeypatch, extra):
+        # an exhaustive sweep draws nothing, so a seed or a sample count in
+        # its report would name a stream it never used
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built for a refused request")
+
+        # every kernel builder, the lru_cache-wrapped table builders included
+        for name, value in vars(_tables).items():
+            if callable(value) and getattr(value, "__module__", None) == _tables.__name__:
+                monkeypatch.setattr(_tables, name, no_table)
+        sweeps = [
+            lambda: nb.verify_close_inequality(3, 1, "exhaustive", **extra),
+            lambda: nb.verify_open_inequality(3, 1, "exhaustive", **extra),
+            lambda: nb.verify_section_identity(3, "exhaustive", **extra),
+            lambda: cp.verify_compression_inequality(3, "exhaustive", **extra),
+        ]
+        for sweep in sweeps:
+            with pytest.raises(ValueError, match="exhaustive mode takes neither"):
+                sweep()
 
     def test_radius_outside_ground_rejected(self):
         for p in (0, 7):
