@@ -236,22 +236,13 @@ def closed_bits_all(n: int, p: int) -> list[int]:
     return out
 
 
-def closed_size_bits(family: int, n: int, p: int) -> int:
-    """|C^p[family]| computed by intersecting member balls."""
-    return closed_bits(family, n, p).bit_count()
-
-
-def open_size_bits(family: int, n: int, p: int) -> int:
-    """|C^p(family)| = members of the closed neighborhood outside the family."""
-    return (closed_bits(family, n, p) & ~family).bit_count()
-
-
 def segment_closures(n: int, p: int):
     """Yield C^p[I_m] for m = 0..2^n: the running intersection of the balls
     in rank order, starting from the universe."""
+    ball_table = balls(n, p)  # refuses a ground over the cap before the universe is built
     cur = universe_bits(n)
     yield cur
-    for ball in balls(n, p):
+    for ball in ball_table:
         cur &= ball
         yield cur
 

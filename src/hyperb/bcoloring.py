@@ -689,7 +689,8 @@ def singleton_certificate(g: PowerGraph, c: Coloring, ell: int) -> SingletonRepo
         failure = f"chosen vertices {apart[0]} and {apart[1]} are not adjacent"
     elif chosen:
         # vertex index is the subset rank
-        open_size = _tables.open_size_bits(sum(1 << v for v in chosen), n, g.p)
+        fam = sum(1 << v for v in chosen)
+        open_size = (_tables.closed_bits(fam, n, g.p) & ~fam).bit_count()
         if open_size < open_required:
             failure = f"common open neighborhood has {open_size} subsets, need {open_required}"
     return SingletonReport(

@@ -1,5 +1,6 @@
 """Command-line front end: bound tables, verification sweeps, coloring
-construction, exact solving, and rank/unrank debugging.
+construction, exact solving, and rank/unrank debugging.  Each `verify
+--theorem` is one row of `_THEOREMS`.
 
 Exit codes: 0 success, 1 violations or integrity failure, 2 I/O or usage
 failure, 3 infeasible request, 4 solver budget exhausted.  Identical
@@ -77,107 +78,104 @@ def cmd_table(args) -> int:
     return _emit(bounds.table_to_json_dict(rows), args.output)
 
 
-def _radii(args, n: int) -> list:
-    """The radii to check at ground size n: --p when given, otherwise 1..n-1
-    (close, open) or the closed-form range (closedform); [None] for the
-    theorems swept once per n.  A derived list that is empty would check
-    nothing and still pass, so it raises ValueError."""
-    if args.theorem not in ("close", "open", "closedform"):
-        return [None]
-    if args.p:
-        return _parse_range(args.p)
-    radii = [
-        p
-        for p in range(1, n)
-        if args.theorem != "closedform" or neighborhoods.refined_gate_reason(n, p) is None
-    ]
-    if not radii:
-        raise ValueError(f"no radius to check for --theorem {args.theorem} at n={n}")
-    return radii
+def _sweep(args) -> tuple:
+    """(mode, samples, seed) of a sampled sweep: exhaustive mode passes
+    neither a count nor a seed, and sample mode needs --seed."""
+    if args.exhaustive:
+        return "exhaustive", None, None
+    if args.seed is None:
+        raise ValueError("sample mode requires --seed")
+    return "sample", args.samples, args.seed
 
 
-def _verify_reports(args) -> list[neighborhoods.VerifyReport]:
-    theorem = args.theorem
-    if theorem == "r3s":
-        return [bounds.verify_r_ge_3s(args.n_max)]
-    mode = "exhaustive" if args.exhaustive else "sample"
-    sweep = {} if args.exhaustive else {"samples": args.samples, "seed": args.seed}
-    # The library functions are looked up when a runner is called, so a
-    # patched module attribute is the one that runs.
-    runners = {
-        "close": lambda n, p: neighborhoods.verify_close_inequality(n, p, mode, **sweep),
-        "open": lambda n, p: neighborhoods.verify_open_inequality(n, p, mode, **sweep),
-        "closedform": lambda n, p: neighborhoods.verify_closed_form(n, p),
-        "simplicial": lambda n, _: neighborhoods.verify_initial_segment_closure(n),
-        "fixpoint": lambda n, _: compression.verify_fixpoint_classification(n),
-        "section": lambda n, _: neighborhoods.verify_section_identity(n, mode, **sweep),
-        "compression": lambda n, _: compression.verify_compression_inequality(
-            n, mode, **sweep
-        ),
-    }
-    if theorem not in runners:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    # every (n, p) cell is derived, and a usage error raised, before any sweep runs
-    cells = [(n, p) for n in _parse_range(args.n) for p in _radii(args, n)]
-    return [runners[theorem](n, p) for n, p in cells]
+def _coset_results(args, n: int, _) -> list[dict]:
+    """The coset check at dimension n for every --q (default 2) and --p
+    (default n-1), sorted; an IntegrityError becomes an `error` entry."""
+    results = []
+    for q in sorted(_parse_range(args.q) if args.q else [2]):
+        for p in sorted(_parse_range(args.p) if args.p else [n - 1]):
+            cell = {"n": n, "q": q, "p": p}
+            try:
+                cert = bcoloring.verify_coset_bcoloring(n, q, p)
+                cell.update(gated=bounds.hamming_gate(n, q, p), certificate=cert.as_json_dict())
+            except IntegrityError as exc:
+                cell["error"] = str(exc)
+            results.append(cell)
+    return results
+
+
+# --theorem name -> (runner(args, n, p), default radii at n, or None for a
+# theorem run once per n).  The library functions are looked up when a
+# runner is called, so a patched module attribute is the one that runs.
+_THEOREMS = {
+    "close": (
+        lambda args, n, p: neighborhoods.verify_close_inequality(n, p, *_sweep(args)),
+        lambda n: range(1, n),
+    ),
+    "open": (
+        lambda args, n, p: neighborhoods.verify_open_inequality(n, p, *_sweep(args)),
+        lambda n: range(1, n),
+    ),
+    "simplicial": (lambda args, n, _: neighborhoods.verify_initial_segment_closure(n), None),
+    "fixpoint": (lambda args, n, _: compression.verify_fixpoint_classification(n), None),
+    "closedform": (
+        lambda args, n, p: neighborhoods.verify_closed_form(n, p),
+        lambda n: [p for p in range(1, n) if neighborhoods.refined_gate_reason(n, p) is None],
+    ),
+    "section": (
+        lambda args, n, _: neighborhoods.verify_section_identity(n, *_sweep(args)), None
+    ),
+    "compression": (
+        lambda args, n, _: compression.verify_compression_inequality(n, *_sweep(args)), None
+    ),
+    "r3s": (lambda args, n, _: bounds.verify_r_ge_3s(args.n_max), None),
+    "coset": (_coset_results, None),
+}
+
+
+def _cells(args) -> list[tuple]:
+    """Every (n, p) cell, derived before any sweep runs: one for r3s; else per
+    n (sorted for coset) p = None, or --p if given, or the default radii at n.
+    An empty default would check nothing and still pass: ValueError."""
+    if args.theorem == "r3s":
+        return [(None, None)]
+    if not args.n:
+        raise ValueError(f"--theorem {args.theorem} requires --n")
+    n_values = _parse_range(args.n)
+    if args.theorem == "coset":
+        n_values.sort()
+    default_radii = _THEOREMS[args.theorem][1]
+    cells = []
+    for n in n_values:
+        if default_radii is None:
+            radii = [None]
+        else:
+            radii = _parse_range(args.p) if args.p else default_radii(n)
+        if not radii:
+            raise ValueError(f"no radius to check for --theorem {args.theorem} at n={n}")
+        cells += [(n, p) for p in radii]
+    return cells
 
 
 def cmd_verify(args) -> int:
-    if args.theorem != "r3s" and not args.n:
-        print(f"error: --theorem {args.theorem} requires --n", file=sys.stderr)
-        return EXIT_USAGE
-    if args.theorem == "coset":
-        n_values = _parse_range(args.n)
-        q_values = _parse_range(args.q) if args.q else [2]
-        results = []
-        ok = True
-        for n in sorted(n_values):
-            for q in sorted(q_values):
-                p_values = _parse_range(args.p) if args.p else [n - 1]
-                for p in sorted(p_values):
-                    try:
-                        cert = bcoloring.verify_coset_bcoloring(n, q, p)
-                    except IntegrityError as exc:
-                        ok = False
-                        results.append({"n": n, "q": q, "p": p, "error": str(exc)})
-                        continue
-                    results.append(
-                        {
-                            "n": n,
-                            "q": q,
-                            "p": p,
-                            "gated": bounds.hamming_gate(n, q, p),
-                            "certificate": cert.as_json_dict(),
-                        }
-                    )
-        payload = {"schema": 1, "command": "verify", "theorem": "coset", "results": results}
-        code = _emit(payload, args.output)
-        if code != EXIT_OK:
-            return code
-        return EXIT_OK if ok else EXIT_VIOLATION
-    if args.theorem in ("close", "open", "section", "compression") and not args.exhaustive:
-        if args.seed is None:
-            print("error: sample mode requires --seed", file=sys.stderr)
-            return EXIT_USAGE
+    run = _THEOREMS[args.theorem][0]
     started = time.monotonic()
-    reports = _verify_reports(args)
+    outcomes = [run(args, n, p) for n, p in _cells(args)]  # all cells first
     elapsed = time.monotonic() - started
-    payload = {
-        "schema": 1,
-        "command": "verify",
-        "theorem": args.theorem,
-        "reports": [r.as_json_dict() for r in reports],
-    }
+    if args.theorem == "coset":
+        key, entries = "results", [r for batch in outcomes for r in batch]
+        failures = sum("error" in r for r in entries)
+    else:
+        key, entries = "reports", [r.as_json_dict() for r in outcomes]
+        failures = sum(len(r.violations) for r in outcomes)
+    payload = {"schema": 1, "command": "verify", "theorem": args.theorem, key: entries}
     code = _emit(payload, args.output)
     if code != EXIT_OK:
         return code
-    violations = sum(len(r.violations) for r in reports)
-    print(
-        f"verify {args.theorem}: {len(reports)} report(s), "
-        f"{violations} violation(s), {elapsed:.1f}s",
-        file=sys.stderr,
-    )
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    if args.theorem != "coset":
+        counts = f"{len(outcomes)} report(s), {failures} violation(s)"
+        print(f"verify {args.theorem}: {counts}, {elapsed:.1f}s", file=sys.stderr)
+    return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
 def cmd_solve(args) -> int:
@@ -276,17 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--theorem",
         required=True,
-        choices=(
-            "close",
-            "open",
-            "simplicial",
-            "fixpoint",
-            "closedform",
-            "section",
-            "compression",
-            "r3s",
-            "coset",
-        ),
+        choices=tuple(_THEOREMS),
     )
     p_verify.add_argument("--n", help="dimension or range")
     p_verify.add_argument("--p", help="power or range")

@@ -264,13 +264,13 @@ def verify_compression_inequality(
     for fam in families:
         compressed = [compress_j(fam) for compress_j in compressors]
         for p in range(1, n):
-            direct = _tables.closed_size_bits(fam, n, p)
+            direct = _tables.closed_bits(fam, n, p).bit_count()
             if direct == 0:
                 continue  # 0 <= anything
             for j, comp in enumerate(compressed):
                 comp_size = compressed_size_cache.get((comp, p))
                 if comp_size is None:
-                    comp_size = _tables.closed_size_bits(comp, n, p)
+                    comp_size = _tables.closed_bits(comp, n, p).bit_count()
                     compressed_size_cache[comp, p] = comp_size
                 if direct > comp_size:
                     report.violations.append(

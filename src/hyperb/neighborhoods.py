@@ -430,10 +430,8 @@ def verify_closed_form(n: int, p: int) -> VerifyReport:
     params = ClosedFormParams(n, p)
     seg = params.main_sum - params.overlap
     expected = closed_form_open_count(params)
-    fam = _tables.prefix_bits(seg)
-    actual = _tables.open_size_bits(fam, n, p)
-    fam_next = _tables.prefix_bits(seg + 1)
-    next_actual = _tables.open_size_bits(fam_next, n, p)
+    sizes = _tables.initial_segment_open_sizes(n, p)  # checks the table cap first
+    actual, next_actual = sizes[seg], sizes[seg + 1]
     next_bound = expected - 1
     report = VerifyReport(
         check="closedform",

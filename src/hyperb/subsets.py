@@ -256,6 +256,7 @@ def initial_segment(m: int, g: GroundSet) -> Family:
     """The first m subsets of the power set of g."""
     if not 0 <= m <= (1 << g.size):
         raise ValueError(f"segment length {m} out of range for ground size {g.size}")
+    _tables.check_table_size(g.size)  # before the bitset is built
     return Family(_tables.prefix_bits(m), g)
 
 
@@ -263,6 +264,7 @@ def level_set(i: int, g: GroundSet) -> Family:
     """All subsets of size exactly i, in order."""
     if not 0 <= i <= g.size:
         raise ValueError(f"level {i} out of range for ground size {g.size}")
+    _tables.check_table_size(g.size)  # before the bitset is built
     start = sum(comb(g.size, k) for k in range(i))
     return Family(_tables.prefix_bits(comb(g.size, i)) << start, g)
 

@@ -264,6 +264,15 @@ class TestVerifyCoset:
         cert = bc.verify_coset_bcoloring(4, 2, 1)
         assert cert.k == 8  # whatever the verdict, no integrity failure
 
+    def test_invalid_coloring_on_a_gated_instance_is_an_integrity_error(self, monkeypatch):
+        real = bc.validate_coloring
+        monkeypatch.setattr(
+            bc, "validate_coloring", lambda g, c: dataclasses.replace(real(g, c), valid_b=False)
+        )
+        assert bounds.hamming_gate(4, 3, 3)
+        with pytest.raises(IntegrityError, match="gated instance"):
+            bc.verify_coset_bcoloring(4, 3, 3)
+
 
 class TestGreedyFallback:
     @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 4)])

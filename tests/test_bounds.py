@@ -136,6 +136,13 @@ class TestRGe3S:
         with pytest.raises(ValueError):
             bd.verify_r_ge_3s(8)
 
+    def test_failing_inequality_is_reported(self, monkeypatch):
+        # at n = 9, q = 3: r = 130 against s = C(7, 3) = 35; a binomial that
+        # quadruples off n = 9 makes s = 140 and 130 < 3 * 140
+        monkeypatch.setattr(bd, "comb", lambda a, b: comb(a, b) * (1 if a == 9 else 4))
+        rep = bd.verify_r_ge_3s(9)
+        assert rep.violations == [{"n": 9, "q": 3, "r": 130, "s": 140}]
+
 
 class TestHammingLower:
     def test_spec_values(self):

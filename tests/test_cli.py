@@ -1,5 +1,6 @@
 """End-to-end command-line tests: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hyperb
-from hyperb import _tables, bcoloring, cli
+from hyperb import _tables, bcoloring, bounds, cli
 from hyperb.cli import main
 
 
@@ -228,6 +229,27 @@ class TestExitCodes:
         )
         assert code == 1
         assert json.loads(out)["reports"][0]["violations"]
+
+    def test_coset_integrity_failure_is_an_error_entry_and_exits_1(self, capsys, monkeypatch):
+        real = bcoloring.validate_coloring
+        monkeypatch.setattr(
+            bcoloring, "validate_coloring",
+            lambda g, c: dataclasses.replace(real(g, c), valid_b=False),
+        )
+        code, out, err = run(
+            ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"], capsys
+        )
+        assert code == 1 and err == ""
+        (entry,) = json.loads(out)["results"]
+        assert entry == {"n": 4, "q": 3, "p": 3,
+                         "error": "coset coloring failed on a gated instance (n=4, q=3, p=3)"}
+
+    def test_integrity_error_reaching_main_exits_1(self, capsys, monkeypatch):
+        # a proven upper bound below the greedy colouring: the solver refuses
+        monkeypatch.setattr(bounds, "upper_new", lambda n, p: 1)
+        code, out, err = run(["solve", "--hypercube", "3", "--p", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: fallback b-coloring uses")
 
     @pytest.mark.parametrize(
         "argv",

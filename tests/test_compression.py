@@ -231,6 +231,21 @@ class TestSweeps:
         monkeypatch.undo()
         assert cp.verify_fixpoint_classification(4).details["kinds"]["exceptional_even"] == 6400
 
+    def test_size_changing_compression_is_reported(self, monkeypatch):
+        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n: (fam ^ 1, 0))
+        rep = cp.verify_fixpoint_classification(2)
+        assert len(rep.violations) == 16
+        assert {v["error"] for v in rep.violations} == {"size changed"}
+
+    def test_scan_stopping_early_is_reported(self, monkeypatch):
+        # a scan that stops at once leaves every uncompressed family as it is
+        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n: (fam, 0))
+        rep = cp.verify_fixpoint_classification(2)
+        kinds = [cp.classify_fixpoint_bits(fam, 2)[0] for fam in range(16)]
+        stuck = kinds.count(cp.KIND_NOT_FIXPOINT)
+        assert stuck and len(rep.violations) == stuck
+        assert {v["error"] for v in rep.violations} == {"scan terminated on a non-fixpoint"}
+
     def test_fixpoint_sweep_rejects_large_n(self):
         with pytest.raises(InfeasibleError):
             cp.verify_fixpoint_classification(5)

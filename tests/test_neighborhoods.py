@@ -140,6 +140,37 @@ class TestClosedForm:
                 got = _tables.closed_bits(_tables.prefix_bits(r), n, p)
                 assert got == _tables.prefix_bits(1 << (n - 1)), (n, p)
 
+    @pytest.mark.parametrize("n,p", [(15, 13), (30, 28), (40, 38)])
+    def test_over_the_cap_refused_before_any_bitset(self, monkeypatch, n, p):
+        # at n = 40 a segment bitset would take tens of GiB: neither a
+        # segment nor the universe may be built before the cap refuses
+        def no_bitset(*_):
+            raise AssertionError("bitset built before the table cap was checked")
+
+        monkeypatch.setattr(_tables, "prefix_bits", no_bitset)
+        monkeypatch.setattr(_tables, "universe_bits", no_bitset)
+        with pytest.raises(InfeasibleError):
+            nb.verify_closed_form(n, p)
+
+    def test_wrong_closed_form_count_is_reported(self, monkeypatch):
+        real = nb.closed_form_open_count
+        monkeypatch.setattr(nb, "closed_form_open_count", lambda params: real(params) + 1)
+        rep = nb.verify_closed_form(7, 4)
+        seg = rep.details["segment"]
+        assert rep.violations == [
+            {"segment": seg, "p": 4, "expected": real(nb.ClosedFormParams(7, 4)) + 1,
+             "actual": rep.details["actual"]}
+        ]
+
+    def test_segment_without_drop_is_reported(self, monkeypatch):
+        # the segment one longer keeps the critical count: the strict drop fails
+        real = _tables.initial_segment_open_sizes(7, 4)
+        seg = nb.verify_closed_form(7, 4).details["segment"]
+        flat = real[: seg + 1] + (real[seg],) + real[seg + 2 :]
+        monkeypatch.setattr(_tables, "initial_segment_open_sizes", lambda n, p: flat)
+        rep = nb.verify_closed_form(7, 4)
+        assert [(v["segment"], v["actual"]) for v in rep.violations] == [(seg + 1, real[seg])]
+
 
 class TestSegment20Over7:
     def test_explicit_structure(self):
@@ -169,7 +200,7 @@ class TestCloseInequality:
     def test_initial_segment_has_zero_slack(self):
         for m in range(0, 17):
             fam_bits = _tables.prefix_bits(m)
-            size = _tables.closed_size_bits(fam_bits, 4, 2)
+            size = _tables.closed_bits(fam_bits, 4, 2).bit_count()
             assert size == _tables.initial_segment_closed_sizes(4, 2)[m]
 
     def test_exhaustive_rejects_large_n(self):

@@ -47,6 +47,11 @@ def test_cli_block_is_not_empty():
     assert len(_command_lines()) == 16
 
 
+@pytest.mark.parametrize("theorem", list(cli._THEOREMS))
+def test_every_theorem_has_a_cli_line(theorem):
+    assert any(f"--theorem {theorem} " in line + " " for line in _command_lines())
+
+
 @pytest.mark.parametrize("line", _command_lines())
 def test_cli_example_parses(line):
     argv = shlex.split(line, comments=True)[1:]

@@ -137,6 +137,10 @@ class TestRankUnrank:
         assert (ra < rb) == (c == -1) and (ra == rb) == (c == 0)
 
 
+def _no_bitset(*_):
+    raise AssertionError("bitset built before the table cap was checked")
+
+
 class TestInitialSegment:
     def test_empty(self):
         assert len(initial_segment(0, G3)) == 0
@@ -167,6 +171,12 @@ class TestInitialSegment:
         with pytest.raises(ValueError):
             initial_segment(9, G3)
 
+    @pytest.mark.parametrize("size", [15, 30])
+    def test_over_the_cap_refused_before_the_bitset(self, monkeypatch, size):
+        monkeypatch.setattr(_tables, "prefix_bits", _no_bitset)
+        with pytest.raises(InfeasibleError):
+            initial_segment(1 << (size - 1), GroundSet.range(size))
+
 
 class TestLevelSet:
     def test_bottom_and_top(self):
@@ -184,6 +194,12 @@ class TestLevelSet:
             for i in range(n + 1):
                 seen.extend(level_set(i, g).bit_masks())
             assert sorted(seen) == list(range(1 << n))
+
+    @pytest.mark.parametrize("size", [15, 30])
+    def test_over_the_cap_refused_before_the_bitset(self, monkeypatch, size):
+        monkeypatch.setattr(_tables, "prefix_bits", _no_bitset)
+        with pytest.raises(InfeasibleError):
+            level_set(size // 2, GroundSet.range(size))
 
 
 class TestFamily:
