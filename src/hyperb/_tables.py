@@ -13,8 +13,9 @@ indexed by rank, so a family bitset's set bits index the tables directly,
 ball tables included.  Family bitsets make the heavy sweeps cheap:
 intersecting common neighborhoods is a single big-int AND per family member,
 and an initial segment is exactly a bitset of the form 2^m - 1.  closed_bits
-finds the members of a wide family a byte at a time; the walks used on small
-section ints peel the lowest set bit, which is faster below a few words.
+finds the members of a wide family a byte at a time, and member_ranks lists
+them that way; the walks used on small section ints peel the lowest set
+bit, which is faster below a few words.
 """
 
 from __future__ import annotations
@@ -104,6 +105,21 @@ def _byte_bits() -> tuple[tuple[int, ...], ...]:
 
 # BYTE_BITS[v] = the offsets of the set bits of the byte value v, lowest first.
 BYTE_BITS = _byte_bits()
+
+
+def member_ranks(bits: int) -> list[int]:
+    """The indices of the set bits, lowest first, read a byte at a time
+    (BYTE_BITS): one pass over the bytes, where iter_bits pays three
+    full-width operations per set bit."""
+    out = []
+    append = out.append
+    base = 0
+    for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for j in BYTE_BITS[byte]:
+                append(base + j)
+        base += 8
+    return out
 
 
 def iter_bits(bits: int):

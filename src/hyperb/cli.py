@@ -104,39 +104,55 @@ def _coset_results(args, n: int, _) -> list[dict]:
     return results
 
 
-# --theorem name -> (runner(args, n, p), default radii at n, or None for a
-# theorem run once per n).  The library functions are looked up when a
-# runner is called, so a patched module attribute is the one that runs.
+def _check_sweep(args, n: int) -> None:
+    """Refuse a family sweep at n (mode, sample arguments, caps) before any
+    cell of it is listed."""
+    neighborhoods.check_sweep_request(n, *_sweep(args))
+
+
+# --theorem name -> (runner(args, n, p), default radii at n or None for a
+# theorem run once per n, check(args, n) run on each n before its cells are
+# listed or None).  The library functions are looked up when a runner is
+# called, so a patched module attribute is the one that runs.
 _THEOREMS = {
     "close": (
         lambda args, n, p: neighborhoods.verify_close_inequality(n, p, *_sweep(args)),
         lambda n: range(1, n),
+        _check_sweep,
     ),
     "open": (
         lambda args, n, p: neighborhoods.verify_open_inequality(n, p, *_sweep(args)),
         lambda n: range(1, n),
+        _check_sweep,
     ),
-    "simplicial": (lambda args, n, _: neighborhoods.verify_initial_segment_closure(n), None),
-    "fixpoint": (lambda args, n, _: compression.verify_fixpoint_classification(n), None),
+    "simplicial": (lambda args, n, _: neighborhoods.verify_initial_segment_closure(n), None, None),
+    "fixpoint": (lambda args, n, _: compression.verify_fixpoint_classification(n), None, None),
     "closedform": (
         lambda args, n, p: neighborhoods.verify_closed_form(n, p),
         lambda n: [p for p in range(1, n) if neighborhoods.refined_gate_reason(n, p) is None],
+        None,
     ),
     "section": (
-        lambda args, n, _: neighborhoods.verify_section_identity(n, *_sweep(args)), None
+        lambda args, n, _: neighborhoods.verify_section_identity(n, *_sweep(args)),
+        None,
+        _check_sweep,
     ),
     "compression": (
-        lambda args, n, _: compression.verify_compression_inequality(n, *_sweep(args)), None
+        lambda args, n, _: compression.verify_compression_inequality(n, *_sweep(args)),
+        None,
+        _check_sweep,
     ),
-    "r3s": (lambda args, n, _: bounds.verify_r_ge_3s(args.n_max), None),
-    "coset": (_coset_results, None),
+    "r3s": (lambda args, n, _: bounds.verify_r_ge_3s(args.n_max), None, None),
+    "coset": (_coset_results, None, None),
 }
 
 
 def _cells(args) -> list[tuple]:
     """Every (n, p) cell, derived before any sweep runs: one for r3s; else per
     n (sorted for coset) p = None, or --p if given, or the default radii at n.
-    An empty default would check nothing and still pass: ValueError."""
+    A sweep refuses an n over its cap before that n's cells are listed, so a
+    long range fails at once.  An empty default would check nothing and
+    still pass: ValueError."""
     if args.theorem == "r3s":
         return [(None, None)]
     if not args.n:
@@ -144,9 +160,11 @@ def _cells(args) -> list[tuple]:
     n_values = _parse_range(args.n)
     if args.theorem == "coset":
         n_values.sort()
-    default_radii = _THEOREMS[args.theorem][1]
+    _, default_radii, check = _THEOREMS[args.theorem]
     cells = []
     for n in n_values:
+        if check is not None:
+            check(args, n)
         if default_radii is None:
             radii = [None]
         else:

@@ -10,6 +10,7 @@ closed-form counts for near-critical segment lengths are exact.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from math import ceil, comb, log
 from typing import Iterable
@@ -248,49 +249,6 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
     return int(flags[::-1], 2)
 
 
-def _pick_set_bit(bits: int, n_universe_bits: int, rng: random.Random) -> int:
-    """Uniform random set-bit index of a big-int pool.
-
-    Draws from rng.getrandbits exactly as rng.randrange(n_universe_bits)
-    (dense pools, by rejection) or rng.randrange(bits.bit_count()) (sparse
-    pools, the j-th set bit) would, so its picks and the generator state
-    match those calls (tests/test_neighborhoods.py::TestSamplerStream).
-    """
-    count = bits.bit_count()
-    if not count:
-        raise ValueError("cannot pick from an empty pool")
-    getrandbits = rng.getrandbits
-    # dense pools: rejection sampling is O(1) expected
-    if count * 8 >= n_universe_bits:
-        k = n_universe_bits.bit_length()
-        while True:
-            r = getrandbits(k)
-            if r < n_universe_bits and bits >> r & 1:
-                return r
-    # sparse pools: halve the window towards the j-th set bit
-    k = count.bit_length()
-    j = getrandbits(k)
-    while j >= count:
-        j = getrandbits(k)
-    pos = 0
-    width = bits.bit_length()
-    while width > 64:
-        half = width >> 1
-        low = bits & ((1 << half) - 1)
-        c = low.bit_count()
-        if j < c:
-            bits = low
-            width = half
-        else:
-            j -= c
-            bits >>= half
-            pos += half
-            width -= half
-    for _ in range(j):
-        bits &= bits - 1
-    return pos + (bits & -bits).bit_length() - 1
-
-
 def verify_close_inequality(
     n: int,
     p: int,
@@ -382,20 +340,88 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
     """(family, its closed neighborhood) for a random family whose members
     are pairwise within p: size target m uniform in [1, 2^(n-1)], each next
     member drawn uniformly from the subsets compatible with all current
-    ones, stopping early when none is left."""
-    ball = _tables.balls(n, p)
+    ones, stopping early when none is left.
+
+    The pool of compatible subsets starts as all N = 2^n of them, and each
+    pick r keeps only ball[r] minus r.  The draws match randrange, so the
+    families and the generator state afterwards are those of picking
+    randrange(N) by rejection while the pool holds at least N/8 subsets
+    and the randrange(count)-th member after that
+    (tests/test_neighborhoods.py::TestSamplerStream):
+
+    * dense phase: rejection, drawing n + 1 bits per try as randrange(N)
+      does.  No pick recounts the pool: from an exact count (N at the
+      start), a lower bound on it falls by N - |ball| + 1 per pick, the
+      most one pick can remove, as every ball has the same size.  Only
+      when the bound would drop below N/8 is the pool counted again, and
+      only an exact count below N/8 ends the phase, so the phase boundary
+      is randrange's.
+    * sparse phase: the pool only shrinks, so it stays sparse.  Its ranks
+      are listed once, a byte at a time (_tables.member_ranks), and the
+      j-th is picked, j drawn as randrange(count) draws it.  A pick that
+      removes under a quarter of the list deletes those ranks by
+      bisection; one that removes more keeps the ranks still in the pool,
+      read from its bytes (BENCH_open_grower.json times the cut-off).
+    """
+    m = rng.randint(1, 1 << (n - 1))
+    members, pool = _grow_in_pool(_tables.universe_bits(n), _tables.balls(n, p), m, rng)
+    # every member lies in every member's ball, so the closed neighborhood
+    # is pool | members
+    return members, pool | members
+
+
+def _grow_in_pool(pool: int, ball, picks: int, rng: random.Random) -> tuple[int, int]:
+    """(members, pool) after up to `picks` picks from a nonempty pool of
+    ranks below len(ball), as _grow_pairwise_family describes; all balls
+    have the size of ball[0]."""
+    count = pool.bit_count()
+    if not count:
+        raise ValueError("cannot pick from an empty pool")
+    width = len(ball)
+    drop = width + 1 - ball[0].bit_count()  # the most one pick removes
+    getrandbits = rng.getrandbits
     members = 0
-    # pool = closed & ~members, kept in place; every member lies in every
-    # member's ball, so the closed neighborhood is pool | members
-    pool = _tables.universe_bits(n)
-    for _ in range(rng.randint(1, 1 << (n - 1))):
-        if not pool:
+    k = width.bit_length()
+    left = picks
+    while count * 8 >= width:  # dense phase
+        if not left:
+            return members, pool
+        # the count bound stays at width/8 or more for this many picks
+        run = min(left, (count * 8 - width) // (drop * 8) + 1)
+        left -= run
+        for _ in range(run):
+            r = getrandbits(k)
+            while r >= width or not pool >> r & 1:
+                r = getrandbits(k)
+            bit = 1 << r
+            members |= bit
+            pool = (pool ^ bit) & ball[r]
+        count = pool.bit_count()
+    ranks = _tables.member_ranks(pool)
+    for _ in range(left):  # sparse phase
+        count = len(ranks)
+        if not count:
             break
-        r = _pick_set_bit(pool, 1 << n, rng)
+        k = count.bit_length()
+        j = getrandbits(k)
+        while j >= count:
+            j = getrandbits(k)
+        r = ranks[j]
         bit = 1 << r
         members |= bit
-        pool = (pool ^ bit) & ball[r]
-    return members, pool | members
+        kept = pool & ball[r]
+        out = pool ^ kept  # what this pick removes besides r
+        pool = kept ^ bit
+        if out.bit_count() * 4 < count:
+            del ranks[j]
+            while out:
+                low = out & -out
+                del ranks[bisect_left(ranks, low.bit_length() - 1)]
+                out ^= low
+        else:  # a quarter or more goes: keep the ranks still in the pool
+            held = pool.to_bytes((width + 7) >> 3, "little")
+            ranks = [x for x in ranks if held[x >> 3] >> (x & 7) & 1]
+    return members, pool
 
 
 def verify_initial_segment_closure(n: int) -> VerifyReport:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,22 @@ class TestExitCodes:
         assert code == 3 and "sampling capped" in err
         assert time.monotonic() - started < 1.0
         assert _tables.balls.cache_info().misses == misses
+
+    def test_sampling_cap_fails_before_listing_cells(self, capsys):
+        # n = 13..1500 would list over a million (n, p) cells; the first n
+        # over the cap is refused before its radii are listed
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                ["verify", "--theorem", "close", "--n", "13..1500",
+                 "--samples", "1", "--seed", "1"],
+                capsys,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "sampling capped" in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "theorem,samples",

@@ -325,33 +325,37 @@ class TestOpenInequality:
             assert closed == _tables.closed_bits(members, 4, 2)
 
     @pytest.mark.parametrize("n", [10, 11, 12])
-    def test_sampled_families_qualify_full_size(self, n, monkeypatch):
+    def test_sampled_families_qualify_full_size(self, n):
         # the sampler keeps its pool in place and returns pool | members as
         # the closed neighborhood; p = 1 stops early (two adjacent members
-        # share no neighbour), p = n - 1 stays on the dense branch and
-        # p = n // 2 moves from the dense to the sparse branch
-        branches = set()
-        real = nb._pick_set_bit
-
-        def pick(bits, n_universe_bits, rng):
-            branches.add(bits.bit_count() * 8 >= n_universe_bits)
-            return real(bits, n_universe_bits, rng)
-
-        monkeypatch.setattr(nb, "_pick_set_bit", pick)
-        rng = random.Random(n)
+        # share no neighbour), p = n - 1 stays dense until a family holds
+        # 7/16 of the subsets, and p = n // 2 moves from the dense to the
+        # sparse phase
+        rng = _DrawWidths(n)
         for p in (1, n // 2, n - 1):
             ball = _tables.balls(n, p)
-            sizes = []
+            sizes, went_sparse = [], []
             for _ in range(4):
+                rng.widths.clear()
                 members, closed = nb._grow_pairwise_family(n, p, rng)
                 assert members
                 # pairwise within p: every member's ball holds every member
                 assert all(not members & ~ball[r] for r in _tables.iter_bits(members))
                 assert closed == _tables.closed_bits(members, n, p)
                 sizes.append(members.bit_count())
+                # the size target draws n bits a try, a dense pick n + 1
+                # (randrange(2^n)) and a sparse one at most n - 3
+                # (randrange(count), count < 2^n / 8); once sparse, the pool
+                # stays sparse
+                widths = [k for k in rng.widths if k != n]
+                dense = [k == n + 1 for k in widths]
+                assert all(d or k <= n - 3 for d, k in zip(dense, widths))
+                assert dense[0] and dense == sorted(dense, reverse=True)
+                went_sparse.append(not dense[-1])
             if p == 1:
                 assert max(sizes) <= 2
-        assert branches == {True, False}
+            if p == n // 2:
+                assert any(went_sparse)
 
     def test_sample_mode(self):
         rep = nb.verify_open_inequality(6, 4, "sample", samples=2000, seed=17)
@@ -448,6 +452,18 @@ class TestWitnessFormatting:
         assert nb.family_bits_to_strings(bits, 3) == ["{}", "{1,3}"]
 
 
+class _DrawWidths(random.Random):
+    """A Random that records the width of every getrandbits draw."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
 def _reference_family_bits(n, rng):
     m = rng.randint(1, 1 << (n - 1))
     bits = 0
@@ -504,7 +520,12 @@ class TestSamplerStream:
     def test_pairwise_families_match_randrange(self, seed):
         ours, ref = random.Random(seed), random.Random(seed)
         for n in range(1, 13):
-            for p in sorted({1, (n + 1) // 2, max(1, n - 1), n}):
+            radii = {1, (n + 1) // 2, max(1, n - 1), n}
+            if n >= 10:
+                # long enough families for the count bound to run out while
+                # the pool is still dense, so the pool is recounted
+                radii |= {n - 2, n - 3}
+            for p in sorted(radii):
                 for _ in range(3):
                     assert nb._grow_pairwise_family(n, p, ours) == _reference_pairwise_family(
                         n, p, ref
@@ -531,17 +552,25 @@ class TestSamplerStream:
         return pools
 
     def test_pick_set_bit_matches_randrange(self):
+        # with every ball the whole width a pick removes only itself, so
+        # each pool is picked one rank at a time, 50 times or until empty,
+        # crossing from dense to sparse where its count falls below width/8
         pools = self._pools()
         branches = {bits.bit_count() * 8 >= width for bits, width in pools}
         assert branches == {True, False}
         ours, ref = random.Random(3), random.Random(3)
         for bits, width in pools:
+            members, pool = 0, bits
             for _ in range(50):
-                r = nb._pick_set_bit(bits, width, ours)
-                assert r == _reference_pick(bits, width, ref), (bits, width)
-                assert bits >> r & 1
+                if not pool:
+                    break
+                r = _reference_pick(pool, width, ref)
+                members |= 1 << r
+                pool ^= 1 << r
+            ball = [(1 << width) - 1] * width
+            assert nb._grow_in_pool(bits, ball, 50, ours) == (members, pool), (bits, width)
         assert ours.getstate() == ref.getstate()
 
     def test_pick_set_bit_refuses_an_empty_pool(self):
         with pytest.raises(ValueError, match="empty pool"):
-            nb._pick_set_bit(0, 4096, random.Random(1))
+            nb._grow_in_pool(0, [(1 << 4096) - 1] * 4096, 1, random.Random(1))
