@@ -157,6 +157,22 @@ def ball_step(prev, moves) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_ball_tables(n: int, p: int) -> None:
+    """Refuse, at constant cost, a request for the ball tables of radii
+    0..p at ground size n: the ground size first (check_table_size), then
+    the radius, then MAX_BALL_BYTES.  Radii above n are the radius-n table."""
+    check_table_size(n)
+    if p < 0:
+        raise ValueError("radius must be non-negative")
+    p = min(p, n)
+    need = ball_table_bytes(n, p)
+    if need > MAX_BALL_BYTES:
+        raise InfeasibleError(
+            f"ball tables for radii 0..{p} at n={n} need about {need >> 20} MiB, "
+            f"over the {MAX_BALL_BYTES >> 20} MiB cap"
+        )
+
+
 @lru_cache(maxsize=None)
 def balls(n: int, p: int) -> tuple[int, ...]:
     """balls(n, p)[r] = family bitset of all y with |x xor y| <= p, where x
@@ -164,21 +180,12 @@ def balls(n: int, p: int) -> tuple[int, ...]:
 
     Radius p is one ball_step over the hypercube moves (flip_ranks) from the
     cached radius p - 1, so each radius costs n big-int ORs per vertex.
-    Radii above n are the radius-n table.  Raises InfeasibleError, before
-    allocating, when radii 0..p at this ground would take more than
-    MAX_BALL_BYTES.
+    Radii above n are the radius-n table.  check_ball_tables refuses a
+    request over MAX_BALL_BYTES before anything is allocated.
     """
-    check_table_size(n)
-    if p < 0:
-        raise ValueError("radius must be non-negative")
+    check_ball_tables(n, p)
     if p > n:
         return balls(n, n)
-    need = ball_table_bytes(n, p)
-    if need > MAX_BALL_BYTES:
-        raise InfeasibleError(
-            f"ball tables for radii 0..{p} at n={n} need about {need >> 20} MiB, "
-            f"over the {MAX_BALL_BYTES >> 20} MiB cap"
-        )
     if p == 0:
         return tuple(1 << r for r in range(1 << n))
     flips = flip_ranks(n)

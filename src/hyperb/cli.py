@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from . import bcoloring, bounds, compression, neighborhoods
+from . import _tables, bcoloring, bounds, compression, neighborhoods
 from .errors import InfeasibleError, IntegrityError
 from .subsets import GroundSet, format_subset, parse_subset, rank, unrank
 
@@ -125,12 +125,22 @@ _THEOREMS = {
         lambda n: range(1, n),
         _check_sweep,
     ),
-    "simplicial": (lambda args, n, _: neighborhoods.verify_initial_segment_closure(n), None, None),
-    "fixpoint": (lambda args, n, _: compression.verify_fixpoint_classification(n), None, None),
+    "simplicial": (
+        lambda args, n, _: neighborhoods.verify_initial_segment_closure(n),
+        None,
+        lambda args, n: _tables.check_ball_tables(n, n),  # it reads every radius
+    ),
+    "fixpoint": (
+        lambda args, n, _: compression.verify_fixpoint_classification(n),
+        None,
+        lambda args, n: neighborhoods.check_sweep_request(n, "exhaustive", None, None),
+    ),
     "closedform": (
         lambda args, n, p: neighborhoods.verify_closed_form(n, p),
         lambda n: [p for p in range(1, n) if neighborhoods.refined_gate_reason(n, p) is None],
-        None,
+        # n // 2 + 1 is the smallest gated radius at either parity: an n
+        # whose tables do not fit even for it has no radius to check
+        lambda args, n: _tables.check_ball_tables(n, n // 2 + 1),
     ),
     "section": (
         lambda args, n, _: neighborhoods.verify_section_identity(n, *_sweep(args)),

@@ -339,6 +339,38 @@ class TestExitCodes:
         assert peak < 2**20
 
     @pytest.mark.parametrize(
+        "theorem,n,module,runner,message",
+        [
+            # n = 4 would run all 65 536 families before n = 5 is refused
+            ("fixpoint", "4..5", "compression", "verify_fixpoint_classification",
+             "exhaustive mode is capped"),
+            # n = 13 would build about 129 MB of ball tables
+            ("simplicial", "13..1500", "neighborhoods", "verify_initial_segment_closure",
+             "MiB cap"),
+            # over half a million cells, then the n = 13 ball tables
+            ("closedform", "13..1500", "neighborhoods", "verify_closed_form", "MiB cap"),
+        ],
+    )
+    def test_table_cap_fails_before_listing_cells(
+        self, capsys, monkeypatch, theorem, n, module, runner, message
+    ):
+        calls = []
+        monkeypatch.setattr(getattr(hyperb, module), runner, lambda *a: calls.append(a))
+        tracemalloc.start()
+        try:
+            code, out, err = run(["verify", "--theorem", theorem, "--n", n], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and message in err
+        assert calls == [] and peak < 2**20
+
+    def test_table_cap_wins_over_the_closed_form_gate(self, capsys):
+        # (14, 3) is outside the gate too, but n = 14 is refused first
+        code, out, err = run(["verify", "--theorem", "closedform", "--n", "14", "--p", "3"], capsys)
+        assert code == 3 and out == "" and "MiB cap" in err
+
+    @pytest.mark.parametrize(
         "theorem,samples",
         [("close", "-1"), ("open", "0"), ("section", "-3"), ("compression", "0")],
     )

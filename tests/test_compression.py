@@ -16,6 +16,7 @@ from hyperb.subsets import (
     family_from_bits,
     format_subset,
     initial_segment,
+    parse_subset,
 )
 
 G2 = GroundSet.range(2)
@@ -212,6 +213,28 @@ class TestClassify:
             cp.classify_fixpoint(Family.from_labels(G3, [[], [1], [2], [1, 2]]))
 
 
+def first_images(n):
+    """{family: image of its first changing compression, scanning from
+    coordinate 0} for every family at n that is not its own fixpoint."""
+    out = {}
+    for fam in range(1 << (1 << n)):
+        for j in range(n):
+            image = _tables.compress_bits(fam, n, j)
+            if image != fam:
+                out[fam] = image
+                break
+    return out
+
+
+def reported_families(rep, n):
+    """The family bitsets named by a fixpoint report's violations."""
+    g = GroundSet.range(n)
+    return {
+        Family.from_masks(g, (parse_subset(s, g).bits for s in v["family"])).bits
+        for v in rep.violations
+    }
+
+
 class TestSweeps:
     def test_fixpoint_sweep_n3(self):
         rep = cp.verify_fixpoint_classification(3)
@@ -232,19 +255,49 @@ class TestSweeps:
         assert cp.verify_fixpoint_classification(4).details["kinds"]["exceptional_even"] == 6400
 
     def test_size_changing_compression_is_reported(self, monkeypatch):
-        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n: (fam ^ 1, 0))
+        # the stand-in runs the rest of every scan that has a first step, so
+        # each family that is not its own fixpoint must be reported, and no other
+        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n, start: (fam ^ 1, 0))
         rep = cp.verify_fixpoint_classification(2)
-        assert len(rep.violations) == 16
+        moved = first_images(2)
+        assert len(moved) == 10
+        assert reported_families(rep, 2) == set(moved)
         assert {v["error"] for v in rep.violations} == {"size changed"}
 
     def test_scan_stopping_early_is_reported(self, monkeypatch):
-        # a scan that stops at once leaves every uncompressed family as it is
-        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n: (fam, 0))
-        rep = cp.verify_fixpoint_classification(2)
-        kinds = [cp.classify_fixpoint_bits(fam, 2)[0] for fam in range(16)]
-        stuck = kinds.count(cp.KIND_NOT_FIXPOINT)
-        assert stuck and len(rep.violations) == stuck
+        # a scan that stops after its first step leaves the first image as
+        # it is, so every family whose first image is not compressed at
+        # every coordinate must be reported
+        monkeypatch.setattr(cp, "compress_fully_bits", lambda fam, n, start: (fam, 0))
+        rep = cp.verify_fixpoint_classification(3)
+        stuck = {
+            fam for fam, image in first_images(3).items()
+            if cp.classify_fixpoint_bits(image, 3)[0] == cp.KIND_NOT_FIXPOINT
+        }
+        assert len(stuck) == 101
+        assert reported_families(rep, 3) == stuck
         assert {v["error"] for v in rep.violations} == {"scan terminated on a non-fixpoint"}
+
+    def test_size_change_in_the_first_step_is_reported(self, monkeypatch):
+        # compressing at coordinate 0 empties the family: that is the first
+        # step of every nonempty family, and the rest of each scan (from the
+        # empty family) is sound, so only the first step changes the size
+        real = _tables.SectionTables.compress
+        monkeypatch.setattr(
+            _tables.SectionTables, "compress", lambda self, fam: real(self, fam) if self.j else 0
+        )
+        rep = cp.verify_fixpoint_classification(2)
+        assert reported_families(rep, 2) == set(range(1, 16))
+        assert {v["error"] for v in rep.violations} == {"size changed"}
+
+    @pytest.mark.parametrize("n,keys", [(2, 8), (3, 31), (4, 108)])
+    def test_shared_scans_match_whole_scans(self, n, keys):
+        rests = {}
+        families = range(1 << (1 << n))
+        scans = list(cp.fixpoint_scans(families, n, rests))
+        assert scans == [(fam, *cp.compress_fully_bits(fam, n)) for fam in families]
+        # a compressed family is fixed by its coordinate and section sizes
+        assert len(rests) == keys <= n * ((1 << (n - 1)) + 1) ** 2
 
     def test_fixpoint_sweep_rejects_large_n(self):
         with pytest.raises(InfeasibleError):

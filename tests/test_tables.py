@@ -48,6 +48,17 @@ class TestMemoryGuard:
             _tables.balls(14, p)
         assert _tables.balls.cache_info().currsize == before
 
+    def test_check_refuses_what_balls_refuses(self):
+        # the one owner of the cap: radii above n are checked as n, and a
+        # ground far over the capacity is refused without its universe
+        for n, p in [(13, 13), (14, 3), (0, 1)]:
+            _tables.check_ball_tables(n, p)
+        for n, p in [(14, 4), (14, 20), (15, 0), (1500, 751)]:
+            with pytest.raises(InfeasibleError):
+                _tables.check_ball_tables(n, p)
+        with pytest.raises(ValueError):
+            _tables.check_ball_tables(4, -1)
+
     def test_ground_over_table_capacity_is_infeasible(self):
         with pytest.raises(InfeasibleError):
             _tables.masks_in_order(_tables.MAX_TABLE_BITS + 1)
