@@ -14,8 +14,15 @@ ball tables included.  Family bitsets make the heavy sweeps cheap:
 intersecting common neighborhoods is a single big-int AND per family member,
 and an initial segment is exactly a bitset of the form 2^m - 1.  closed_bits
 finds the members of a wide family a byte at a time, and member_ranks lists
-them that way; the walks used on small section ints peel the lowest set
-bit, which is faster below a few words.
+them that way; iter_bits, split_bits, join_bits and closed_bits_upto peel
+the lowest set bit, which is faster below a few words.
+
+The section sweep works on *radius stacks*: one int holding a bitset per
+radius p = 0, 1, ... side by side, radius p in bits [p*2^n, (p+1)*2^n).
+stack_balls stacks a ground's balls this way, so one AND per member
+intersects a section's closed neighborhoods at every radius, and
+join_radii reassembles the two sides of every radius into full-ground
+bitsets with one bit permutation.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
+from operator import itemgetter
 
 from .errors import InfeasibleError
 
@@ -200,8 +208,10 @@ def closed_bits(family: int, n: int, p: int) -> int:
     the first nonzero byte that leaves the intersection empty.  Peeling the
     lowest member instead costs three full-width big-int operations each;
     that is cheaper only on ints of a few words, which is why iter_bits,
-    split_bits, join_bits and closed_bits_upto, hot on n <= 5 sections,
-    still peel.
+    split_bits, join_bits and closed_bits_upto still peel.  The section
+    sweep reads closed_bits_upto for each family's direct side and builds
+    its sections' sides from stack_balls and join_radii; split_bits and
+    join_bits serve single instances (section_identity_holds).
     """
     if p < 0:
         raise ValueError("radius must be non-negative")
@@ -241,6 +251,28 @@ def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
         out.append(acc)
     out += [universe] * (p_max + 1 - len(out))
     return out
+
+
+def stack_balls(n: int, blocks: int) -> list[int]:
+    """stack[r] = the balls around the subset of rank r at radii 0..blocks-1
+    as one radius stack: balls(n, p)[r] in bits [p*2^n, (p+1)*2^n), and the
+    universe at radii p >= n, as closed_bits has it.  The AND of the stacks
+    of a family's members holds closed_bits_upto(family, n, blocks - 1).
+
+    Built from balls on each call and not cached, so a stack always agrees
+    with the ball tables as they are when it is read.
+    """
+    width = 1 << n
+    read = min(blocks, n)
+    top = (1 << (blocks - read) * width) - 1
+    tables = [balls(n, p) for p in reversed(range(read))]
+    stack = []
+    for r in range(width):  # one stack at a time: no half-built copy of the list
+        acc = top
+        for table in tables:
+            acc = acc << width | table[r]
+        stack.append(acc)
+    return stack
 
 
 def closed_bits_all(n: int, p: int) -> list[int]:
@@ -386,6 +418,46 @@ def join_bits(minus: int, plus: int, n: int, j: int) -> int:
         out |= expand[low.bit_length() - 1]
         plus ^= low
     return out
+
+
+@lru_cache(maxsize=None)
+def _join_radii_getters(n: int) -> tuple[tuple[itemgetter, ...], str]:
+    """(picks, spec) for join_radii at ground size n: "".join(picks[j](
+    format(stack, spec))) lists the bits of the joined stack, highest first.
+    Read from the section tables alone.  The n getters hold n * 2^n indices
+    each, drawn from one tuple of positions, so an index costs a pointer,
+    not an int (about 6.5 MB at n = 12)."""
+    half = 1 << (n - 1)
+    width = 2 * (n + 1) * half
+    at = tuple(range(width))
+    top = width - 1
+    picks = []
+    for j in range(n):
+        t = section_tables(n, j)
+        offset = [0] * (1 << n)  # full-ground rank -> its input bit at radius 0
+        for s, (minus, plus) in enumerate(zip(t.expand_minus, t.expand_plus)):
+            offset[minus.bit_length() - 1] = s
+            offset[plus.bit_length() - 1] = (n + 1) * half + s
+        # output bit (p-1)*2^n + t reads input bit p*half + offset[t]; a
+        # binary string lists the highest bit first
+        picks.append(
+            itemgetter(*[at[top - p * half - o] for p in range(n, 0, -1) for o in reversed(offset)])
+        )
+    return tuple(picks), f"0{width}b"
+
+
+def join_radii(stack: int, n: int, j: int) -> int:
+    """join_bits at every radius p = 1..n in one bit permutation.
+
+    `stack` holds two radius stacks over the (n-1)-bit subground, radii
+    0..n in blocks of 2^(n-1) bits: the sides avoiding j in its low
+    (n+1)*2^(n-1) bits and the sides containing j (j dropped) above them.
+    The result is a radius stack over the full ground with
+    join_bits(avoiding side p, containing side p, n, j) in bits
+    [(p-1)*2^n, p*2^n); the radius-0 blocks are dropped.
+    """
+    picks, spec = _join_radii_getters(n)
+    return int("".join(picks[j](format(stack, spec))), 2)
 
 
 def compress_bits(family: int, n: int, j: int) -> int:

@@ -79,13 +79,17 @@ def cmd_table(args) -> int:
 
 
 def _sweep(args) -> tuple:
-    """(mode, samples, seed) of a sampled sweep: exhaustive mode passes
-    neither a count nor a seed, and sample mode needs --seed."""
+    """(mode, samples, seed) of a family sweep: exhaustive mode takes
+    neither --samples nor --seed, and sample mode needs --seed and reads
+    --samples, DEFAULT_SAMPLES if not given."""
     if args.exhaustive:
+        if args.samples is not None or args.seed is not None:
+            raise ValueError("--exhaustive takes neither --samples nor --seed")
         return "exhaustive", None, None
     if args.seed is None:
         raise ValueError("sample mode requires --seed")
-    return "sample", args.samples, args.seed
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    return "sample", samples, args.seed
 
 
 def _coset_results(args, n: int, _) -> list[dict]:
@@ -162,7 +166,18 @@ def _cells(args) -> list[tuple]:
     n (sorted for coset) p = None, or --p if given, or the default radii at n.
     A sweep refuses an n over its cap before that n's cells are listed, so a
     long range fails at once.  An empty default would check nothing and
-    still pass: ValueError."""
+    still pass: ValueError, as is a sampling flag given to a theorem that is
+    not a family sweep (its check is not _check_sweep), which would drop it."""
+    _, default_radii, check = _THEOREMS[args.theorem]
+    if check is not _check_sweep:
+        flags = {
+            "--exhaustive": args.exhaustive,
+            "--samples": args.samples is not None,
+            "--seed": args.seed is not None,
+        }
+        given = [flag for flag, on in flags.items() if on]
+        if given:
+            raise ValueError(f"--theorem {args.theorem} takes no {', '.join(given)}")
     if args.theorem == "r3s":
         return [(None, None)]
     if not args.n:
@@ -170,7 +185,6 @@ def _cells(args) -> list[tuple]:
     n_values = _parse_range(args.n)
     if args.theorem == "coset":
         n_values.sort()
-    _, default_radii, check = _THEOREMS[args.theorem]
     cells = []
     for n in n_values:
         if check is not None:
@@ -309,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", help="alphabet size or range (coset)")
     p_verify.add_argument("--n-max", type=int, default=64, help="sweep limit (r3s)")
     p_verify.add_argument("--exhaustive", action="store_true")
-    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p_verify.add_argument(
+        "--samples", type=int, help=f"sampled families (default {DEFAULT_SAMPLES})"
+    )
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)

@@ -496,6 +496,10 @@ def section_identity_holds(fam: int, n: int, p: int, j: int) -> bool:
     """Check one instance of the section decomposition of C^p:
 
     C^p[A] = (C^(p-1)[A_j+] n C^p[A_j-]) u ((C^p[A_j+] n C^(p-1)[A_j-]) + {j})
+
+    Sections split and joined member by member (split_bits, join_bits),
+    one radius at a time: the reference verify_section_identity is tested
+    against.
     """
     direct = _tables.closed_bits(fam, n, p)
     minus, plus = _tables.split_bits(fam, n, j)
@@ -514,12 +518,24 @@ def verify_section_identity(
     """Sweep the section decomposition over families, all coordinates and
     all radii p in [1, n].
 
-    The check is section_identity_holds for every (family, j, p), with the
-    work hoisted to what each part depends on: the direct C^p[A] is computed
-    once per family for all radii, and per coordinate j the family is split
-    once and each section's closed neighborhoods at radii 0..n come from one
-    walk over its members, on the subground's own ball tables.  Only the
-    join and the compare run per radius.
+    The check is section_identity_holds for every (family, j, p), on radius
+    stacks (_tables.stack_balls): one int per side with radius p in block p,
+    H = 2^(n-1) bits per block over the subground and N = 2^n over the full
+    ground.
+
+    * Per call, sub[s] stacks the subground balls around s at radii 0..n
+      (universe from radius n - 1 up), read from the ball tables as they
+      are then.
+    * Per family, the direct side packs closed_bits_upto(family, n, n) at
+      radii 1..n, radius p in bits [(p-1)*N, p*N).
+    * Per (family, j), each member's stack is ANDed into its section's
+      side, cm (avoiding j) or cp (containing j), which then holds that
+      section's closed neighborhood at every radius.  (cp << H) & cm holds
+      C^(p-1)[A_j+] & C^p[A_j-] in block p, and cp & (cm << H) holds
+      C^p[A_j+] & C^(p-1)[A_j-]; with the second above the first, one
+      _tables.join_radii call joins every radius p = 1..n into the direct
+      side's layout, and one compare checks them all.  The blocks that
+      differ name the failing radii, in ascending order.
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
@@ -527,24 +543,46 @@ def verify_section_identity(
     report = VerifyReport(
         check="section", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
-    m = n - 1
+    half = 1 << (n - 1)
+    full = half << 1
+    sides = (n + 1) * half  # bits of one side's stack
+    every = (1 << sides) - 1  # the universe at every radius
+    block = _tables.universe_bits(n)
+    sub = _tables.stack_balls(n - 1, n + 1)
+    # per coordinate j: each full-ground rank's subground stack, and whether
+    # its subset contains j
+    coords = []
+    for j in range(n):
+        t = _tables.section_tables(n, j)
+        plus = bytearray(b"\1") * full
+        for r in _tables.member_ranks(t.minus_selector):
+            plus[r] = 0
+        coords.append((j, [sub[c] for c in t.compact_rank], plus))
     for fam in families:
         direct = _tables.closed_bits_upto(fam, n, n)
-        for j in range(n):
-            minus, plus = _tables.split_bits(fam, n, j)
-            c_minus = _tables.closed_bits_upto(minus, m, n)
-            c_plus = _tables.closed_bits_upto(plus, m, n)
-            for p in range(1, n + 1):
-                side_out = c_plus[p - 1] & c_minus[p]
-                side_in = c_plus[p] & c_minus[p - 1]
-                if _tables.join_bits(side_out, side_in, n, j) != direct[p]:
-                    report.violations.append(
-                        {
-                            "family": family_bits_to_strings(fam, n),
-                            "i": j + 1,
-                            "p": p,
-                        }
-                    )
+        packed = 0
+        for p in range(n, 0, -1):
+            packed = packed << full | direct[p]
+        members = _tables.member_ranks(fam)
+        for j, stacks, plus in coords:
+            cm = cp = every
+            for r in members:
+                if plus[r]:
+                    cp &= stacks[r]
+                else:
+                    cm &= stacks[r]
+            joined = (cp << half) & cm | (cp & (cm << half)) << sides
+            diff = _tables.join_radii(joined, n, j) ^ packed
+            if diff:
+                for p in range(1, n + 1):
+                    if diff >> (p - 1) * full & block:
+                        report.violations.append(
+                            {
+                                "family": family_bits_to_strings(fam, n),
+                                "i": j + 1,
+                                "p": p,
+                            }
+                        )
     return report
 
 

@@ -421,6 +421,49 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert [t.cache_info().misses for t in tables] == misses
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--theorem", "fixpoint", "--n", "2", "--seed", "5", "--samples", "3"],
+             "--theorem fixpoint takes no --samples, --seed"),
+            (["--theorem", "simplicial", "--n", "2", "--exhaustive"],
+             "--theorem simplicial takes no --exhaustive"),
+            (["--theorem", "closedform", "--n", "5", "--seed", "0"],
+             "--theorem closedform takes no --seed"),
+            (["--theorem", "r3s", "--samples", "10"], "--theorem r3s takes no --samples"),
+            (["--theorem", "coset", "--n", "2", "--q", "2", "--p", "1", "--seed", "1"],
+             "--theorem coset takes no --seed"),
+            (["--theorem", "close", "--n", "3", "--p", "1", "--exhaustive", "--seed", "3"],
+             "--exhaustive takes neither --samples nor --seed"),
+            (["--theorem", "section", "--n", "1..3", "--exhaustive", "--samples", "5"],
+             "--exhaustive takes neither --samples nor --seed"),
+            (["--theorem", "compression", "--n", "2", "--exhaustive", "--samples", "0",
+              "--seed", "0"],
+             "--exhaustive takes neither --samples nor --seed"),
+        ],
+    )
+    def test_sampling_flag_that_would_be_dropped_exits_2_before_any_cell(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # a flag the run would not read must not pass unnoticed: the report
+        # would name no seed, or check other families than asked for
+        theorem = argv[1]
+        calls = []
+        _, radii, check = cli._THEOREMS[theorem]
+        monkeypatch.setitem(
+            cli._THEOREMS, theorem, (lambda *a: calls.append(a), radii, check)
+        )
+        code, out, err = run(["verify", *argv], capsys)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert calls == []
+
+    def test_samples_default_applies_in_sample_mode(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_SAMPLES", 7)
+        code, out, _ = run(["verify", "--theorem", "section", "--n", "3", "--seed", "1"], capsys)
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["families_checked"] == 7 and report["seed"] == 1
+
     @pytest.mark.parametrize("theorem", ["simplicial", "closedform"])
     def test_ball_memory_guard_exits_3(self, capsys, theorem):
         size = _tables.balls.cache_info().currsize

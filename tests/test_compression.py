@@ -1,5 +1,6 @@
 """Sections, one-coordinate compression, fixpoints, and their sweeps."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -289,6 +290,20 @@ class TestSweeps:
         rep = cp.verify_fixpoint_classification(2)
         assert reported_families(rep, 2) == set(range(1, 16))
         assert {v["error"] for v in rep.violations} == {"size changed"}
+
+    @pytest.mark.parametrize(
+        "n,histogram",
+        [
+            (3, {0: 10, 1: 145, 2: 91, 3: 10}),
+            (4, {0: 18, 1: 22424, 2: 33171, 3: 9815, 4: 108}),
+        ],
+    )
+    def test_fixpoint_step_histogram_pinned(self, n, histogram):
+        # steps -> family count of the sweep's scans, recorded from whole
+        # scans (compress_fully_bits); the report keeps only max_steps, so a
+        # cached scan resumed at the wrong coordinate shows only here
+        scans = cp.fixpoint_scans(range(1 << (1 << n)), n, {})
+        assert Counter(steps for _, _, steps in scans) == histogram
 
     @pytest.mark.parametrize("n,keys", [(2, 8), (3, 31), (4, 108)])
     def test_shared_scans_match_whole_scans(self, n, keys):

@@ -403,6 +403,58 @@ class TestSectionIdentity:
         }
         assert reported and reported == rejected
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize(
+        "edge", ["subground radius 0", "subground top radius", "full-ground top radius"]
+    )
+    def test_fault_at_a_stack_edge_is_reported_exactly(self, monkeypatch, n, edge):
+        # The sweep keeps every radius of a side in one int, radius p in
+        # block p; a fault in the first or last block read from the ball
+        # tables must surface as exactly the (family, j, p) instances that
+        # the single-instance check rejects, in sweep order.  Every ball of
+        # the faulted radius gains the complement of its centre, the one
+        # subset at distance g from it (g the ground size).
+        ground, radius = {
+            "subground radius 0": (n - 1, 0),
+            "subground top radius": (n - 1, n - 2),
+            "full-ground top radius": (n, n - 1),
+        }[edge]
+        real = _tables.balls
+        for g in (n - 1, n):
+            real(g, g)  # build every radius before the fault goes in
+        rank = _tables.rank_of_mask(ground)
+        everything = (1 << ground) - 1
+        bad = tuple(
+            ball | 1 << rank[everything ^ mask]
+            for ball, mask in zip(real(ground, radius), _tables.masks_in_order(ground))
+        )
+        monkeypatch.setattr(
+            _tables, "balls", lambda g, p: bad if (g, p) == (ground, radius) else real(g, p)
+        )
+        if n == 4:
+            # the first 2048 families of the exhaustive stream: a top-radius
+            # fault breaks about half of all 65 536 families
+            families = range(2048)
+            monkeypatch.setattr(nb, "sweep_families", lambda *request: (families, 2048))
+            rep = nb.verify_section_identity(4, "exhaustive")
+        else:
+            rep = nb.verify_section_identity(6, "sample", samples=300, seed=61)
+            families = list(nb.sweep_families(6, "sample", 300, 61)[0])
+        g = GroundSet.range(n)
+        reported = [
+            (family_to_bits(Family.from_labels(g, [_parse(x) for x in v["family"]])),
+             v["i"] - 1, v["p"])
+            for v in rep.violations
+        ]
+        rejected = [
+            (fam, j, p)
+            for fam in families
+            for j in range(n)
+            for p in range(1, n + 1)
+            if not nb.section_identity_holds(fam, n, p, j)
+        ]
+        assert rejected and reported == rejected
+
 
 class TestCounterexampleHunt:
     def test_found_without_hypothesis(self):

@@ -183,3 +183,37 @@ class TestSplitJoin:
     def test_seeded_families(self, n):
         for f in kernel_families(n, random.Random(n)):
             self.check_round_trip(f, n)
+
+
+class TestRadiusStacks:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_anded_stacks_hold_closed_bits_at_every_radius(self, n):
+        width = 1 << n
+        blocks = n + 2  # radii n and n + 1 are the universe, not read
+        stack = _tables.stack_balls(n, blocks)
+        assert len(stack) == width
+        universe = _tables.universe_bits(n)
+        # kernel_families can carry past the top rank on the smallest grounds
+        for f in {f & universe for f in kernel_families(n, random.Random(50 + n))}:
+            acc = (1 << blocks * width) - 1
+            for r in _tables.iter_bits(f):
+                acc &= stack[r]
+            radii = [acc >> p * width & universe for p in range(blocks)]
+            assert radii == _tables.closed_bits_upto(f, n, blocks - 1), (n, f)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_join_radii_is_join_bits_at_every_radius(self, n):
+        half = 1 << (n - 1)
+        rng = random.Random(n)
+        for j in range(n):
+            for _ in range(10):
+                minus = [rng.getrandbits(half) for _ in range(n + 1)]
+                plus = [rng.getrandbits(half) for _ in range(n + 1)]
+                stack = 0
+                for side in (plus, minus):
+                    for bits in reversed(side):
+                        stack = stack << half | bits
+                expected = 0
+                for p in range(n, 0, -1):
+                    expected = expected << 2 * half | _tables.join_bits(minus[p], plus[p], n, j)
+                assert _tables.join_radii(stack, n, j) == expected, (n, j)
