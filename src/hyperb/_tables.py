@@ -17,6 +17,10 @@ finds the members of a wide family a byte at a time, and member_ranks lists
 them that way; iter_bits, split_bits, join_bits and closed_bits_upto peel
 the lowest set bit, which is faster below a few words.
 
+The ball recurrence runs only below radius n/2: complementing reverses the
+rank order, and the p-ball of x is the set outside the (n-1-p)-ball of its
+complement (Harper 1966), so balls derives a radius p >= n/2 by complement.
+
 The section sweep works on *radius stacks*: one int holding a bitset per
 radius p = 0, 1, ... side by side, radius p in bits [p*2^n, (p+1)*2^n).
 stack_balls stacks a ground's balls this way, so one AND per member
@@ -41,11 +45,11 @@ from .errors import InfeasibleError
 # bitsets of 2^n bits per radius and have their own cap, MAX_BALL_BYTES.
 MAX_TABLE_BITS = 14
 
-# Byte cap on the ball tables of one ground.  balls(n, p) costs n big-int ORs
-# per vertex per radius and keeps every radius 0..p; its estimated size
-# (ball_table_bytes) is about 9 MB per radius at n = 13 and 36 MB at n = 14.
-# A request over the cap is refused before anything is allocated: all radii
-# fit at n <= 13 (about 129 MB at n = 13), only radii 0..3 at n = 14.
+# Byte cap on the ball tables of one ground.  balls(n, p) keeps at most the
+# radii 0..p, about 9 MB per radius at n = 13 and 36 MB at n = 14; the cap
+# reads that bound (ball_table_bytes), not what a radius p >= n/2 really
+# builds.  A request over the cap is refused before anything is allocated:
+# all radii fit at n <= 13 (about 129 MB at n = 13), only radii 0..3 at n = 14.
 MAX_BALL_BYTES = 160 * 2**20
 
 
@@ -139,8 +143,9 @@ def iter_bits(bits: int):
 
 
 def ball_table_bytes(n: int, p: int) -> int:
-    """Estimated bytes of the ball tables for radii 0..p at ground size n:
-    per radius, 2^n tuple slots, each holding a full-width bitset."""
+    """Upper bound on the bytes of the ball tables balls(n, p) keeps: radii
+    0..p, each 2^n tuple slots holding a full-width bitset.  A radius
+    p >= n/2 keeps only radii 0..n-1-p and p, and radius n one bitset."""
     return (p + 1) * (1 << n) * (8 + sys.getsizeof(universe_bits(n)))
 
 
@@ -186,16 +191,24 @@ def balls(n: int, p: int) -> tuple[int, ...]:
     """balls(n, p)[r] = family bitset of all y with |x xor y| <= p, where x
     is the subset of rank r.
 
-    Radius p is one ball_step over the hypercube moves (flip_ranks) from the
-    cached radius p - 1, so each radius costs n big-int ORs per vertex.
-    Radii above n are the radius-n table.  check_ball_tables refuses a
-    request over MAX_BALL_BYTES before anything is allocated.
+    A radius p < n/2 is one ball_step over the hypercube moves (flip_ranks)
+    from the cached radius p - 1: n big-int ORs per vertex.  A radius
+    p >= n/2 is the complement of the (n - 1 - p)-ball around the complement
+    subset, at the mirrored rank: one XOR per vertex, and no radius between
+    is built.  Radius n repeats one universe, and radii above n are the
+    radius-n table.  check_ball_tables refuses a request over
+    MAX_BALL_BYTES before anything is allocated.
     """
     check_ball_tables(n, p)
     if p > n:
         return balls(n, n)
     if p == 0:
         return tuple(1 << r for r in range(1 << n))
+    universe = universe_bits(n)
+    if p == n:
+        return (universe,) * (1 << n)
+    if 2 * p >= n:
+        return tuple(universe ^ b for b in reversed(balls(n, n - 1 - p)))
     flips = flip_ranks(n)
     return ball_step(balls(n, p - 1), (flips[i : i + n] for i in range(0, len(flips), n)))
 
@@ -292,27 +305,40 @@ def closed_bits_all(n: int, p: int) -> list[int]:
 
 
 def segment_closures(n: int, p: int):
-    """Yield C^p[I_m] for m = 0..2^n: the running intersection of the balls
-    in rank order, starting from the universe."""
+    """Yield C^p[I_m] for m = 0, 1, ...: the running intersection of the
+    balls in rank order, starting from the universe.  The walk stops after
+    the first empty closure, as every later one (up to m = 2^n) is empty."""
     ball_table = balls(n, p)  # refuses a ground over the cap before the universe is built
     cur = universe_bits(n)
     yield cur
     for ball in ball_table:
+        if not cur:
+            return
         cur &= ball
         yield cur
 
 
 @lru_cache(maxsize=None)
+def segment_size_tables(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(closed, open) with closed[m] = |C^p[I_m]| and open[m] = |C^p(I_m)|
+    for m = 0..2^n, from one segment walk: I_m is the low m bits, so the
+    open neighborhood is what remains above them; both are 0 past the walk."""
+    closed, opened = [], []
+    for m, cur in enumerate(segment_closures(n, p)):
+        closed.append(cur.bit_count())
+        opened.append((cur >> m).bit_count())
+    pad = [0] * ((1 << n) + 1 - len(closed))
+    return tuple(closed + pad), tuple(opened + pad)
+
+
 def initial_segment_closed_sizes(n: int, p: int) -> tuple[int, ...]:
-    """sizes[m] = |C^p[I_m]| for every prefix length m."""
-    return tuple(cur.bit_count() for cur in segment_closures(n, p))
+    """sizes[m] = |C^p[I_m]| for every prefix length m (segment_size_tables)."""
+    return segment_size_tables(n, p)[0]
 
 
-@lru_cache(maxsize=None)
 def initial_segment_open_sizes(n: int, p: int) -> tuple[int, ...]:
-    """sizes[m] = |C^p(I_m)| for every prefix length m: I_m is the low m
-    bits, so the open neighborhood is what remains above them."""
-    return tuple((cur >> m).bit_count() for m, cur in enumerate(segment_closures(n, p)))
+    """sizes[m] = |C^p(I_m)| for every prefix length m (segment_size_tables)."""
+    return segment_size_tables(n, p)[1]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hyperb import _tables
+from hyperb import neighborhoods as nb
 from hyperb.errors import InfeasibleError
 
 
@@ -26,6 +27,44 @@ class TestBalls:
             assert len(table) == 1 << n
             for r, x in enumerate(_tables.masks_in_order(n)):
                 assert table[r] == brute_force_ball(x, n, p), (n, p, x)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_matches_brute_force_at_seeded_centres(self, n):
+        # radii p >= n/2 come from the complement: check both sides of n/2
+        order = _tables.masks_in_order(n)
+        rng = random.Random(n)
+        centres = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(4)]
+        for p in range(0, n + 2):
+            table = _tables.balls(n, p)
+            for r in centres:
+                assert table[r] == brute_force_ball(order[r], n, p), (n, p, r)
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_complement_reverses_rank_order(self, n):
+        order = _tables.masks_in_order(n)
+        full = (1 << n) - 1
+        assert order[::-1] == tuple(full ^ m for m in order)
+
+    def test_high_radius_builds_only_its_complement_radii(self, monkeypatch):
+        steps = []
+        real_step = _tables.ball_step
+
+        def counting_step(prev, moves):
+            steps.append(prev)
+            return real_step(prev, moves)
+
+        monkeypatch.setattr(_tables, "ball_step", counting_step)
+        for p, built in [(9, 0), (7, 2)]:
+            steps.clear()
+            _tables.balls.cache_clear()
+            _tables.balls(10, p)
+            assert len(steps) == built, p
+            # cached: radii 0..n-1-p by the recurrence, and p itself
+            kept = [*range(10 - p), p]
+            assert _tables.balls.cache_info().currsize == len(kept)
+            for r in kept:
+                _tables.balls(10, r)
+            assert _tables.balls.cache_info().misses == len(kept)
 
     def test_radii_above_n_are_the_full_table(self):
         assert _tables.balls(5, 9) is _tables.balls(5, 5)
@@ -122,7 +161,10 @@ def kernel_families(n, rng):
         out += [1 << 7, 1 << 8, 1 << 7 | 1 << 8]
     for _ in range(8):
         out.append(rng.getrandbits(size))
-        out.append(sum(1 << rng.randrange(size) for _ in range(rng.randint(1, 6))))
+        sparse = 0
+        for _ in range(rng.randint(1, 6)):
+            sparse |= 1 << rng.randrange(size)
+        out.append(sparse)
         out.append(_tables.prefix_bits(rng.randint(0, size)))
     for radius in range(n + 1):
         around = _tables.balls(n, radius)[rng.randrange(size)]
@@ -193,8 +235,7 @@ class TestRadiusStacks:
         stack = _tables.stack_balls(n, blocks)
         assert len(stack) == width
         universe = _tables.universe_bits(n)
-        # kernel_families can carry past the top rank on the smallest grounds
-        for f in {f & universe for f in kernel_families(n, random.Random(50 + n))}:
+        for f in kernel_families(n, random.Random(50 + n)):
             acc = (1 << blocks * width) - 1
             for r in _tables.iter_bits(f):
                 acc &= stack[r]
@@ -217,3 +258,29 @@ class TestRadiusStacks:
                 for p in range(n, 0, -1):
                     expected = expected << 2 * half | _tables.join_bits(minus[p], plus[p], n, j)
                 assert _tables.join_radii(stack, n, j) == expected, (n, j)
+
+
+class TestSegmentWalk:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_size_tables_match_a_full_running_and(self, n):
+        universe = _tables.universe_bits(n)
+        for p in range(1, n + 1):
+            cur = universe
+            closed, opened = [cur.bit_count()], [cur.bit_count()]
+            for m, ball in enumerate(_tables.balls(n, p), 1):
+                cur &= ball
+                closed.append(cur.bit_count())
+                opened.append((cur >> m).bit_count())
+            assert list(_tables.initial_segment_closed_sizes(n, p)) == closed, (n, p)
+            assert list(_tables.initial_segment_open_sizes(n, p)) == opened, (n, p)
+            # the walk stops after its first empty closure; C^p[V] is empty for p < n
+            walk = list(_tables.segment_closures(n, p))
+            if p < n:
+                assert walk[-1] == 0 and all(walk[:-1]), (n, p)
+            else:
+                assert len(walk) == (1 << n) + 1 and all(walk), (n, p)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_simplicial_sweep_counts_every_segment(self, n):
+        report = nb.verify_initial_segment_closure(n)
+        assert report.ok and report.families_checked == n * ((1 << n) + 1)
