@@ -27,6 +27,13 @@ stack_balls stacks a ground's balls this way, so one AND per member
 intersects a section's closed neighborhoods at every radius, and
 join_radii reassembles the two sides of every radius into full-ground
 bitsets with one bit permutation.
+
+The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
+byte f holds a small count for the family bitset f.  count_lane builds a
+lane by doubling over the ranks, bytes.translate maps every byte through a
+table at once, lane_slack subtracts two lanes in one guarded big-int
+operation (SIMD within a register, Knuth TAOCP 7.1.3), and lane_below
+lists the families whose slack went negative.
 """
 
 from __future__ import annotations
@@ -51,6 +58,10 @@ MAX_TABLE_BITS = 14
 # builds.  A request over the cap is refused before anything is allocated:
 # all radii fit at n <= 13 (about 129 MB at n = 13), only radii 0..3 at n = 14.
 MAX_BALL_BYTES = 160 * 2**20
+
+# Lanes (count_lane) hold one byte per family bitset, 2^(2^n) bytes: 64 KiB
+# at n = 4, 4 GiB at n = 5.
+MAX_LANE_N = 4
 
 
 def check_table_size(n: int) -> None:
@@ -304,6 +315,53 @@ def closed_bits_all(n: int, p: int) -> list[int]:
     return out
 
 
+def count_lane(n: int, selector: int, step_in: int, step_out: int) -> bytes:
+    """The lane of a count over all families: byte f is the sum, over the
+    members r of the family bitset f, of step_in if bit r of selector is
+    set and step_out if not, modulo 256.
+
+    Built by doubling over the ranks: the families whose top member is r
+    follow those below it, so each rank appends one translated copy of the
+    lane so far.  A lane has 2^(2^n) bytes, so n is capped at MAX_LANE_N
+    before anything is allocated.
+    """
+    check_table_size(n)
+    if n > MAX_LANE_N:
+        raise InfeasibleError(
+            f"a family lane at n={n} would hold 2^{1 << n} bytes; lanes are "
+            f"capped at n <= {MAX_LANE_N}"
+        )
+    add_in = bytes(range(step_in, 256)) + bytes(range(step_in))
+    add_out = bytes(range(step_out, 256)) + bytes(range(step_out))
+    lane = b"\0"
+    for r in range(1 << n):
+        lane += lane.translate(add_in if selector >> r & 1 else add_out)
+    return lane
+
+
+def lane_slack(high: bytes, low: bytes) -> bytes:
+    """Byte f of the result is 0x80 + high[f] - low[f], for two lanes of one
+    length whose bytes are below 0x80: one big-int subtraction, where the
+    guard bit 0x80 set in every byte of high absorbs that byte's borrow."""
+    guard = int.from_bytes(b"\x80" * len(high), "little")
+    slack = (int.from_bytes(high, "little") | guard) - int.from_bytes(low, "little")
+    return slack.to_bytes(len(high), "little")
+
+
+def lane_below(slack: bytes):
+    """Yield the families f whose slack[f] fell below 0x80 (lane_slack), in
+    family order."""
+    return lane_find(slack.translate(b"\1" * 0x80 + b"\0" * 0x80), 1)
+
+
+def lane_find(lane: bytes, value: int):
+    """Yield the families f with lane[f] == value, in family order."""
+    f = lane.find(value)
+    while f >= 0:
+        yield f
+        f = lane.find(value, f + 1)
+
+
 def segment_closures(n: int, p: int):
     """Yield C^p[I_m] for m = 0, 1, ...: the running intersection of the
     balls in rank order, starting from the universe.  The walk stops after
@@ -361,7 +419,12 @@ class SectionTables:
 
     def compress(self, family: int) -> int:
         """Compression at coordinate j: both sections of the family replaced
-        by initial segments of the subground of the same sizes."""
+        by initial segments of the subground of the same sizes.
+
+        It reads only |family & minus_selector| and |family|, and the lane
+        sweeps rely on that: they compress one family per pair of section
+        sizes, minus_prefix[a] | plus_prefix[b], and give its image to
+        every family with those sizes."""
         a = (family & self.minus_selector).bit_count()
         return self.minus_prefix[a] | self.plus_prefix[family.bit_count() - a]
 

@@ -10,6 +10,7 @@ or one of two exceptional forms of size 2^(n-1) (one per parity of n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import _tables
@@ -141,15 +142,68 @@ def fixpoint_scans(
         for j, compress_j in enumerate(compressors):
             image = compress_j(fam)
             if image != fam:
-                key = (image, (j + 1) % n)
-                rest = rests.get(key)
-                if rest is None:
-                    fixed, steps = compress_fully_bits(image, n, key[1])
-                    rest = rests[key] = fixed, steps + 1
-                yield fam, *rest
+                yield fam, *_scan_rest(image, n, (j + 1) % n, rests)
                 break
         else:
             yield fam, fam, 0
+
+
+def _scan_rest(image: int, n: int, start: int, rests) -> tuple[int, int]:
+    """(fixpoint, steps) of a scan whose first step left `image`, the next
+    coordinate being `start`: read from `rests` or computed and stored."""
+    rest = rests.get((image, start))
+    if rest is None:
+        fixed, steps = compress_fully_bits(image, n, start)
+        rest = rests[image, start] = fixed, steps + 1
+    return rest
+
+
+def _section_keys(n: int, j: int) -> tuple[bytes, list[tuple[int, int, int]]]:
+    """(lane, keyed) for coordinate j: byte f of the lane is the key
+    (2^(n-1) + 1) * a + b of the family f, whose sections avoiding and
+    containing j have a and b members, and keyed lists (key, a + b, image)
+    for every (a, b), image being the compression of minus_prefix[a] |
+    plus_prefix[b] at j: the image of every family with that key."""
+    t = _tables.section_tables(n, j)
+    stride = (1 << (n - 1)) + 1
+    keyed = [
+        (stride * a + b, a + b, t.compress(t.minus_prefix[a] | t.plus_prefix[b]))
+        for a in range(stride)
+        for b in range(stride)
+    ]
+    return _tables.count_lane(n, t.minus_selector, stride, 1), keyed
+
+
+def fixpoint_groups(
+    n: int, rests: dict[tuple[int, int], tuple[int, int]]
+) -> Iterator[tuple[int, int, Iterator[int], int, int]]:
+    """Yield (count, size, families, fixpoint, steps): `count` families of
+    `size` members each, listed lazily in family order by the iterator
+    `families`, whose scans all equal (fixpoint, steps).  Between them the
+    groups hold every family of 2^[n] once, and fixpoint_scans would give
+    each the same scan.
+
+    Compression at coordinate 0 gives one image to all the families with
+    the same section sizes, which share a key of the coordinate-0 lane
+    (_section_keys).  Every family of a group but the image itself changes
+    at coordinate 0, so their scans are one: the first image, then the
+    rest from `rests`.  The images that coordinate 0 leaves unchanged, at
+    most (2^(n-1) + 1)^2, go through fixpoint_scans one at a time, as does
+    every family at n = 0, which has no coordinate.
+    """
+    unchanged = [] if n else [0, 1]
+    if n:
+        lane, keyed = _section_keys(n, 0)
+        for key, size, image in keyed:
+            count = lane.count(key)
+            if lane[image] == key:  # the image is in its own group, and stays
+                unchanged.append(image)
+                count -= 1
+            if count:
+                families = filter(image.__ne__, _tables.lane_find(lane, key))
+                yield count, size, families, *_scan_rest(image, n, 1 % n, rests)
+    for fam, fixed, steps in fixpoint_scans(sorted(unchanged), n, rests):
+        yield 1, fam.bit_count(), iter((fam,)), fixed, steps
 
 
 def exceptional_params(n: int) -> tuple[int, int]:
@@ -209,19 +263,18 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
 
     A fixpoint outside the known forms is reported as a violation (it would
     contradict the classification this toolkit relies on), once for every
-    family that reaches it.  Few distinct fixpoints are reached (18 from
-    the 65 536 families at n = 4), so each is classified once per sweep;
-    an unclassifiable one is never remembered and is tried again.
+    family that reaches it, in family order.  Few distinct fixpoints are
+    reached (18 from the 65 536 families at n = 4), so each is classified
+    once per sweep; an unclassifiable one is never remembered and is tried
+    again.
 
-    The scans come from fixpoint_scans with a cache owned by this sweep.
-    Each family pays only for its first changing compression: that step
-    leaves a compressed image, fixed by the coordinate and the two section
-    sizes, so the rest of the scan depends only on (image, next coordinate)
-    and is computed once per pair: at most n * (2^(n-1) + 1)^2 of them, 108
-    at n = 4, where whole scans took about 6 compressions for each of the
-    65 536 families.
+    The scans come from fixpoint_groups with a cache owned by this sweep:
+    one scan per group of families with the same first image at coordinate
+    0, and one per family that coordinate 0 leaves unchanged, at most
+    2 * (2^(n-1) + 1)^2 in all.  A group's families are listed only when
+    its scan is a violation.
     """
-    families, count = sweep_families(n, "exhaustive", None, None)
+    _, count = sweep_families(n, "exhaustive", None, None)
     report = VerifyReport(
         check="fixpoint", n=n, p=None, mode="exhaustive", families_checked=count
     )
@@ -232,38 +285,32 @@ def verify_fixpoint_classification(n: int) -> VerifyReport:
     }
     max_steps = 0
     kind_of: dict[int, str] = {}
-    for fam, fixed, steps in fixpoint_scans(families, n, {}):
-        if fixed.bit_count() != fam.bit_count():
-            report.violations.append(
-                {"family": family_bits_to_strings(fam, n), "error": "size changed"}
-            )
-            continue
-        kind = kind_of.get(fixed)
-        if kind is None:
-            try:
-                kind, _ = classify_fixpoint_bits(fixed, n)
-            except IntegrityError:
-                report.violations.append(
-                    {
-                        "family": family_bits_to_strings(fam, n),
-                        "fixpoint": family_bits_to_strings(fixed, n),
-                        "error": "unclassifiable fixpoint",
-                    }
-                )
+    failed = []  # (family, violation fields after "family")
+    for weight, size, families, fixed, steps in fixpoint_groups(n, {}):
+        if fixed.bit_count() != size:
+            error = {"error": "size changed"}
+        else:
+            kind = kind_of.get(fixed)
+            if kind is None:
+                try:
+                    kind = kind_of[fixed] = classify_fixpoint_bits(fixed, n)[0]
+                except IntegrityError:
+                    pass
+            if kind in counts:
+                counts[kind] += weight
+                max_steps = max(max_steps, steps)
                 continue
-            kind_of[fixed] = kind
-        if kind == KIND_NOT_FIXPOINT:
-            report.violations.append(
-                {
-                    "family": family_bits_to_strings(fam, n),
-                    "fixpoint": family_bits_to_strings(fixed, n),
-                    "error": "scan terminated on a non-fixpoint",
-                }
-            )
-            continue
-        counts[kind] += 1
-        if steps > max_steps:
-            max_steps = steps
+            error = {
+                "fixpoint": family_bits_to_strings(fixed, n),
+                "error": "unclassifiable fixpoint"
+                if kind is None
+                else "scan terminated on a non-fixpoint",
+            }
+        failed += [(fam, error) for fam in families]
+    failed.sort(key=itemgetter(0))
+    report.violations = [
+        {"family": family_bits_to_strings(fam, n), **error} for fam, error in failed
+    ]
     report.details = {"kinds": counts, "max_steps": max_steps}
     return report
 
@@ -288,27 +335,10 @@ def verify_compression_inequality(
     report = VerifyReport(
         check="compression", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
-    compressors = [_tables.section_tables(n, j).compress for j in range(n)]
     if mode == "exhaustive":
-        by_radius = [
-            (p, [val.bit_count() for val in _tables.closed_bits_all(n, p)])
-            for p in range(1, n)
-        ]
-        for fam in families:
-            for j, compress_j in enumerate(compressors):
-                comp = compress_j(fam)
-                for p, sz in by_radius:
-                    if sz[fam] > sz[comp]:
-                        report.violations.append(
-                            {
-                                "family": family_bits_to_strings(fam, n),
-                                "i": j + 1,
-                                "p": p,
-                                "size": sz[fam],
-                                "compressed_size": sz[comp],
-                            }
-                        )
+        _compression_lanes(report, n)
         return report
+    compressors = [_tables.section_tables(n, j).compress for j in range(n)]
     compressed_size_cache: dict[tuple[int, int], int] = {}
     for fam in families:
         compressed = [compress_j(fam) for compress_j in compressors]
@@ -332,3 +362,33 @@ def verify_compression_inequality(
                         }
                     )
     return report
+
+
+def _compression_lanes(report: VerifyReport, n: int) -> None:
+    """The exhaustive compression sweep on byte lanes: per radius p, the
+    lane of every family's |C^p[A]|; per coordinate j, the key lane of
+    _section_keys translated through the table of the compressed sizes, one
+    compression per key; and one lane_slack per (j, p).  The (family, j, p)
+    hits are sorted into family order."""
+    sizes = [bytes(map(int.bit_count, _tables.closed_bits_all(n, p))) for p in range(1, n)]
+    hits = []
+    for j in range(n):
+        lane, keyed = _section_keys(n, j)
+        for p, size in enumerate(sizes, 1):
+            table = bytearray(256)
+            for key, _, image in keyed:
+                table[key] = size[image]
+            compressed = lane.translate(table)
+            slack = _tables.lane_slack(compressed, size)
+            hits += [(fam, j, p, size[fam], compressed[fam]) for fam in _tables.lane_below(slack)]
+    hits.sort()
+    report.violations = [
+        {
+            "family": family_bits_to_strings(fam, n),
+            "i": j + 1,
+            "p": p,
+            "size": direct,
+            "compressed_size": comp,
+        }
+        for fam, j, p, direct, comp in hits
+    ]

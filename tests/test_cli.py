@@ -109,6 +109,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["reports"][0]["families_checked"] == 256
 
+    def test_fixpoint_edge_grounds(self, capsys):
+        code, out, _ = run(["verify", "--theorem", "fixpoint", "--n", "0..1"], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [(r["n"], r["families_checked"], r["violations"]) for r in reports] == [
+            (0, 2, []), (1, 4, [])
+        ]
+        assert [r["details"] for r in reports] == [
+            {"kinds": {"exceptional_even": 0, "exceptional_odd": 0, "initial_segment": 2},
+             "max_steps": 0},
+            {"kinds": {"exceptional_even": 0, "exceptional_odd": 1, "initial_segment": 3},
+             "max_steps": 0},
+        ]
+
     def test_simplicial(self, capsys):
         code, out, _ = run(["verify", "--theorem", "simplicial", "--n", "6"], capsys)
         assert code == 0

@@ -304,6 +304,11 @@ class TestSweeps:
         # cached scan resumed at the wrong coordinate shows only here
         scans = cp.fixpoint_scans(range(1 << (1 << n)), n, {})
         assert Counter(steps for _, _, steps in scans) == histogram
+        # the sweep's groups, one scan per group weighted by its family count
+        grouped = Counter()
+        for count, _, _, _, steps in cp.fixpoint_groups(n, {}):
+            grouped[steps] += count
+        assert grouped == histogram
 
     @pytest.mark.parametrize("n,keys", [(2, 8), (3, 31), (4, 108)])
     def test_shared_scans_match_whole_scans(self, n, keys):
@@ -313,6 +318,22 @@ class TestSweeps:
         assert scans == [(fam, *cp.compress_fully_bits(fam, n)) for fam in families]
         # a compressed family is fixed by its coordinate and section sizes
         assert len(rests) == keys <= n * ((1 << (n - 1)) + 1) ** 2
+
+    @pytest.mark.parametrize(
+        "n,kinds",
+        [
+            (0, {"initial_segment": 2, "exceptional_odd": 0, "exceptional_even": 0}),
+            (1, {"initial_segment": 3, "exceptional_odd": 1, "exceptional_even": 0}),
+        ],
+    )
+    def test_fixpoint_sweep_edge_grounds(self, n, kinds):
+        # n = 0 has no coordinate to compress at: both families are segments
+        rep = cp.verify_fixpoint_classification(n)
+        assert rep.as_json_dict() == {
+            "check": "fixpoint", "n": n, "p": None, "mode": "exhaustive",
+            "families_checked": 1 << (1 << n), "violations": [], "max_slack": None,
+            "details": {"kinds": kinds, "max_steps": 0},
+        }
 
     def test_fixpoint_sweep_rejects_large_n(self):
         with pytest.raises(InfeasibleError):

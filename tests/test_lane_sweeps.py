@@ -1,0 +1,252 @@
+"""The all-families sweeps on byte lanes (close, compression and fixpoint)
+against per-family loops kept here as oracles: equal reports, violation
+order included, on the real tables and under seeded faults."""
+
+import random
+
+import pytest
+
+from hyperb import _tables
+from hyperb import compression as cp
+from hyperb import neighborhoods as nb
+from hyperb.errors import IntegrityError
+
+
+def close_oracle(n, p):
+    """verify_close_inequality(n, p, "exhaustive") one family at a time."""
+    bound = _tables.initial_segment_closed_sizes(n, p)
+    report = nb.VerifyReport(
+        check="close", n=n, p=p, mode="exhaustive", families_checked=1 << (1 << n)
+    )
+    max_slack = 0
+    for fam, val in enumerate(_tables.closed_bits_all(n, p)):
+        size = val.bit_count()
+        slack = bound[fam.bit_count()] - size
+        if slack < 0:
+            report.violations.append(
+                {
+                    "family": nb.family_bits_to_strings(fam, n),
+                    "n": n,
+                    "p": p,
+                    "closed_size": size,
+                    "bound": bound[fam.bit_count()],
+                }
+            )
+        elif slack > max_slack:
+            max_slack = slack
+    report.max_slack = max_slack
+    return report
+
+
+def compression_oracle(n):
+    """verify_compression_inequality(n, "exhaustive") one family at a time."""
+    report = nb.VerifyReport(
+        check="compression", n=n, p=None, mode="exhaustive", families_checked=1 << (1 << n)
+    )
+    compressors = [_tables.section_tables(n, j).compress for j in range(n)]
+    by_radius = [
+        (p, [val.bit_count() for val in _tables.closed_bits_all(n, p)]) for p in range(1, n)
+    ]
+    for fam in range(1 << (1 << n)):
+        for j, compress_j in enumerate(compressors):
+            comp = compress_j(fam)
+            for p, sz in by_radius:
+                if sz[fam] > sz[comp]:
+                    report.violations.append(
+                        {
+                            "family": nb.family_bits_to_strings(fam, n),
+                            "i": j + 1,
+                            "p": p,
+                            "size": sz[fam],
+                            "compressed_size": sz[comp],
+                        }
+                    )
+    return report
+
+
+def fixpoint_oracle(n):
+    """verify_fixpoint_classification(n) one family at a time."""
+    report = nb.VerifyReport(
+        check="fixpoint", n=n, p=None, mode="exhaustive", families_checked=1 << (1 << n)
+    )
+    counts = {cp.KIND_INITIAL_SEGMENT: 0, cp.KIND_EXCEPTIONAL_ODD: 0, cp.KIND_EXCEPTIONAL_EVEN: 0}
+    max_steps = 0
+    for fam, fixed, steps in cp.fixpoint_scans(range(1 << (1 << n)), n, {}):
+        if fixed.bit_count() != fam.bit_count():
+            report.violations.append(
+                {"family": nb.family_bits_to_strings(fam, n), "error": "size changed"}
+            )
+            continue
+        try:
+            kind, _ = cp.classify_fixpoint_bits(fixed, n)
+        except IntegrityError:
+            report.violations.append(
+                {
+                    "family": nb.family_bits_to_strings(fam, n),
+                    "fixpoint": nb.family_bits_to_strings(fixed, n),
+                    "error": "unclassifiable fixpoint",
+                }
+            )
+            continue
+        if kind == cp.KIND_NOT_FIXPOINT:
+            report.violations.append(
+                {
+                    "family": nb.family_bits_to_strings(fam, n),
+                    "fixpoint": nb.family_bits_to_strings(fixed, n),
+                    "error": "scan terminated on a non-fixpoint",
+                }
+            )
+            continue
+        counts[kind] += 1
+        max_steps = max(max_steps, steps)
+    report.details = {"kinds": counts, "max_steps": max_steps}
+    return report
+
+
+def assert_close_matches(n):
+    for p in range(1, n + 1):
+        got = nb.verify_close_inequality(n, p, "exhaustive").as_json_dict()
+        assert got == close_oracle(n, p).as_json_dict(), p
+
+
+def assert_compression_matches(n):
+    got = cp.verify_compression_inequality(n, "exhaustive").as_json_dict()
+    assert got == compression_oracle(n).as_json_dict()
+
+
+def assert_fixpoint_matches(n):
+    assert cp.verify_fixpoint_classification(n).as_json_dict() == fixpoint_oracle(n).as_json_dict()
+
+
+class TestRealTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_close_sweep(self, n):
+        assert_close_matches(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_compression_sweep(self, n):
+        assert_compression_matches(n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_fixpoint_sweep(self, n):
+        assert_fixpoint_matches(n)
+
+
+def flip_ball_bits(monkeypatch, seed):
+    """Flip three seeded bits in the ball table of one seeded radius, as
+    tests/test_neighborhoods.py patches a ball table; every radius and
+    segment size table of that ground is built first, so none holds the
+    fault.  Returns (n, p)."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    p = rng.randrange(1, n)
+    real = _tables.balls
+    for radius in range(n + 1):
+        real(n, radius)
+        _tables.segment_size_tables(n, radius)
+    bad = list(real(n, p))
+    for _ in range(3):
+        bad[rng.randrange(1 << n)] ^= 1 << rng.randrange(1 << n)
+    bad = tuple(bad)
+    monkeypatch.setattr(_tables, "balls", lambda g, q: bad if (g, q) == (n, p) else real(g, q))
+    return n, p
+
+
+class TestBallFaults:
+    # seed 5 faults radius 3 at n = 4, which breaks about 10^5 (family, j, p)
+    # triples; rendering their witnesses takes seconds, so it is left out
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6, 7, 8])
+    def test_sweeps_match_the_oracles(self, monkeypatch, seed):
+        n, _ = flip_ball_bits(monkeypatch, seed)
+        close = [nb.verify_close_inequality(n, p, "exhaustive") for p in range(1, n + 1)]
+        compression = cp.verify_compression_inequality(n, "exhaustive")
+        # the fault must show, or the comparison shows nothing
+        assert compression.violations
+        assert [r.as_json_dict() for r in close] == [
+            close_oracle(n, p).as_json_dict() for p in range(1, n + 1)
+        ]
+        assert compression.as_json_dict() == compression_oracle(n).as_json_dict()
+
+
+class TestCompressionFaults:
+    def test_corrupted_image_entry_reports_its_group(self, monkeypatch):
+        # emptying the DP's entry for the image of one pair of section sizes
+        # at coordinate j makes every other family with that image (all of
+        # whose neighborhoods at radius p are nonempty) a violation at (j, p),
+        # and no other (family, j, p): the image is compressed at j only
+        n, j, p = 4, 2, 2
+        t = _tables.section_tables(n, j)
+        image = t.compress(t.minus_prefix[1] | t.plus_prefix[2])
+        assert [k for k in range(n) if _tables.compress_bits(image, n, k) == image] == [j]
+        group = [f for f in range(1 << (1 << n)) if t.compress(f) == image and f != image]
+        real = _tables.closed_bits_all
+        sizes = [val.bit_count() for val in real(n, p)]
+        assert len(group) == 223 and all(sizes[f] for f in group)
+
+        def corrupted(g, radius):
+            table = real(g, radius)
+            if radius == p:
+                table[image] = 0
+            return table
+
+        monkeypatch.setattr(_tables, "closed_bits_all", corrupted)
+        rep = cp.verify_compression_inequality(n, "exhaustive")
+        assert [(v["family"], v["i"], v["p"]) for v in rep.violations] == [
+            (nb.family_bits_to_strings(f, n), j + 1, p) for f in group
+        ]
+        assert all(v["compressed_size"] == 0 for v in rep.violations)
+        assert [v["size"] for v in rep.violations] == [sizes[f] for f in group]
+        assert rep.as_json_dict() == compression_oracle(n).as_json_dict()
+
+    def test_compression_to_the_universe(self, monkeypatch):
+        monkeypatch.setattr(
+            _tables.SectionTables, "compress", lambda self, fam: _tables.universe_bits(self.n)
+        )
+        rep = cp.verify_compression_inequality(3, "exhaustive")
+        assert len(rep.violations) == 984
+        assert rep.as_json_dict() == compression_oracle(3).as_json_dict()
+
+
+class TestFixpointGroups:
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_groups_expand_to_whole_scans(self, n):
+        scans = []
+        for count, size, families, fixed, steps in cp.fixpoint_groups(n, {}):
+            members = list(families)
+            assert len(members) == count and {f.bit_count() for f in members} == {size}
+            scans += [(f, fixed, steps) for f in members]
+        # every family once, with its whole scan
+        assert sorted(scans) == [(f, *cp.compress_fully_bits(f, n)) for f in range(1 << (1 << n))]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_few_families_are_scanned_alone(self, n):
+        alone = sum(1 for group in cp.fixpoint_groups(n, {}) if group[0] == 1)
+        assert alone <= 2 * ((1 << (n - 1)) + 1) ** 2
+
+    def test_size_change_in_the_first_step(self, monkeypatch):
+        real = _tables.SectionTables.compress
+        monkeypatch.setattr(
+            _tables.SectionTables, "compress", lambda self, fam: real(self, fam) if self.j else 0
+        )
+        rep = cp.verify_fixpoint_classification(2)
+        assert len(rep.violations) == 15
+        assert rep.details == {
+            "kinds": {"initial_segment": 1, "exceptional_odd": 0, "exceptional_even": 0},
+            "max_steps": 0,
+        }
+        assert rep.as_json_dict() == fixpoint_oracle(2).as_json_dict()
+
+    @pytest.mark.parametrize(
+        "rest",
+        [lambda fam, n, start: (fam ^ 1, 0), lambda fam, n, start: (fam, 0)],
+        ids=["size-changed", "stopped-early"],
+    )
+    def test_faulty_rest_of_a_scan(self, monkeypatch, rest):
+        monkeypatch.setattr(cp, "compress_fully_bits", rest)
+        for n in (2, 3):
+            assert_fixpoint_matches(n)
+
+    def test_unclassifiable_fixpoint(self, monkeypatch):
+        real = cp.exceptional_bits
+        monkeypatch.setattr(cp, "exceptional_bits", lambda n: real(n) ^ 1)
+        assert_fixpoint_matches(4)

@@ -1,9 +1,12 @@
-"""Hamming-ball tables and the all-families closed-neighborhood DP:
-agreement with the definition, and the memory guard."""
+"""Hamming-ball tables, the all-families closed-neighborhood DP and the
+family lanes: agreement with the definition, and the memory guards."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperb import _tables
 from hyperb import neighborhoods as nb
@@ -284,3 +287,68 @@ class TestSegmentWalk:
     def test_simplicial_sweep_counts_every_segment(self, n):
         report = nb.verify_initial_segment_closure(n)
         assert report.ok and report.families_checked == n * ((1 << n) + 1)
+
+
+def lane_reference(n, selector, step_in, step_out):
+    """count_lane one family at a time, from the definition."""
+    inside = [bool(selector >> r & 1) for r in range(1 << n)]
+    return bytes(
+        sum(step_in if inside[r] else step_out for r in _tables.iter_bits(f)) % 256
+        for f in range(1 << (1 << n))
+    )
+
+
+class TestLanes:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_count_lane_every_selector(self, n):
+        rng = random.Random(n)
+        for selector in range(1 << (1 << n)):
+            step_in, step_out = rng.randrange(256), rng.randrange(256)
+            expected = lane_reference(n, selector, step_in, step_out)
+            assert _tables.count_lane(n, selector, step_in, step_out) == expected, selector
+
+    def test_count_lane_seeded_selectors_n4(self):
+        rng = random.Random(4)
+        universe = _tables.universe_bits(4)
+        for selector in [0, universe, _tables.section_tables(4, 2).minus_selector,
+                         rng.getrandbits(16), rng.getrandbits(16)]:
+            step_in, step_out = rng.randrange(256), rng.randrange(256)
+            lane = _tables.count_lane(4, selector, step_in, step_out)
+            assert lane == bytes(
+                (step_in * (f & selector).bit_count()
+                 + step_out * (f & ~selector).bit_count()) % 256
+                for f in range(1 << 16)
+            ), selector
+
+    @given(st.lists(st.tuples(st.integers(0, 0x7F), st.integers(0, 0x7F)), max_size=80))
+    @settings(max_examples=200)
+    def test_lane_slack_is_per_byte(self, pairs):
+        high = bytes(h for h, _ in pairs)
+        low = bytes(v for _, v in pairs)
+        assert _tables.lane_slack(high, low) == bytes(0x80 + h - v for h, v in pairs)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200)
+    def test_lane_below_lists_the_low_bytes_in_order(self, slack):
+        assert list(_tables.lane_below(slack)) == [f for f, v in enumerate(slack) if v < 0x80]
+
+    @given(st.binary(max_size=300), st.integers(0, 255))
+    @settings(max_examples=100)
+    def test_lane_find_lists_a_value_in_order(self, lane, value):
+        assert list(_tables.lane_find(lane, value)) == [f for f, v in enumerate(lane) if v == value]
+
+    @pytest.mark.parametrize("n", [5, 14, 15])
+    def test_count_lane_refuses_n5_and_up_before_allocating(self, n):
+        # a lane at n = 5 would hold 2^32 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError):
+                _tables.count_lane(n, 0, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_count_lane_refuses_a_negative_ground(self):
+        with pytest.raises(ValueError):
+            _tables.count_lane(-1, 0, 0, 1)
