@@ -32,8 +32,19 @@ The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
 lane by doubling over the ranks, bytes.translate maps every byte through a
 table at once, lane_slack subtracts two lanes in one guarded big-int
-operation (SIMD within a register, Knuth TAOCP 7.1.3), and lane_below
-lists the families whose slack went negative.
+operation (SIMD within a register, Knuth TAOCP 7.1.3), lane_where zeroes
+the bytes of the families a 0/1 lane leaves out, and lane_below lists the
+families whose slack went negative.
+
+The *subset lanes* read a ball table through its columns: column y holds
+the ranks a whose ball contains y, so y lies in C^p[f] exactly when f is
+a subset of column y.  subset_lane marks the subsets of one bitset,
+closed_size_lane sums the subset lanes of all columns into |C^p[f]|, and
+pairwise_lane marks the families whose members all lie in each other's
+balls.  Both double over the ranks as count_lane does and read balls(n, p)
+once per call, so they give the sizes and the pairwise test of
+closed_bits_all, the subset DP kept as their reference, on any ball table,
+an asymmetric one included.
 """
 
 from __future__ import annotations
@@ -305,7 +316,8 @@ def closed_bits_all(n: int, p: int) -> list[int]:
     C^p[A] = C^p[A - {a}] & Ball_p(a) with a the highest-ranked member of A.
 
     The list has 2^(2^n) entries (65 536 at n = 4, 2^32 at n = 5), so
-    callers cap n first.
+    callers cap n first.  The sweeps read the subset lanes instead
+    (closed_size_lane, pairwise_lane); the DP is their reference.
     """
     out = [universe_bits(n)]
     for ball in balls(n, p):
@@ -313,6 +325,17 @@ def closed_bits_all(n: int, p: int) -> list[int]:
         # islice stops at the current end, so the list is extended without a copy
         out += map(ball.__and__, islice(out, len(out)))
     return out
+
+
+def check_lane_size(n: int) -> None:
+    """Refuse a lane at ground size n over MAX_LANE_N, before anything is
+    allocated (a negative ground is a ValueError, check_table_size)."""
+    check_table_size(n)
+    if n > MAX_LANE_N:
+        raise InfeasibleError(
+            f"a family lane at n={n} would hold 2^{1 << n} bytes; lanes are "
+            f"capped at n <= {MAX_LANE_N}"
+        )
 
 
 def count_lane(n: int, selector: int, step_in: int, step_out: int) -> bytes:
@@ -325,18 +348,98 @@ def count_lane(n: int, selector: int, step_in: int, step_out: int) -> bytes:
     lane so far.  A lane has 2^(2^n) bytes, so n is capped at MAX_LANE_N
     before anything is allocated.
     """
-    check_table_size(n)
-    if n > MAX_LANE_N:
-        raise InfeasibleError(
-            f"a family lane at n={n} would hold 2^{1 << n} bytes; lanes are "
-            f"capped at n <= {MAX_LANE_N}"
-        )
+    check_lane_size(n)
     add_in = bytes(range(step_in, 256)) + bytes(range(step_in))
     add_out = bytes(range(step_out, 256)) + bytes(range(step_out))
     lane = b"\0"
     for r in range(1 << n):
         lane += lane.translate(add_in if selector >> r & 1 else add_out)
     return lane
+
+
+def subset_lane(members: int, ranks: int) -> bytes:
+    """The lane over the families of ranks 0..ranks-1 whose byte f is 1 when
+    f is a subset of the bitset `members` and 0 when not, by doubling: the
+    families with top member r are those below it, kept if r is in
+    `members` and zeroed if not."""
+    lane = b"\1"
+    for r in range(ranks):
+        lane += lane if members >> r & 1 else bytes(len(lane))
+    return lane
+
+
+def ball_columns(ball) -> list[int]:
+    """The transpose of a ball table: column y is the bitset of the ranks a
+    whose ball holds y.  On a symmetric table it is ball[y]."""
+    cols = [0] * len(ball)
+    for a, row in enumerate(ball):
+        bit = 1 << a
+        for y in member_ranks(row):
+            cols[y] |= bit
+    return cols
+
+
+_POPCOUNT = bytes(v.bit_count() for v in range(256))
+
+
+@lru_cache(maxsize=256)
+def _and_table(mask: int) -> bytes:
+    """The bytes.translate table of v -> v & mask."""
+    return bytes(v & mask for v in range(256))
+
+
+def closed_size_lane(n: int, p: int) -> bytes:
+    """The lane of |C^p[f]| over every family bitset f.
+
+    y lies in C^p[f] exactly when f is a subset of column y of the ball
+    table (ball_columns), so the lane is the sum over y of the subset lanes
+    of the columns.  Eight columns y = 8g..8g+7 share one lane, bit y - 8g
+    of byte f standing for column y, and the lane doubles over the ranks
+    as count_lane does: the families whose top member is r are those below
+    it, each byte ANDed with the columns holding r, which are the bits of
+    ball[r] in byte g.  A byte-wise popcount turns the bits into counts,
+    and the groups' lanes add as big ints (a byte holds at most 2^n <= 16,
+    so no byte carries).  It reads balls(n, p) once and caches
+    nothing, so it agrees with closed_bits_all on any ball table, an
+    asymmetric one included.
+    """
+    check_lane_size(n)
+    ball = balls(n, p)
+    universe = universe_bits(n)
+    total = 0
+    for shift in range(0, len(ball), 8):
+        lane = bytes([universe >> shift & 0xFF])
+        for row in ball:
+            lane += lane.translate(_and_table(row >> shift & 0xFF))
+        total += int.from_bytes(lane.translate(_POPCOUNT), "little")
+    return total.to_bytes(len(lane), "little")
+
+
+def pairwise_lane(n: int, p: int) -> bytes:
+    """The lane whose byte f is 1 when every member of the family bitset f
+    lies in every member's p-ball, and 0 when not.
+
+    By doubling over the top member r: f + {r} qualifies when f does, r is
+    in its own ball, and f is a subset of ball[r] and of column r
+    (ball_columns), one lane_where per rank.  It reads balls(n, p) once
+    and caches nothing.
+    """
+    check_lane_size(n)
+    ball = balls(n, p)
+    lane = b"\1"
+    for r, (row, col) in enumerate(zip(ball, ball_columns(ball))):
+        if row >> r & 1:
+            lane += lane_where(lane, subset_lane(row & col, r))
+        else:
+            lane += bytes(len(lane))
+    return lane
+
+
+def lane_where(lane: bytes, flags: bytes) -> bytes:
+    """Byte f of the result is lane[f] where flags[f] is 1 and 0 where it is
+    0, for a flags lane of 0s and 1s of the same length: one big-int AND."""
+    keep = int.from_bytes(flags, "little") * 0xFF
+    return (int.from_bytes(lane, "little") & keep).to_bytes(len(lane), "little")
 
 
 def lane_slack(high: bytes, low: bytes) -> bytes:

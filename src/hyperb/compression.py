@@ -366,11 +366,12 @@ def verify_compression_inequality(
 
 def _compression_lanes(report: VerifyReport, n: int) -> None:
     """The exhaustive compression sweep on byte lanes: per radius p, the
-    lane of every family's |C^p[A]|; per coordinate j, the key lane of
-    _section_keys translated through the table of the compressed sizes, one
-    compression per key; and one lane_slack per (j, p).  The (family, j, p)
-    hits are sorted into family order."""
-    sizes = [bytes(map(int.bit_count, _tables.closed_bits_all(n, p))) for p in range(1, n)]
+    lane of every family's |C^p[A]| (_tables.closed_size_lane); per
+    coordinate j, the key lane of _section_keys translated through the
+    table of the compressed sizes, one compression per key; and one
+    lane_slack per (j, p).  The (family, j, p) hits are sorted into family
+    order."""
+    sizes = [_tables.closed_size_lane(n, p) for p in range(1, n)]
     hits = []
     for j in range(n):
         lane, keyed = _section_keys(n, j)

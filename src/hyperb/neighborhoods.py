@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from math import ceil, comb, log
 from typing import Iterable
 
 from . import _tables
 from .errors import InfeasibleError
-from .subsets import Family, GroundSet
+from .subsets import Family, GroundSet, SubsetMask
 
 # Exhaustive family sweeps enumerate all 2^(2^n) families; n = 4 (65 536)
 # is the largest that stays a desk job.
@@ -145,8 +146,19 @@ class VerifyReport:
 
 
 def family_bits_to_strings(bits: int, n: int) -> list[str]:
-    """Render a family bitset as subset notation strings (witness output)."""
-    return [str(m) for m in Family(bits, GroundSet.range(n))]
+    """Render a family bitset as subset notation strings (witness output),
+    members in the subset order."""
+    strings = _subset_strings(n)
+    if bits < 0 or bits >> len(strings):
+        raise ValueError("family bitset has bits outside the universe")
+    return [strings[r] for r in _tables.member_ranks(bits)]
+
+
+@lru_cache(maxsize=None)
+def _subset_strings(n: int) -> tuple[str, ...]:
+    """The subset notation of every subset of {1..n}, indexed by rank."""
+    ground = GroundSet.range(n)
+    return tuple(str(SubsetMask(m, ground)) for m in _tables.masks_in_order(n))
 
 
 def _require_exhaustible(n: int) -> None:
@@ -260,8 +272,8 @@ def verify_close_inequality(
 
     Exhaustive mode enumerates all 2^(2^n) families (n <= 4) on byte lanes:
     the bound of every family is the popcount lane translated through the
-    bound table, and one lane_slack against the lane of the DP's sizes
-    gives every slack at once.  Sample mode draws seeded random families.
+    bound table, and one lane_slack against _tables.closed_size_lane gives
+    every slack at once.  Sample mode draws seeded random families.
     Any violation is reported with a full witness; slack is the bound minus
     the achieved size.
     """
@@ -272,7 +284,7 @@ def verify_close_inequality(
         check="close", n=n, p=p, mode=mode, families_checked=count, seed=seed
     )
     if mode == "exhaustive":
-        size_lane = bytes(map(int.bit_count, _tables.closed_bits_all(n, p)))
+        size_lane = _tables.closed_size_lane(n, p)
         bound_lane = _tables.count_lane(n, 0, 0, 1).translate(bytes(bound).ljust(256, b"\0"))
         slack = _tables.lane_slack(bound_lane, size_lane)
         report.violations = [
@@ -287,10 +299,9 @@ def verify_close_inequality(
 
 
 def _tally(report: VerifyReport, sizes, bound, size_key: str) -> None:
-    """Hold each (family, neighborhood size) against bound[|family|]: a
-    violation gets a witness, and report.max_slack is the largest slack.
-    The loop counts nothing, as the exhaustive open sweep runs it on every
-    qualifying family; callers set families_checked."""
+    """Hold each sampled (family, neighborhood size) against
+    bound[|family|]: a violation gets a witness, and report.max_slack is
+    the largest slack."""
     n, p = report.n, report.p
     max_slack = 0
     for fam, size in sizes:
@@ -322,25 +333,38 @@ def verify_open_inequality(
     """Check |C^p(A)| <= |C^p(I_|A|)| over families whose members are
     pairwise within symmetric difference p (the hypothesis of the statement).
 
-    Exhaustive mode scans every family and checks those that qualify: every
-    ball contains its centre, so a family is pairwise within p exactly when
-    it lies inside its own closed neighborhood.  Sample mode grows random
-    qualifying families directly: each next member is drawn uniformly from
-    the subsets compatible with all current members.
+    Exhaustive mode checks every family that qualifies on byte lanes
+    (n <= 4): _tables.pairwise_lane marks them, and a qualifying family
+    lies inside its closed neighborhood, so its open one has
+    closed_size_lane[f] - |f| members.  One lane_slack of the popcount lane
+    translated through open_bound[k] + k against the size lane, both
+    zeroed outside the qualifying families (slack 0 there), gives every
+    slack at once.  Sample mode grows random qualifying families directly:
+    each next member is drawn uniformly from the subsets compatible with
+    all current members.
     """
     check_sweep_request(n, mode, samples, seed)
     _check_radius(n, p)
     open_bound = _tables.initial_segment_open_sizes(n, p)
-    report = VerifyReport(check="open", n=n, p=p, mode=mode, families_checked=0, seed=seed)
+    report = VerifyReport(check="open", n=n, p=p, mode=mode, families_checked=samples, seed=seed)
     if mode == "exhaustive":
-        scanned = enumerate(_tables.closed_bits_all(n, p))
-        closed = [(fam, val) for fam, val in scanned if not fam & ~val]
+        pairwise = _tables.pairwise_lane(n, p)
+        size_lane = _tables.closed_size_lane(n, p)
+        shifted = bytes(b + k for k, b in enumerate(open_bound)).ljust(256, b"\0")
+        bound_lane = _tables.count_lane(n, 0, 0, 1).translate(shifted)
+        slack = _tables.lane_slack(
+            _tables.lane_where(bound_lane, pairwise), _tables.lane_where(size_lane, pairwise)
+        )
         report.details["families_scanned"] = 1 << (1 << n)
-        report.families_checked = len(closed)
-    else:
-        rng = random.Random(seed)
-        closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
-        report.families_checked = samples
+        report.families_checked = pairwise.count(1)
+        report.violations = [
+            _witness(fam, n, p, "open_size", size_lane[fam] - fam.bit_count(), open_bound)
+            for fam in _tables.lane_below(slack)
+        ]
+        report.max_slack = max(max(slack) - 0x80, 0)
+        return report
+    rng = random.Random(seed)
+    closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
     sizes = ((fam, (val & ~fam).bit_count()) for fam, val in closed)
     _tally(report, sizes, open_bound, "open_size")
     return report

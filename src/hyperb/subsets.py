@@ -18,8 +18,9 @@ labels is refused with InfeasibleError before any table is built.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import _tables
@@ -140,32 +141,51 @@ def _cmp_masks(xb: int, yb: int) -> int:
     return -1 if xb & low else 1
 
 
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(binom, starts) for ground size n: binom[a][b] = C(a, b) for
+    a, b <= n (0 for b > a), and starts[k] = sum_{i<k} C(n, i), the rank of
+    the first k-subset, for k = 0..n+1 (starts[n+1] = 2^n)."""
+    binom = [(1,) + (0,) * n]
+    for a in range(1, n + 1):
+        prev = binom[-1]
+        binom.append((1,) + tuple(prev[b - 1] + prev[b] for b in range(1, n + 1)))
+    starts = [0]
+    for c in binom[n]:
+        starts.append(starts[-1] + c)
+    return tuple(binom), tuple(starts)
+
+
 def mask_rank(bits: int, n: int) -> int:
-    """Rank of an n-bit mask: binomial prefix plus in-level lex rank."""
+    """Rank of an n-bit mask: the rank of the first subset of its size,
+    plus its lex rank in that level, C(n, k) - 1 minus the sum over its
+    members c_0 < c_1 < ... of C(n - 1 - c_i, k - i), peeled lowest first."""
+    if bits < 0 or bits >> n:
+        raise ValueError(f"mask has bits outside a ground of size {n}")
+    binom, starts = _pascal(n)
     k = bits.bit_count()
-    r = sum(comb(n, i) for i in range(k))
-    if k == 0:
-        return r
-    # lex rank of the k-subset via the reflected colex formula
-    positions = [j for j in range(n) if bits >> j & 1]
-    colex = sum(comb(n - 1 - c, i + 1) for i, c in enumerate(reversed(positions)))
-    return r + comb(n, k) - 1 - colex
+    r = starts[k + 1] - 1
+    while bits:
+        low = bits & -bits
+        r -= binom[n - low.bit_length()][k]
+        k -= 1
+        bits ^= low
+    return r
 
 
 def mask_unrank(value: int, n: int) -> int:
-    """Inverse of mask_rank."""
+    """Inverse of mask_rank: the level by bisection on the level starts,
+    then the k-subset greedily, smallest member first."""
     if not 0 <= value < (1 << n):
         raise ValueError(f"rank {value} out of range for ground size {n}")
-    k = 0
-    while value >= comb(n, k):
-        value -= comb(n, k)
-        k += 1
-    # greedy lex unrank of a k-subset of {0,...,n-1}
+    binom, starts = _pascal(n)
+    k = bisect_right(starts, value) - 1
+    value -= starts[k]
     bits = 0
     c = 0
-    for i in range(k):
-        while comb(n - 1 - c, k - 1 - i) <= value:
-            value -= comb(n - 1 - c, k - 1 - i)
+    for left in range(k - 1, -1, -1):
+        while binom[n - 1 - c][left] <= value:
+            value -= binom[n - 1 - c][left]
             c += 1
         bits |= 1 << c
         c += 1
@@ -265,8 +285,8 @@ def level_set(i: int, g: GroundSet) -> Family:
     if not 0 <= i <= g.size:
         raise ValueError(f"level {i} out of range for ground size {g.size}")
     _tables.check_table_size(g.size)  # before the bitset is built
-    start = sum(comb(g.size, k) for k in range(i))
-    return Family(_tables.prefix_bits(comb(g.size, i)) << start, g)
+    starts = _pascal(g.size)[1]
+    return Family(_tables.prefix_bits(starts[i + 1] - starts[i]) << starts[i], g)
 
 
 def format_subset(x: SubsetMask) -> str:

@@ -1,6 +1,6 @@
-"""The all-families sweeps on byte lanes (close, compression and fixpoint)
-against per-family loops kept here as oracles: equal reports, violation
-order included, on the real tables and under seeded faults."""
+"""The all-families sweeps on byte lanes (close, open, compression and
+fixpoint) against per-family loops kept here as oracles: equal reports,
+violation order included, on the real tables and under seeded faults."""
 
 import random
 
@@ -29,6 +29,36 @@ def close_oracle(n, p):
                     "n": n,
                     "p": p,
                     "closed_size": size,
+                    "bound": bound[fam.bit_count()],
+                }
+            )
+        elif slack > max_slack:
+            max_slack = slack
+    report.max_slack = max_slack
+    return report
+
+
+def open_oracle(n, p):
+    """verify_open_inequality(n, p, "exhaustive") one family at a time: the
+    families that lie inside their own closed neighborhood are those whose
+    members are pairwise within p."""
+    bound = _tables.initial_segment_open_sizes(n, p)
+    report = nb.VerifyReport(check="open", n=n, p=p, mode="exhaustive", families_checked=0)
+    report.details["families_scanned"] = 1 << (1 << n)
+    max_slack = 0
+    for fam, val in enumerate(_tables.closed_bits_all(n, p)):
+        if fam & ~val:
+            continue
+        report.families_checked += 1
+        size = (val & ~fam).bit_count()
+        slack = bound[fam.bit_count()] - size
+        if slack < 0:
+            report.violations.append(
+                {
+                    "family": nb.family_bits_to_strings(fam, n),
+                    "n": n,
+                    "p": p,
+                    "open_size": size,
                     "bound": bound[fam.bit_count()],
                 }
             )
@@ -109,6 +139,12 @@ def assert_close_matches(n):
         assert got == close_oracle(n, p).as_json_dict(), p
 
 
+def assert_open_matches(n):
+    for p in range(1, n + 1):
+        got = nb.verify_open_inequality(n, p, "exhaustive").as_json_dict()
+        assert got == open_oracle(n, p).as_json_dict(), p
+
+
 def assert_compression_matches(n):
     got = cp.verify_compression_inequality(n, "exhaustive").as_json_dict()
     assert got == compression_oracle(n).as_json_dict()
@@ -123,6 +159,10 @@ class TestRealTables:
     def test_close_sweep(self, n):
         assert_close_matches(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_open_sweep(self, n):
+        assert_open_matches(n)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_compression_sweep(self, n):
         assert_compression_matches(n)
@@ -132,46 +172,81 @@ class TestRealTables:
         assert_fixpoint_matches(n)
 
 
-def flip_ball_bits(monkeypatch, seed):
-    """Flip three seeded bits in the ball table of one seeded radius, as
-    tests/test_neighborhoods.py patches a ball table; every radius and
-    segment size table of that ground is built first, so none holds the
-    fault.  Returns (n, p)."""
-    rng = random.Random(seed)
-    n = rng.choice((3, 4))
-    p = rng.randrange(1, n)
+def fault_ball_table(monkeypatch, n, p, flips):
+    """Flip the bits (rank, y) of `flips` in the ball table of radius p at
+    ground size n, as tests/test_neighborhoods.py patches a ball table;
+    every radius and segment size table of that ground is built first, so
+    none holds the fault."""
     real = _tables.balls
     for radius in range(n + 1):
         real(n, radius)
         _tables.segment_size_tables(n, radius)
     bad = list(real(n, p))
-    for _ in range(3):
-        bad[rng.randrange(1 << n)] ^= 1 << rng.randrange(1 << n)
+    for r, y in flips:
+        bad[r] ^= 1 << y
     bad = tuple(bad)
     monkeypatch.setattr(_tables, "balls", lambda g, q: bad if (g, q) == (n, p) else real(g, q))
+
+
+def flip_ball_bits(monkeypatch, seed):
+    """Flip three seeded bits in the ball table of one seeded radius
+    (fault_ball_table).  Returns (n, p)."""
+    rng = random.Random(seed)
+    n = rng.choice((3, 4))
+    p = rng.randrange(1, n)
+    flips = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(3)]
+    fault_ball_table(monkeypatch, n, p, flips)
     return n, p
+
+
+def faulted_sweeps(n):
+    """(close, open, compression) reports of the exhaustive sweeps at n,
+    each equal to its oracle's."""
+    close = [nb.verify_close_inequality(n, p, "exhaustive") for p in range(1, n + 1)]
+    opened = [nb.verify_open_inequality(n, p, "exhaustive") for p in range(1, n + 1)]
+    compression = cp.verify_compression_inequality(n, "exhaustive")
+    assert [r.as_json_dict() for r in close] == [
+        close_oracle(n, p).as_json_dict() for p in range(1, n + 1)
+    ]
+    assert [r.as_json_dict() for r in opened] == [
+        open_oracle(n, p).as_json_dict() for p in range(1, n + 1)
+    ]
+    assert compression.as_json_dict() == compression_oracle(n).as_json_dict()
+    return close, opened, compression
 
 
 class TestBallFaults:
     # seed 5 faults radius 3 at n = 4, which breaks about 10^5 (family, j, p)
-    # triples; rendering their witnesses takes seconds, so it is left out
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6, 7, 8])
+    # triples: the witnesses alone take seconds to render
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow), 6, 7, 8]
+    )
     def test_sweeps_match_the_oracles(self, monkeypatch, seed):
         n, _ = flip_ball_bits(monkeypatch, seed)
-        close = [nb.verify_close_inequality(n, p, "exhaustive") for p in range(1, n + 1)]
-        compression = cp.verify_compression_inequality(n, "exhaustive")
+        _, _, compression = faulted_sweeps(n)
         # the fault must show, or the comparison shows nothing
         assert compression.violations
-        assert [r.as_json_dict() for r in close] == [
-            close_oracle(n, p).as_json_dict() for p in range(1, n + 1)
-        ]
-        assert compression.as_json_dict() == compression_oracle(n).as_json_dict()
+
+    def test_one_way_fault_tells_columns_from_rows(self, monkeypatch):
+        # the empty set (rank 0) put into the 2-ball of {1,2,3,4} (rank 15)
+        # and not the other way round: row 15 gains rank 0 and column 0
+        # gains rank 15.  By the columns, {{1,2,3,4}} gains a neighbour and
+        # {{}, {1,2,3,4}} stays not pairwise; read by the rows, {{}} would
+        # gain it and that pair would pass
+        n, p = 4, 2
+        clean = nb.verify_open_inequality(n, p, "exhaustive").families_checked
+        fault_ball_table(monkeypatch, n, p, [(15, 0)])
+        close, opened, _ = faulted_sweeps(n)
+        families = [v["family"] for v in close[p - 1].violations]
+        assert ["{1,2,3,4}"] in families and ["{}"] not in families
+        assert opened[p - 1].families_checked == clean
 
 
 class TestCompressionFaults:
     def test_corrupted_image_entry_reports_its_group(self, monkeypatch):
-        # emptying the DP's entry for the image of one pair of section sizes
-        # at coordinate j makes every other family with that image (all of
+        # emptying the entry for the image of one pair of section sizes at
+        # coordinate j, in the size lane the sweep reads and in the DP the
+        # oracle reads, makes every other family with that image (all of
         # whose neighborhoods at radius p are nonempty) a violation at (j, p),
         # and no other (family, j, p): the image is compressed at j only
         n, j, p = 4, 2, 2
@@ -189,7 +264,16 @@ class TestCompressionFaults:
                 table[image] = 0
             return table
 
+        real_lane = _tables.closed_size_lane
+
+        def corrupted_lane(g, radius):
+            lane = bytearray(real_lane(g, radius))
+            if radius == p:
+                lane[image] = 0
+            return bytes(lane)
+
         monkeypatch.setattr(_tables, "closed_bits_all", corrupted)
+        monkeypatch.setattr(_tables, "closed_size_lane", corrupted_lane)
         rep = cp.verify_compression_inequality(n, "exhaustive")
         assert [(v["family"], v["i"], v["p"]) for v in rep.violations] == [
             (nb.family_bits_to_strings(f, n), j + 1, p) for f in group
@@ -197,6 +281,9 @@ class TestCompressionFaults:
         assert all(v["compressed_size"] == 0 for v in rep.violations)
         assert [v["size"] for v in rep.violations] == [sizes[f] for f in group]
         assert rep.as_json_dict() == compression_oracle(n).as_json_dict()
+        # the sweep reads the size lane: the corrupted DP alone shows nothing
+        monkeypatch.setattr(_tables, "closed_size_lane", real_lane)
+        assert cp.verify_compression_inequality(n, "exhaustive").ok
 
     def test_compression_to_the_universe(self, monkeypatch):
         monkeypatch.setattr(

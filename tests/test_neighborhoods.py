@@ -263,18 +263,18 @@ class TestCloseInequality:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_corrupted_dp_entry_is_reported(self, monkeypatch, p):
-        # initial segments meet the bound exactly, so one extra bit in the
-        # DP's entry for I_3 must surface as a violation for that family only
+        # initial segments meet the bound exactly, so one more member in the
+        # size lane's entry for I_3 must surface as a violation for that
+        # family only
         fam = _tables.prefix_bits(3)
-        real = _tables.closed_bits_all
+        real = _tables.closed_size_lane
 
         def corrupted(n, radius):
-            table = real(n, radius)
-            val = table[fam]
-            table[fam] = val | (val + 1) & ~val  # lowest bit not yet set
-            return table
+            lane = bytearray(real(n, radius))
+            lane[fam] += 1
+            return bytes(lane)
 
-        monkeypatch.setattr(_tables, "closed_bits_all", corrupted)
+        monkeypatch.setattr(_tables, "closed_size_lane", corrupted)
         rep = nb.verify_close_inequality(4, p, "exhaustive")
         assert [v["family"] for v in rep.violations] == [nb.family_bits_to_strings(fam, 4)]
         assert rep.violations[0]["closed_size"] == rep.violations[0]["bound"] + 1
@@ -502,6 +502,18 @@ class TestWitnessFormatting:
     def test_family_strings(self):
         bits = family_to_bits(Family.from_labels(G3, [[], [1, 3]]))
         assert nb.family_bits_to_strings(bits, 3) == ["{}", "{1,3}"]
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_the_family_objects(self, n):
+        rng = random.Random(n)
+        ground = GroundSet.range(n)
+        for bits in [0, _tables.universe_bits(n)] + [rng.getrandbits(1 << n) for _ in range(50)]:
+            assert nb.family_bits_to_strings(bits, n) == [str(m) for m in Family(bits, ground)]
+
+    @pytest.mark.parametrize("bits", [-1, 1 << 8])
+    def test_bits_outside_the_universe_are_refused(self, bits):
+        with pytest.raises(ValueError):
+            nb.family_bits_to_strings(bits, 3)
 
 
 class _DrawWidths(random.Random):

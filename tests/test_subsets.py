@@ -3,12 +3,14 @@
 import random
 import re
 from functools import cmp_to_key
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperb import _tables
+from hyperb import _tables, subsets
 from hyperb.errors import InfeasibleError
 from hyperb.subsets import (
     Family,
@@ -335,6 +337,39 @@ class TestFamily:
                 make()
         assert _tables.masks_in_order.cache_info().currsize == built
         assert _tables.rank_of_mask.cache_info().currsize == ranks
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 14, 62])
+    def test_binomial_table(self, n):
+        binom, starts = subsets._pascal(n)
+        assert binom == tuple(tuple(comb(a, b) for b in range(n + 1)) for a in range(n + 1))
+        assert starts == tuple(sum(comb(n, i) for i in range(k)) for k in range(n + 2))
+
+    @given(st.integers(0, 62), st.data())
+    @settings(max_examples=200)
+    def test_rank_matches_counting_the_subsets_before(self, n, data):
+        # the rank of x counts the smaller levels, then the same-size
+        # subsets whose sorted members come first lexicographically: at the
+        # first position where they differ, theirs is the smaller member
+        bits = data.draw(st.integers(0, (1 << n) - 1))
+        members = [c for c in range(n) if bits >> c & 1]
+        k = len(members)
+        before = sum(comb(n, i) for i in range(k))
+        lo = 0
+        for i, c in enumerate(members):
+            before += sum(comb(n - 1 - d, k - 1 - i) for d in range(lo, c))
+            lo = c + 1
+        assert mask_rank(bits, n) == before
+        assert mask_unrank(before, n) == bits
+
+    def test_rank_matches_combinations_order(self):
+        n = 7
+        order = [sum(1 << c for c in combo) for k in range(n + 1) for combo in combinations(range(n), k)]
+        assert [mask_rank(m, n) for m in order] == list(range(1 << n))
+
+    @pytest.mark.parametrize("bits,n", [(-1, 3), (0b1000, 3), (1, 0)])
+    def test_rank_refuses_a_mask_outside_the_ground(self, bits, n):
+        with pytest.raises(ValueError):
+            mask_rank(bits, n)
 
     def test_rank_unrank_keep_62_labels(self):
         g = GroundSet.range(62)

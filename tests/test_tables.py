@@ -1,5 +1,6 @@
 """Hamming-ball tables, the all-families closed-neighborhood DP and the
-family lanes: agreement with the definition, and the memory guards."""
+family lanes (the count lane and the subset lanes): agreement with the
+definition and with the DP, and the memory guards."""
 
 import random
 import tracemalloc
@@ -336,6 +337,61 @@ class TestLanes:
     @settings(max_examples=100)
     def test_lane_find_lists_a_value_in_order(self, lane, value):
         assert list(_tables.lane_find(lane, value)) == [f for f, v in enumerate(lane) if v == value]
+
+    @given(st.lists(st.tuples(st.integers(0, 255), st.booleans()), max_size=80))
+    @settings(max_examples=200)
+    def test_lane_where_is_per_byte(self, pairs):
+        lane = bytes(v for v, _ in pairs)
+        flags = bytes(int(keep) for _, keep in pairs)
+        assert _tables.lane_where(lane, flags) == bytes(v if keep else 0 for v, keep in pairs)
+
+    @pytest.mark.parametrize("ranks", range(0, 7))
+    def test_subset_lane(self, ranks):
+        for members in range(1 << ranks):
+            assert _tables.subset_lane(members, ranks) == bytes(
+                int(not f & ~members) for f in range(1 << ranks)
+            ), members
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_subset_lanes_match_the_dp(self, n):
+        for p in range(0, n + 2):
+            table = _tables.closed_bits_all(n, p)
+            assert _tables.closed_size_lane(n, p) == bytes(v.bit_count() for v in table), p
+            assert _tables.pairwise_lane(n, p) == bytes(
+                int(not f & ~v) for f, v in enumerate(table)
+            ), p
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_subset_lanes_match_the_dp_on_asymmetric_tables(self, monkeypatch, seed):
+        # a random table, where centres may lie outside their own ball and
+        # rows and columns differ (rank 1 in ball 0 is made to differ from
+        # rank 0 in ball 1): only the columns give the DP's sizes
+        rng = random.Random(seed)
+        n = (1, 2, 3, 4)[seed % 4]
+        table = [rng.getrandbits(1 << n) for _ in range(1 << n)]
+        if table[0] >> 1 & 1 == table[1] & 1:
+            table[0] ^= 0b10
+        table = tuple(table)
+        monkeypatch.setattr(_tables, "balls", lambda g, q: table)
+        dp = _tables.closed_bits_all(n, 1)
+        assert _tables.closed_size_lane(n, 1) == bytes(v.bit_count() for v in dp)
+        assert _tables.pairwise_lane(n, 1) == bytes(int(not f & ~v) for f, v in enumerate(dp))
+
+    def test_ball_columns_transpose(self):
+        table = (0b011, 0b100, 0b110)
+        assert _tables.ball_columns(table) == [0b001, 0b101, 0b110]
+
+    @pytest.mark.parametrize("kernel", ["closed_size_lane", "pairwise_lane"])
+    @pytest.mark.parametrize("n", [5, 14, 15])
+    def test_subset_lanes_refuse_n5_and_up_before_any_ball_table(self, monkeypatch, kernel, n):
+        def no_table(*_):
+            raise AssertionError("ball table built before the lane cap was checked")
+
+        monkeypatch.setattr(_tables, "balls", no_table)
+        with pytest.raises(InfeasibleError):
+            getattr(_tables, kernel)(n, 2)
+        with pytest.raises(ValueError):
+            getattr(_tables, kernel)(-1, 2)
 
     @pytest.mark.parametrize("n", [5, 14, 15])
     def test_count_lane_refuses_n5_and_up_before_allocating(self, n):
