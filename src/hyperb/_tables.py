@@ -26,7 +26,8 @@ radius p = 0, 1, ... side by side, radius p in bits [p*2^n, (p+1)*2^n).
 stack_balls stacks a ground's balls this way, so one AND per member
 intersects a section's closed neighborhoods at every radius, and
 join_radii reassembles the two sides of every radius into full-ground
-bitsets with one bit permutation.
+bitsets with one parallel bit deposit, a few mask-and-shift stages
+(Hacker's Delight 7-5).
 
 The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
@@ -54,7 +55,6 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from operator import itemgetter
 
 from .errors import InfeasibleError
 
@@ -613,43 +613,62 @@ def join_bits(minus: int, plus: int, n: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _join_radii_getters(n: int) -> tuple[tuple[itemgetter, ...], str]:
-    """(picks, spec) for join_radii at ground size n: "".join(picks[j](
-    format(stack, spec))) lists the bits of the joined stack, highest first.
-    Read from the section tables alone.  The n getters hold n * 2^n indices
-    each, drawn from one tuple of positions, so an index costs a pointer,
-    not an int (about 6.5 MB at n = 12)."""
-    half = 1 << (n - 1)
-    width = 2 * (n + 1) * half
-    at = tuple(range(width))
-    top = width - 1
-    picks = []
+def _join_radii_stages(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]:
+    """(stages, minus_keep, plus_keep) per coordinate j, for join_radii at
+    ground size n, read from the section tables alone.
+
+    Compaction keeps the size-then-lex order, so expand_minus and
+    expand_plus increase with the subground rank: the join at one radius
+    deposits the avoiding side into the ranks of minus_selector and the
+    containing side into the rest.  So one parallel bit deposit (expand,
+    Hacker's Delight 7-5) joins every radius and both sides, under a mask
+    that spreads the 2(n+1) input blocks of 2^(n-1) bits over 2(n+1)
+    output blocks of 2^n bits: minus_selector in each of the n + 1 low
+    blocks, its complement in each of the n + 1 high ones.  stages lists
+    its (shift, mv) for the shifts 2^i, highest first, mv built by the
+    prefix-XOR construction; the stages whose mv is empty are dropped.
+    minus_keep and plus_keep are the mask's low and high sides at radii
+    1..n, moved down to bit 0.  At n = 12 the 12 coordinates hold 16 stages
+    each, about 2.8 MB with the keep masks.
+    """
+    full = 1 << n
+    width = 2 * (n + 1) * full
+    blocks = sum(1 << p * full for p in range(n + 1))  # bit 0 of each block
+    shifts = [1 << i for i in range((width - 1).bit_length())]
+    out = []
     for j in range(n):
-        t = section_tables(n, j)
-        offset = [0] * (1 << n)  # full-ground rank -> its input bit at radius 0
-        for s, (minus, plus) in enumerate(zip(t.expand_minus, t.expand_plus)):
-            offset[minus.bit_length() - 1] = s
-            offset[plus.bit_length() - 1] = (n + 1) * half + s
-        # output bit (p-1)*2^n + t reads input bit p*half + offset[t]; a
-        # binary string lists the highest bit first
-        picks.append(
-            itemgetter(*[at[top - p * half - o] for p in range(n, 0, -1) for o in reversed(offset)])
-        )
-    return tuple(picks), f"0{width}b"
+        minus = section_tables(n, j).minus_selector
+        plus = universe_bits(n) ^ minus
+        m = minus * blocks | plus * blocks << (n + 1) * full
+        zeros = ~m << 1 & (1 << width) - 1  # the zeros of m, one place up
+        stages = []
+        for s in shifts:
+            moves = zeros  # prefix XOR: bit t is the parity of the zeros below t
+            for k in shifts:
+                moves ^= moves << k
+            mv = moves & m
+            stages.append((s, mv))
+            m = m ^ mv | mv >> s
+            zeros &= ~moves
+        stages = tuple(stage for stage in reversed(stages) if stage[1])
+        out.append((stages, minus * (blocks >> full), plus * (blocks >> full)))
+    return tuple(out)
 
 
 def join_radii(stack: int, n: int, j: int) -> int:
-    """join_bits at every radius p = 1..n in one bit permutation.
+    """join_bits at every radius p = 1..n in one parallel bit deposit.
 
     `stack` holds two radius stacks over the (n-1)-bit subground, radii
     0..n in blocks of 2^(n-1) bits: the sides avoiding j in its low
     (n+1)*2^(n-1) bits and the sides containing j (j dropped) above them.
     The result is a radius stack over the full ground with
     join_bits(avoiding side p, containing side p, n, j) in bits
-    [(p-1)*2^n, p*2^n); the radius-0 blocks are dropped.
-    """
-    picks, spec = _join_radii_getters(n)
-    return int("".join(picks[j](format(stack, spec))), 2)
+    [(p-1)*2^n, p*2^n); the radius-0 blocks are dropped.  The deposit
+    stages are _join_radii_stages(n)[j]."""
+    stages, minus_keep, plus_keep = _join_radii_stages(n)[j]
+    for s, mv in stages:
+        stack ^= (stack ^ stack << s) & mv
+    return stack >> (1 << n) & minus_keep | stack >> (n + 2 << n) & plus_keep
 
 
 def compress_bits(family: int, n: int, j: int) -> int:

@@ -225,12 +225,17 @@ def cmd_solve(args) -> int:
         print("error: pass exactly one of --hypercube N or --hamming N,Q", file=sys.stderr)
         return EXIT_USAGE
     if args.hypercube is not None:
-        g = bcoloring.hypercube_power(int(args.hypercube), args.p)
+        try:
+            n = int(args.hypercube)
+        except ValueError:
+            raise ValueError(f"--hypercube takes an integer N, got {args.hypercube!r}") from None
+        g = bcoloring.hypercube_power(n, args.p)
     else:
-        dims = args.hamming.split(",")
-        if len(dims) != 2:
-            raise ValueError(f"--hamming takes N,Q, got {args.hamming!r}")
-        g = bcoloring.hamming_power(int(dims[0]), int(dims[1]), args.p)
+        try:
+            n, q = map(int, args.hamming.split(","))
+        except ValueError:  # a word that is no integer, or not two of them
+            raise ValueError(f"--hamming takes N,Q integers, got {args.hamming!r}") from None
+        g = bcoloring.hamming_power(n, q, args.p)
     budget = bcoloring.SolveBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     started = time.monotonic()
     result = bcoloring.exact_b_chromatic(g, budget)

@@ -567,9 +567,9 @@ def verify_section_identity(
       section's closed neighborhood at every radius.  (cp << H) & cm holds
       C^(p-1)[A_j+] & C^p[A_j-] in block p, and cp & (cm << H) holds
       C^p[A_j+] & C^(p-1)[A_j-]; with the second above the first, one
-      _tables.join_radii call joins every radius p = 1..n into the direct
-      side's layout, and one compare checks them all.  The blocks that
-      differ name the failing radii, in ascending order.
+      bit deposit (_tables.join_radii) joins every radius p = 1..n into
+      the direct side's layout, and one compare checks them all.  The
+      blocks that differ name the failing radii, in ascending order.
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")

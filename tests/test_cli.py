@@ -297,6 +297,22 @@ class TestExitCodes:
         assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--hypercube", "x", "--p", "1"],
+             "error: --hypercube takes an integer N, got 'x'\n"),
+            (["solve", "--hamming", "2,x", "--p", "1"],
+             "error: --hamming takes N,Q integers, got '2,x'\n"),
+            (["solve", "--hamming", "3", "--p", "1"],
+             "error: --hamming takes N,Q integers, got '3'\n"),
+        ],
+        ids=["hypercube-word", "hamming-word", "hamming-count"],
+    )
+    def test_malformed_solve_instance_is_worded(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--theorem", "coset", "--n", "9", "--q", "3", "--p", "8"],

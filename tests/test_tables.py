@@ -246,12 +246,12 @@ class TestRadiusStacks:
             radii = [acc >> p * width & universe for p in range(blocks)]
             assert radii == _tables.closed_bits_upto(f, n, blocks - 1), (n, f)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_join_radii_is_join_bits_at_every_radius(self, n):
         half = 1 << (n - 1)
         rng = random.Random(n)
         for j in range(n):
-            for _ in range(10):
+            for _ in range(10 if n < 8 else 2):
                 minus = [rng.getrandbits(half) for _ in range(n + 1)]
                 plus = [rng.getrandbits(half) for _ in range(n + 1)]
                 stack = 0
@@ -262,6 +262,25 @@ class TestRadiusStacks:
                 for p in range(n, 0, -1):
                     expected = expected << 2 * half | _tables.join_bits(minus[p], plus[p], n, j)
                 assert _tables.join_radii(stack, n, j) == expected, (n, j)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_expansions_increase_with_the_subground_rank(self, n):
+        # what makes a join one bit deposit: both sides land in rank order
+        for j in range(n):
+            t = _tables.section_tables(n, j)
+            for expand in (t.expand_minus, t.expand_plus):
+                assert all(a < b for a, b in zip(expand, expand[1:])), (n, j)
+
+    def test_join_radii_reads_no_ball_table(self, monkeypatch):
+        def refuse(n, p):
+            raise AssertionError(f"balls({n}, {p}) read")
+
+        monkeypatch.setattr(_tables, "balls", refuse)
+        _tables._join_radii_stages.cache_clear()
+        for n in range(1, 7):
+            stack = (1 << (n + 1 << n)) - 1  # every side full at every radius
+            for j in range(n):
+                assert _tables.join_radii(stack, n, j) == (1 << (n << n)) - 1, (n, j)
 
 
 class TestSegmentWalk:
