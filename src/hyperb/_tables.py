@@ -14,8 +14,8 @@ ball tables included.  Family bitsets make the heavy sweeps cheap:
 intersecting common neighborhoods is a single big-int AND per family member,
 and an initial segment is exactly a bitset of the form 2^m - 1.  closed_bits
 finds the members of a wide family a byte at a time, and member_ranks lists
-them that way; iter_bits, split_bits, join_bits and closed_bits_upto peel
-the lowest set bit, which is faster below a few words.
+them that way; iter_bits, split_bits and join_bits peel the lowest set bit,
+which is faster below a few words.
 
 The ball recurrence runs only below radius n/2: complementing reverses the
 rank order, and the p-ball of x is the set outside the (n-1-p)-ball of its
@@ -27,7 +27,11 @@ stack_balls stacks a ground's balls this way, so one AND per member
 intersects a section's closed neighborhoods at every radius, and
 join_radii reassembles the two sides of every radius into full-ground
 bitsets with one parallel bit deposit, a few mask-and-shift stages
-(Hacker's Delight 7-5).
+(Hacker's Delight 7-5).  The deposit only moves and selects bits, so it
+commutes with AND: a sweep call over at least 2^n families whose table
+fits neighborhoods.MAX_PREJOIN_BYTES joins each member's stacks once and
+ANDs the joined stacks; other calls AND the sides and join once per family
+and coordinate.
 
 The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
@@ -243,10 +247,11 @@ def closed_bits(family: int, n: int, p: int) -> int:
     the first nonzero byte that leaves the intersection empty.  Peeling the
     lowest member instead costs three full-width big-int operations each;
     that is cheaper only on ints of a few words, which is why iter_bits,
-    split_bits, join_bits and closed_bits_upto still peel.  The section
-    sweep reads closed_bits_upto for each family's direct side and builds
-    its sections' sides from stack_balls and join_radii; split_bits and
-    join_bits serve single instances (section_identity_holds).
+    split_bits and join_bits still peel.  The section sweep reads its
+    direct side from stack_balls on its pre-joined path and from
+    closed_bits_upto on its deposit path (neighborhoods._prejoins), and its
+    sections' sides from stack_balls and join_radii; split_bits and join_bits serve single instances
+    (section_identity_holds).
     """
     if p < 0:
         raise ValueError("radius must be non-negative")
@@ -267,13 +272,14 @@ def closed_bits(family: int, n: int, p: int) -> int:
 
 def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
     """[closed_bits(family, n, p) for p in 0..p_max], from one walk over the
-    members: the member ranks are listed once and each radius intersects
-    their balls, stopping as soon as the intersection is empty.
+    members: the member ranks are listed once, a byte at a time
+    (member_ranks), and each radius intersects their balls, stopping as
+    soon as the intersection is empty.
 
-    Sweeps that need a family's closed neighborhoods at every radius (the
-    section identity) pay for one member walk instead of one per radius.
+    The section sweep's deposit path reads a family's direct side here,
+    one member walk instead of one per radius.
     """
-    members = list(iter_bits(family))
+    members = member_ranks(family)
     universe = universe_bits(n)
     out = []
     for p in range(min(p_max + 1, n)):
@@ -293,6 +299,8 @@ def stack_balls(n: int, blocks: int) -> list[int]:
     as one radius stack: balls(n, p)[r] in bits [p*2^n, (p+1)*2^n), and the
     universe at radii p >= n, as closed_bits has it.  The AND of the stacks
     of a family's members holds closed_bits_upto(family, n, blocks - 1).
+    The section sweep stacks the subground for its sides and, on its
+    pre-joined path, the full ground for its direct side.
 
     Built from balls on each call and not cached, so a stack always agrees
     with the ball tables as they are when it is read.
@@ -664,7 +672,11 @@ def join_radii(stack: int, n: int, j: int) -> int:
     The result is a radius stack over the full ground with
     join_bits(avoiding side p, containing side p, n, j) in bits
     [(p-1)*2^n, p*2^n); the radius-0 blocks are dropped.  The deposit
-    stages are _join_radii_stages(n)[j]."""
+    stages are _join_radii_stages(n)[j].
+
+    The stages and the final masks only move and select bits, so
+    join_radii(x & y) == join_radii(x) & join_radii(y), which lets the
+    section sweep AND pre-joined member stacks (neighborhoods)."""
     stages, minus_keep, plus_keep = _join_radii_stages(n)[j]
     for s, mv in stages:
         stack ^= (stack ^ stack << s) & mv

@@ -24,6 +24,10 @@ from .subsets import Family, GroundSet, SubsetMask
 # is the largest that stays a desk job.
 MAX_EXHAUSTIVE_N = 4
 MAX_SAMPLED_N = 12
+# Largest table of pre-joined member stacks that the section sweep builds
+# (_prejoins): n^2 * 4^n / 4 bytes, 5.3 MB at n = 9.  At n = 10 (26 MB) the
+# AND over its rows costs more per family than the deposit path.
+MAX_PREJOIN_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -553,23 +557,17 @@ def verify_section_identity(
     all radii p in [1, n].
 
     The check is section_identity_holds for every (family, j, p), on radius
-    stacks (_tables.stack_balls): one int per side with radius p in block p,
-    H = 2^(n-1) bits per block over the subground and N = 2^n over the full
-    ground.
-
-    * Per call, sub[s] stacks the subground balls around s at radii 0..n
-      (universe from radius n - 1 up), read from the ball tables as they
-      are then.
-    * Per family, the direct side packs closed_bits_upto(family, n, n) at
-      radii 1..n, radius p in bits [(p-1)*N, p*N).
-    * Per (family, j), each member's stack is ANDed into its section's
-      side, cm (avoiding j) or cp (containing j), which then holds that
-      section's closed neighborhood at every radius.  (cp << H) & cm holds
-      C^(p-1)[A_j+] & C^p[A_j-] in block p, and cp & (cm << H) holds
-      C^p[A_j+] & C^(p-1)[A_j-]; with the second above the first, one
-      bit deposit (_tables.join_radii) joins every radius p = 1..n into
-      the direct side's layout, and one compare checks them all.  The
-      blocks that differ name the failing radii, in ascending order.
+    stacks (_tables.stack_balls): radius p in block p, H = 2^(n-1) bits per
+    block over the subground and N = 2^n over the full ground.  Per family,
+    diff holds in block j*n + p - 1 (N bits) where the joined sides
+    (_section_join) and C^p[A] differ; its non-zero blocks are the
+    violations, in (j, p) order.  When the call checks enough families
+    (_prejoins), diff costs one AND per member over a table of pre-joined
+    member stacks (_prejoined_diff).  That table holds 2n^2 * 4^n bits,
+    604 MB at n = 12, and costs a family's worth of joins per rank to
+    build, so otherwise each (family, j) ANDs its members into two sides
+    and joins them (_deposit_diff).  Both read the ball tables on each
+    call, caching none.
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
@@ -577,47 +575,126 @@ def verify_section_identity(
     report = VerifyReport(
         check="section", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
-    half = 1 << (n - 1)
-    full = half << 1
-    sides = (n + 1) * half  # bits of one side's stack
-    every = (1 << sides) - 1  # the universe at every radius
+    diff_of = (_prejoined_diff if _prejoins(n, count) else _deposit_diff)(n)
+    full = 1 << n
     block = _tables.universe_bits(n)
+    for fam in families:
+        diff = diff_of(fam)
+        if diff:
+            for k in range(n * n):
+                if diff >> k * full & block:
+                    report.violations.append(
+                        {
+                            "family": family_bits_to_strings(fam, n),
+                            "i": k // n + 1,
+                            "p": k % n + 1,
+                        }
+                    )
+    return report
+
+
+def _prejoins(n: int, count: int) -> bool:
+    """Whether the section sweep checks `count` families at ground size n
+    on pre-joined member stacks.  The table has a row per rank, each built
+    from n joins as is one family on the deposit path, so it pays from
+    about 2^n families (10 at n = 4, 82 at n = 7, 601 at n = 9, measured),
+    if it fits MAX_PREJOIN_BYTES."""
+    return count >= 1 << n and n * n << 2 * n - 2 <= MAX_PREJOIN_BYTES
+
+
+def _section_sides(n: int) -> tuple[int, list]:
+    """(every, coords): every is the universe at radii 0..n over the
+    subground; coords[j][0][r] is the subground stack (radii 0..n) of the
+    compact rank of r, and coords[j][1][r] is 1 if r's subset contains j."""
     sub = _tables.stack_balls(n - 1, n + 1)
-    # per coordinate j: each full-ground rank's subground stack, and whether
-    # its subset contains j
     coords = []
     for j in range(n):
         t = _tables.section_tables(n, j)
-        plus = bytearray(b"\1") * full
+        plus = bytearray(b"\1") * (1 << n)
         for r in _tables.member_ranks(t.minus_selector):
             plus[r] = 0
-        coords.append((j, [sub[c] for c in t.compact_rank], plus))
-    for fam in families:
+        coords.append(([sub[c] for c in t.compact_rank], plus))
+    return (1 << ((n + 1) << (n - 1))) - 1, coords
+
+
+def _section_join(cm: int, cp: int, n: int, j: int) -> int:
+    """The joined side of the identity at radii 1..n, radius p in bits
+    [(p-1)*N, p*N), from cm and cp, the radius stacks of C[A_j-] and
+    C[A_j+]: (cp << H) & cm holds C^(p-1)[A_j+] & C^p[A_j-] in block p and
+    cp & (cm << H) holds C^p[A_j+] & C^(p-1)[A_j-]; with the second above
+    the first, one _tables.join_radii joins every radius.
+
+    Shifts, the deposit stages and the final masks only move and select
+    bits, so this commutes with AND in (cm, cp): the join of two ANDed
+    pairs is the AND of their joins."""
+    half = 1 << (n - 1)
+    joined = (cp << half) & cm | (cp & (cm << half)) << (n + 1) * half
+    return _tables.join_radii(joined, n, j)
+
+
+def _prejoined_diff(n: int):
+    """diff for verify_section_identity from a table of pre-joined member
+    stacks, built on each call.  Row r holds, in blocks of W = n*N bits,
+    _section_join(s, every) if r avoids j and _section_join(every, s) if
+    not, for j = 0..n-1 (s its subground stack), and above them r's
+    full-ground stack at radii 1..n (stack_balls) n times over.  As the
+    join commutes with AND, the AND of a family's rows holds its joined
+    sides in the low half and C^p[A] in the high half: diff is one fold."""
+    full = 1 << n
+    width = n * full
+    every, coords = _section_sides(n)
+    rows = [0] * full
+    for j in reversed(range(n)):
+        stacks, plus = coords[j]
+        for r, s in enumerate(stacks):
+            joined = _section_join(every, s, n, j) if plus[r] else _section_join(s, every, n, j)
+            rows[r] = rows[r] << width | joined
+    top = n * width
+    repeat = ((1 << top) - 1) // ((1 << width) - 1)  # bit 0 of each of the n blocks
+    table = [
+        row | (stack >> full) * repeat << top
+        for row, stack in zip(rows, _tables.stack_balls(n, n + 1))
+    ]
+    ones = (1 << 2 * top) - 1
+    low = (1 << top) - 1
+
+    def diff(fam: int) -> int:
+        acc = ones
+        for r in _tables.member_ranks(fam):
+            acc &= table[r]
+        return (acc ^ acc >> top) & low
+
+    return diff
+
+
+def _deposit_diff(n: int):
+    """diff for verify_section_identity with one join per (family, j): each
+    member's stack is ANDed into its section's side, cm or cp, and the
+    direct side packs _tables.closed_bits_upto(family, n, n) at radii 1..n."""
+    full = 1 << n
+    width = n * full
+    every, coords = _section_sides(n)
+
+    def diff(fam: int) -> int:
         direct = _tables.closed_bits_upto(fam, n, n)
         packed = 0
         for p in range(n, 0, -1):
             packed = packed << full | direct[p]
         members = _tables.member_ranks(fam)
-        for j, stacks, plus in coords:
+        out = 0
+        for j, (stacks, plus) in enumerate(coords):
             cm = cp = every
             for r in members:
                 if plus[r]:
                     cp &= stacks[r]
                 else:
                     cm &= stacks[r]
-            joined = (cp << half) & cm | (cp & (cm << half)) << sides
-            diff = _tables.join_radii(joined, n, j) ^ packed
-            if diff:
-                for p in range(1, n + 1):
-                    if diff >> (p - 1) * full & block:
-                        report.violations.append(
-                            {
-                                "family": family_bits_to_strings(fam, n),
-                                "i": j + 1,
-                                "p": p,
-                            }
-                        )
-    return report
+            d = _section_join(cm, cp, n, j) ^ packed
+            if d:
+                out |= d << j * width
+        return out
+
+    return diff
 
 
 def find_open_counterexample(n_max: int = 4) -> dict | None:

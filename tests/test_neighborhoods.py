@@ -362,6 +362,35 @@ class TestOpenInequality:
         assert rep.ok and rep.families_checked == 2000
 
 
+# the ball table (ground size, radius) at a stack edge of the n-ground sweep
+_EDGES = {
+    "subground radius 0": lambda n: (n - 1, 0),
+    "subground top radius": lambda n: (n - 1, n - 2),
+    "full-ground radius 1": lambda n: (n, 1),
+    "full-ground top radius": lambda n: (n, n - 1),
+}
+
+
+def _fault_balls(monkeypatch, ground, radius):
+    """Patch _tables.balls so that at ground size `ground` every ball of
+    radius `radius` < `ground` gains the complement of its centre, the one
+    subset at distance `ground` from it."""
+    real = _tables.balls
+    for p in range(ground + 1):
+        # build every radius first: one built later from the faulted table
+        # would be cached with the fault and outlive the patch
+        real(ground, p)
+    rank = _tables.rank_of_mask(ground)
+    everything = (1 << ground) - 1
+    bad = tuple(
+        ball | 1 << rank[everything ^ mask]
+        for ball, mask in zip(real(ground, radius), _tables.masks_in_order(ground))
+    )
+    monkeypatch.setattr(
+        _tables, "balls", lambda g, p: bad if (g, p) == (ground, radius) else real(g, p)
+    )
+
+
 class TestSectionIdentity:
     def test_exhaustive_small(self):
         for n in (1, 2, 3):
@@ -377,8 +406,8 @@ class TestSectionIdentity:
         # one wrong entry there (ball of radius 1 around {} at n = 3 gaining
         # {1,2,3}) has to surface as violations of the n = 4 identity.
         real = _tables.balls
-        for n in (3, 4):
-            real(n, n)  # build every radius before the fault goes in
+        for p in range(4):
+            real(3, p)  # build every radius before the fault goes in
         bad = list(real(3, 1))
         bad[0] |= 1 << _tables.rank_of_mask(3)[0b111]
         bad = tuple(bad)
@@ -403,34 +432,15 @@ class TestSectionIdentity:
         }
         assert reported and reported == rejected
 
-    @pytest.mark.parametrize("n", [4, 6])
-    @pytest.mark.parametrize(
-        "edge", ["subground radius 0", "subground top radius", "full-ground top radius"]
-    )
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("edge", list(_EDGES))
     def test_fault_at_a_stack_edge_is_reported_exactly(self, monkeypatch, n, edge):
         # The sweep keeps every radius of a side in one int, radius p in
         # block p; a fault in the first or last block read from the ball
         # tables must surface as exactly the (family, j, p) instances that
-        # the single-instance check rejects, in sweep order.  Every ball of
-        # the faulted radius gains the complement of its centre, the one
-        # subset at distance g from it (g the ground size).
-        ground, radius = {
-            "subground radius 0": (n - 1, 0),
-            "subground top radius": (n - 1, n - 2),
-            "full-ground top radius": (n, n - 1),
-        }[edge]
-        real = _tables.balls
-        for g in (n - 1, n):
-            real(g, g)  # build every radius before the fault goes in
-        rank = _tables.rank_of_mask(ground)
-        everything = (1 << ground) - 1
-        bad = tuple(
-            ball | 1 << rank[everything ^ mask]
-            for ball, mask in zip(real(ground, radius), _tables.masks_in_order(ground))
-        )
-        monkeypatch.setattr(
-            _tables, "balls", lambda g, p: bad if (g, p) == (ground, radius) else real(g, p)
-        )
+        # the single-instance check rejects, in sweep order.  n = 4 and 6
+        # check enough families for the pre-joined path, n = 8 too few.
+        _fault_balls(monkeypatch, *_EDGES[edge](n))
         if n == 4:
             # the first 2048 families of the exhaustive stream: a top-radius
             # fault breaks about half of all 65 536 families
@@ -438,8 +448,10 @@ class TestSectionIdentity:
             monkeypatch.setattr(nb, "sweep_families", lambda *request: (families, 2048))
             rep = nb.verify_section_identity(4, "exhaustive")
         else:
-            rep = nb.verify_section_identity(6, "sample", samples=300, seed=61)
-            families = list(nb.sweep_families(6, "sample", 300, 61)[0])
+            samples, seed = (300, 61) if n == 6 else (40, 67)
+            rep = nb.verify_section_identity(n, "sample", samples=samples, seed=seed)
+            families = list(nb.sweep_families(n, "sample", samples, seed)[0])
+        assert nb._prejoins(n, len(families)) == (n < 8)
         g = GroundSet.range(n)
         reported = [
             (family_to_bits(Family.from_labels(g, [_parse(x) for x in v["family"]])),
@@ -454,6 +466,42 @@ class TestSectionIdentity:
             if not nb.section_identity_holds(fam, n, p, j)
         ]
         assert rejected and reported == rejected
+
+    @pytest.mark.parametrize(
+        "n, edge",
+        [(n, None) for n in range(1, 8)]
+        + [(n, e) for e in ("subground radius 0", "full-ground radius 1") for n in range(2, 8)],
+    )
+    def test_both_paths_give_equal_reports(self, monkeypatch, n, edge):
+        # each path forced, on the true ball tables and with a fault at one
+        # stack edge
+        if edge:
+            _fault_balls(monkeypatch, *_EDGES[edge](n))
+        args = ("exhaustive",) if n <= 3 else ("sample", 60, 80 + n)
+        reports = []
+        for prejoin in (True, False):
+            monkeypatch.setattr(nb, "_prejoins", lambda n, count, flag=prejoin: flag)
+            reports.append(nb.verify_section_identity(n, *args).as_json_dict())
+        assert reports[0] == reports[1]
+        assert bool(reports[0]["violations"]) == bool(edge)
+
+    def test_path_follows_the_family_count_and_the_byte_cap(self, monkeypatch):
+        # the table is built once a call checks 2^n families, if it fits
+        assert not nb._prejoins(5, 31) and nb._prejoins(5, 32)
+        assert nb._prejoins(9, 100_000) and not nb._prejoins(10, 100_000)
+        assert not nb._prejoins(12, 2)
+        monkeypatch.setattr(nb, "MAX_PREJOIN_BYTES", 0)
+        assert not nb._prejoins(1, 100)
+        monkeypatch.undo()
+
+        def refuse(n):
+            raise AssertionError(f"wrong path at n = {n}")
+
+        monkeypatch.setattr(nb, "_prejoined_diff", refuse)
+        assert nb.verify_section_identity(5, "sample", samples=31, seed=3).ok
+        monkeypatch.undo()
+        monkeypatch.setattr(nb, "_deposit_diff", refuse)
+        assert nb.verify_section_identity(5, "sample", samples=32, seed=3).ok
 
 
 class TestCounterexampleHunt:
@@ -487,7 +535,8 @@ class TestInitialSegmentClosure:
         # C^1[I_1] a non-segment; I_2 and longer meet the ball of {1}, which
         # drops the extra rank again, so that is the only violation.
         real = _tables.balls
-        real(3, 3)  # build every radius before the fault goes in
+        for p in range(4):
+            real(3, p)  # build every radius before the fault goes in
         bad = list(real(3, 1))
         bad[0] |= 1 << 7
         bad = tuple(bad)

@@ -263,6 +263,17 @@ class TestRadiusStacks:
                     expected = expected << 2 * half | _tables.join_bits(minus[p], plus[p], n, j)
                 assert _tables.join_radii(stack, n, j) == expected, (n, j)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_join_radii_commutes_with_and(self, n):
+        # what lets the section sweep join each member once and AND the joins
+        width = 2 * (n + 1) << (n - 1)
+        rng = random.Random(70 + n)
+        for j in range(n):
+            for _ in range(10):
+                x, y = rng.getrandbits(width), rng.getrandbits(width)
+                joined = _tables.join_radii(x, n, j) & _tables.join_radii(y, n, j)
+                assert _tables.join_radii(x & y, n, j) == joined, (n, j)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_expansions_increase_with_the_subground_rank(self, n):
         # what makes a join one bit deposit: both sides land in rank order
