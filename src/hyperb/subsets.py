@@ -8,7 +8,11 @@ order on the sorted element lists.
 
 Ranks are 0-indexed, so "the first m subsets" are the ranks 0..m-1.
 
-Single subsets and rank/unrank work on grounds of up to 62 labels.  A
+Single subsets and rank/unrank work on grounds of up to 62 labels.  Up to
+`_tables.MAX_TABLE_BITS` labels, `rank` and `unrank` are one lookup in the
+kernel's order tables (`rank_of_mask`, `masks_in_order`), built once per
+ground size; above that cap they run the binomial formulas `mask_rank` and
+`mask_unrank`, which stay the tests' independent reference.  A
 family is its rank bitset (bit r set iff the subset of rank r is a member),
 the form the `_tables` kernel computes on, so callers pass `.bits` straight
 to the kernel and wrap its results without converting.  Families share the
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from . import _tables
@@ -52,7 +56,7 @@ class GroundSet:
             raise ValueError(f"ground size must be non-negative, got {n}")
         return GroundSet(tuple(range(1, n + 1)))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 
@@ -115,8 +119,20 @@ class SimplicialRank:
     value: int
 
     def __post_init__(self):
+        _require_int_rank(self.value)
         if self.value < 0:
             raise ValueError("rank must be non-negative")
+
+
+def _require_int_rank(value) -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"rank must be an int, got {type(value).__name__} {value!r}")
+
+
+def _check_rank(value, n: int) -> None:
+    _require_int_rank(value)
+    if not 0 <= value < (1 << n):
+        raise ValueError(f"rank {value} out of range for ground size {n}")
 
 
 def _require_same_ground(x: SubsetMask, y: SubsetMask) -> None:
@@ -176,8 +192,7 @@ def mask_rank(bits: int, n: int) -> int:
 def mask_unrank(value: int, n: int) -> int:
     """Inverse of mask_rank: the level by bisection on the level starts,
     then the k-subset greedily, smallest member first."""
-    if not 0 <= value < (1 << n):
-        raise ValueError(f"rank {value} out of range for ground size {n}")
+    _check_rank(value, n)
     binom, starts = _pascal(n)
     k = bisect_right(starts, value) - 1
     value -= starts[k]
@@ -193,14 +208,26 @@ def mask_unrank(value: int, n: int) -> int:
 
 
 def rank(x: SubsetMask) -> SimplicialRank:
-    """Position of x in the subset order of its power set."""
-    return SimplicialRank(mask_rank(x.bits, x.ground.size))
+    """Position of x in the subset order of its power set: a lookup in
+    `_tables.rank_of_mask` on grounds of at most `_tables.MAX_TABLE_BITS`
+    labels, `mask_rank` on larger ones."""
+    n = x.ground.size
+    if n > _tables.MAX_TABLE_BITS:
+        return SimplicialRank(mask_rank(x.bits, n))
+    return SimplicialRank(_tables.rank_of_mask(n)[x.bits])
 
 
 def unrank(r: SimplicialRank | int, g: GroundSet) -> SubsetMask:
-    """Subset at a given rank; inverse of rank."""
+    """Subset at a given rank; inverse of rank.  An int rank outside
+    0..2^n - 1 raises ValueError, a rank of another type TypeError.  On
+    grounds of at most `_tables.MAX_TABLE_BITS` labels it is a lookup in
+    `_tables.masks_in_order`, on larger ones `mask_unrank`."""
     value = r.value if isinstance(r, SimplicialRank) else r
-    return SubsetMask(mask_unrank(value, g.size), g)
+    n = g.size
+    if n > _tables.MAX_TABLE_BITS:
+        return SubsetMask(mask_unrank(value, n), g)
+    _check_rank(value, n)  # before indexing: a negative index would wrap
+    return SubsetMask(_tables.masks_in_order(n)[value], g)
 
 
 @dataclass(frozen=True)

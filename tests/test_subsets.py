@@ -108,6 +108,56 @@ class TestRankUnrank:
         with pytest.raises(ValueError):
             unrank(8, G3)
 
+    @pytest.mark.parametrize("n", range(_tables.MAX_TABLE_BITS + 1))
+    def test_table_route_matches_the_formulas(self, n):
+        # within the table cap rank/unrank read the kernel's order tables;
+        # mask_rank / mask_unrank are the independent reference
+        g = GroundSet.range(n)
+        images = [unrank(r, g).bits for r in range(1 << n)]
+        assert images == [mask_unrank(r, n) for r in range(1 << n)]
+        assert [rank(SubsetMask(m, g)).value for m in images] == [mask_rank(m, n) for m in images]
+
+    @pytest.mark.parametrize("n", [_tables.MAX_TABLE_BITS, _tables.MAX_TABLE_BITS + 1])
+    def test_boundary_ranks_agree_at_the_cap(self, n):
+        g = GroundSet.range(n)
+        starts = subsets._pascal(n)[1]
+        levels = starts[1:-1]
+        for r in sorted({0, 1, (1 << n) - 2, (1 << n) - 1, *levels, *(s - 1 for s in levels)}):
+            x = unrank(r, g)
+            assert x.bits == mask_unrank(r, n)
+            assert rank(x).value == mask_rank(x.bits, n) == r
+
+    def test_route_follows_the_table_cap(self, monkeypatch):
+        def wrong_route(*_):
+            raise AssertionError("rank/unrank took the wrong route for this ground size")
+
+        cap = _tables.MAX_TABLE_BITS
+        with monkeypatch.context() as m:
+            m.setattr(subsets, "mask_rank", wrong_route)
+            m.setattr(subsets, "mask_unrank", wrong_route)
+            assert rank(unrank(300, GroundSet.range(cap))).value == 300
+        with monkeypatch.context() as m:
+            m.setattr(_tables, "masks_in_order", wrong_route)
+            m.setattr(_tables, "rank_of_mask", wrong_route)
+            assert rank(unrank(300, GroundSet.range(cap + 1))).value == 300
+
+    @pytest.mark.parametrize("n", [_tables.MAX_TABLE_BITS, _tables.MAX_TABLE_BITS + 1])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_out_of_range_on_both_routes(self, n, side):
+        # the range check runs before the table lookup: -1 would wrap to the
+        # last mask on a tuple, and 2^n would raise an unworded IndexError
+        r = -1 if side == "below" else 1 << n
+        with pytest.raises(ValueError, match=re.escape(f"rank {r} out of range for ground size {n}")):
+            unrank(r, GroundSet.range(n))
+
+    @pytest.mark.parametrize("n", [5, _tables.MAX_TABLE_BITS + 1])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_non_integer_rank_is_refused(self, n, value):
+        with pytest.raises(TypeError, match="rank must be an int, got float"):
+            unrank(value, GroundSet.range(n))
+        with pytest.raises(TypeError, match="rank must be an int, got float"):
+            subsets.SimplicialRank(value)
+
     def test_agrees_with_comparator_sort(self):
         for n in range(0, 9):
             g = GroundSet.range(n)
