@@ -28,10 +28,10 @@ intersects a section's closed neighborhoods at every radius, and
 join_radii reassembles the two sides of every radius into full-ground
 bitsets with one parallel bit deposit, a few mask-and-shift stages
 (Hacker's Delight 7-5).  The deposit only moves and selects bits, so it
-commutes with AND: a sweep call over at least 2^n families whose table
-fits neighborhoods.MAX_PREJOIN_BYTES joins each member's stacks once and
-ANDs the joined stacks; other calls AND the sides and join once per family
-and coordinate.
+commutes with AND: a family whose every member's joined stacks equal its
+full-ground stack satisfies the identity, and a sweep call over at least
+2^n families checks each rank that way once and ANDs the sides and joins
+only for the families that hold a rank failing it.
 
 The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
@@ -247,10 +247,10 @@ def closed_bits(family: int, n: int, p: int) -> int:
     the first nonzero byte that leaves the intersection empty.  Peeling the
     lowest member instead costs three full-width big-int operations each;
     that is cheaper only on ints of a few words, which is why iter_bits,
-    split_bits and join_bits still peel.  The section sweep reads its
-    direct side from stack_balls on its pre-joined path and from
-    closed_bits_upto on its deposit path (neighborhoods._prejoins), and its
-    sections' sides from stack_balls and join_radii; split_bits and join_bits serve single instances
+    split_bits and join_bits still peel.  The section sweep reads a
+    family's direct side from closed_bits_upto, its ranks' direct sides
+    from stack_balls, and its sections' sides from stack_balls and
+    join_radii; split_bits and join_bits serve single instances
     (section_identity_holds).
     """
     if p < 0:
@@ -276,8 +276,8 @@ def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
     (member_ranks), and each radius intersects their balls, stopping as
     soon as the intersection is empty.
 
-    The section sweep's deposit path reads a family's direct side here,
-    one member walk instead of one per radius.
+    The section sweep reads the direct side of each family it evaluates
+    here, one member walk instead of one per radius.
     """
     members = member_ranks(family)
     universe = universe_bits(n)
@@ -299,8 +299,8 @@ def stack_balls(n: int, blocks: int) -> list[int]:
     as one radius stack: balls(n, p)[r] in bits [p*2^n, (p+1)*2^n), and the
     universe at radii p >= n, as closed_bits has it.  The AND of the stacks
     of a family's members holds closed_bits_upto(family, n, blocks - 1).
-    The section sweep stacks the subground for its sides and, on its
-    pre-joined path, the full ground for its direct side.
+    The section sweep stacks the subground for its sides and, in its
+    per-rank pass, the full ground for each rank's direct side.
 
     Built from balls on each call and not cached, so a stack always agrees
     with the ball tables as they are when it is read.
@@ -676,7 +676,7 @@ def join_radii(stack: int, n: int, j: int) -> int:
 
     The stages and the final masks only move and select bits, so
     join_radii(x & y) == join_radii(x) & join_radii(y), which lets the
-    section sweep AND pre-joined member stacks (neighborhoods)."""
+    section sweep decide the identity rank by rank (neighborhoods)."""
     stages, minus_keep, plus_keep = _join_radii_stages(n)[j]
     for s, mv in stages:
         stack ^= (stack ^ stack << s) & mv

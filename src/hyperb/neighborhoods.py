@@ -24,10 +24,6 @@ from .subsets import Family, GroundSet, SubsetMask
 # is the largest that stays a desk job.
 MAX_EXHAUSTIVE_N = 4
 MAX_SAMPLED_N = 12
-# Largest table of pre-joined member stacks that the section sweep builds
-# (_prejoins): n^2 * 4^n / 4 bytes, 5.3 MB at n = 9.  At n = 10 (26 MB) the
-# AND over its rows costs more per family than the deposit path.
-MAX_PREJOIN_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -559,15 +555,22 @@ def verify_section_identity(
     The check is section_identity_holds for every (family, j, p), on radius
     stacks (_tables.stack_balls): radius p in block p, H = 2^(n-1) bits per
     block over the subground and N = 2^n over the full ground.  Per family,
-    diff holds in block j*n + p - 1 (N bits) where the joined sides
-    (_section_join) and C^p[A] differ; its non-zero blocks are the
-    violations, in (j, p) order.  When the call checks enough families
-    (_prejoins), diff costs one AND per member over a table of pre-joined
-    member stacks (_prejoined_diff).  That table holds 2n^2 * 4^n bits,
-    604 MB at n = 12, and costs a family's worth of joins per rank to
-    build, so otherwise each (family, j) ANDs its members into two sides
-    and joins them (_deposit_diff).  Both read the ball tables on each
-    call, caching none.
+    _deposit_diff holds in block j*n + p - 1 (N bits) where the joined
+    sides (_section_join) and C^p[A] differ; its non-zero blocks are the
+    violations, in (j, p) order.
+
+    The identity holds for each member r alone: y lies within p of r
+    exactly when y's section part lies within p of r's (y on r's side of
+    j) or within p - 1 of it (y on the other side).  C^p[A] is the AND of
+    the members' full-ground stacks, and the joined sides are the AND of
+    their joined contributions, as _section_join commutes with AND.  So a
+    family has an empty diff unless it holds a rank whose contribution
+    differs from its stack at some j.  A call that checks at least 2^n
+    families first lists those ranks (_inconsistent_ranks, n joins per
+    rank, what one evaluated family costs) and evaluates only the families
+    that hold one; on true ball tables there is none.  A call over fewer
+    families evaluates each one.  Both read the ball tables on each call,
+    caching none.
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
@@ -575,11 +578,14 @@ def verify_section_identity(
     report = VerifyReport(
         check="section", n=n, p=None, mode=mode, families_checked=count, seed=seed
     )
-    diff_of = (_prejoined_diff if _prejoins(n, count) else _deposit_diff)(n)
+    every, coords = _section_sides(n)
+    suspect = _inconsistent_ranks(n, every, coords) if count >= 1 << n else -1
     full = 1 << n
     block = _tables.universe_bits(n)
     for fam in families:
-        diff = diff_of(fam)
+        if not fam & suspect:
+            continue
+        diff = _deposit_diff(fam, n, every, coords)
         if diff:
             for k in range(n * n):
                 if diff >> k * full & block:
@@ -591,15 +597,6 @@ def verify_section_identity(
                         }
                     )
     return report
-
-
-def _prejoins(n: int, count: int) -> bool:
-    """Whether the section sweep checks `count` families at ground size n
-    on pre-joined member stacks.  The table has a row per rank, each built
-    from n joins as is one family on the deposit path, so it pays from
-    about 2^n families (10 at n = 4, 82 at n = 7, 601 at n = 9, measured),
-    if it fits MAX_PREJOIN_BYTES."""
-    return count >= 1 << n and n * n << 2 * n - 2 <= MAX_PREJOIN_BYTES
 
 
 def _section_sides(n: int) -> tuple[int, list]:
@@ -632,69 +629,49 @@ def _section_join(cm: int, cp: int, n: int, j: int) -> int:
     return _tables.join_radii(joined, n, j)
 
 
-def _prejoined_diff(n: int):
-    """diff for verify_section_identity from a table of pre-joined member
-    stacks, built on each call.  Row r holds, in blocks of W = n*N bits,
-    _section_join(s, every) if r avoids j and _section_join(every, s) if
-    not, for j = 0..n-1 (s its subground stack), and above them r's
-    full-ground stack at radii 1..n (stack_balls) n times over.  As the
-    join commutes with AND, the AND of a family's rows holds its joined
-    sides in the low half and C^p[A] in the high half: diff is one fold."""
+def _inconsistent_ranks(n: int, every: int, coords: list) -> int:
+    """Bitset of the ranks r whose joined contribution differs from their
+    full-ground stack at radii 1..n for some coordinate j: the contribution
+    is _section_join(s, every) if r avoids j and _section_join(every, s) if
+    not, s the subground stack of coords[j].  A family holding none of
+    these ranks satisfies the identity at every (j, p)."""
     full = 1 << n
-    width = n * full
-    every, coords = _section_sides(n)
-    rows = [0] * full
-    for j in reversed(range(n)):
-        stacks, plus = coords[j]
-        for r, s in enumerate(stacks):
-            joined = _section_join(every, s, n, j) if plus[r] else _section_join(s, every, n, j)
-            rows[r] = rows[r] << width | joined
-    top = n * width
-    repeat = ((1 << top) - 1) // ((1 << width) - 1)  # bit 0 of each of the n blocks
-    table = [
-        row | (stack >> full) * repeat << top
-        for row, stack in zip(rows, _tables.stack_balls(n, n + 1))
-    ]
-    ones = (1 << 2 * top) - 1
-    low = (1 << top) - 1
-
-    def diff(fam: int) -> int:
-        acc = ones
-        for r in _tables.member_ranks(fam):
-            acc &= table[r]
-        return (acc ^ acc >> top) & low
-
-    return diff
-
-
-def _deposit_diff(n: int):
-    """diff for verify_section_identity with one join per (family, j): each
-    member's stack is ANDed into its section's side, cm or cp, and the
-    direct side packs _tables.closed_bits_upto(family, n, n) at radii 1..n."""
-    full = 1 << n
-    width = n * full
-    every, coords = _section_sides(n)
-
-    def diff(fam: int) -> int:
-        direct = _tables.closed_bits_upto(fam, n, n)
-        packed = 0
-        for p in range(n, 0, -1):
-            packed = packed << full | direct[p]
-        members = _tables.member_ranks(fam)
-        out = 0
+    bad = 0
+    for r, stack in enumerate(_tables.stack_balls(n, n + 1)):
+        direct = stack >> full
         for j, (stacks, plus) in enumerate(coords):
-            cm = cp = every
-            for r in members:
-                if plus[r]:
-                    cp &= stacks[r]
-                else:
-                    cm &= stacks[r]
-            d = _section_join(cm, cp, n, j) ^ packed
-            if d:
-                out |= d << j * width
-        return out
+            s = stacks[r]
+            joined = _section_join(every, s, n, j) if plus[r] else _section_join(s, every, n, j)
+            if joined != direct:
+                bad |= 1 << r
+                break
+    return bad
 
-    return diff
+
+def _deposit_diff(fam: int, n: int, every: int, coords: list) -> int:
+    """The diff of one family for verify_section_identity, with one join per
+    coordinate: each member's stack is ANDed into its section's side, cm or
+    cp, and the direct side packs _tables.closed_bits_upto(fam, n, n) at
+    radii 1..n."""
+    full = 1 << n
+    width = n * full
+    direct = _tables.closed_bits_upto(fam, n, n)
+    packed = 0
+    for p in range(n, 0, -1):
+        packed = packed << full | direct[p]
+    members = _tables.member_ranks(fam)
+    out = 0
+    for j, (stacks, plus) in enumerate(coords):
+        cm = cp = every
+        for r in members:
+            if plus[r]:
+                cp &= stacks[r]
+            else:
+                cm &= stacks[r]
+        d = _section_join(cm, cp, n, j) ^ packed
+        if d:
+            out |= d << j * width
+    return out
 
 
 def find_open_counterexample(n_max: int = 4) -> dict | None:
@@ -702,7 +679,11 @@ def find_open_counterexample(n_max: int = 4) -> dict | None:
     pairwise-difference hypothesis is dropped.
 
     Returns a witness dict for the smallest (n, p, family) found, or None.
+    The hunt starts at n = 2, so a smaller n_max, which would search nothing
+    and return None as a clean search does, raises ValueError.
     """
+    if n_max < 2:
+        raise ValueError(f"hunt starts at n = 2; n_max must be at least 2, got {n_max}")
     _require_exhaustible(n_max)
     for n in range(2, n_max + 1):
         for p in range(1, n):

@@ -94,8 +94,11 @@ class SubsetMask:
     ground: GroundSet
 
     def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.ground.size:
-            raise ValueError("mask has bits outside the ground set")
+        try:  # a negative int shifts to a nonzero int too
+            if self.bits >> self.ground.size:
+                raise ValueError("mask has bits outside the ground set")
+        except TypeError:
+            raise _not_int(self.bits, "mask") from None
 
     @property
     def size(self) -> int:
@@ -119,18 +122,21 @@ class SimplicialRank:
     value: int
 
     def __post_init__(self):
-        _require_int_rank(self.value)
+        if not isinstance(self.value, int):
+            raise _not_int(self.value, "rank")
         if self.value < 0:
             raise ValueError("rank must be non-negative")
 
 
-def _require_int_rank(value) -> None:
-    if not isinstance(value, int):
-        raise TypeError(f"rank must be an int, got {type(value).__name__} {value!r}")
+def _not_int(value, what: str) -> TypeError:
+    """The error for a rank or mask that is not an int.  A mask gets it from
+    the TypeError of its range check, so an int mask pays nothing."""
+    return TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
 
 
 def _check_rank(value, n: int) -> None:
-    _require_int_rank(value)
+    if not isinstance(value, int):
+        raise _not_int(value, "rank")
     if not 0 <= value < (1 << n):
         raise ValueError(f"rank {value} out of range for ground size {n}")
 
@@ -176,8 +182,11 @@ def mask_rank(bits: int, n: int) -> int:
     """Rank of an n-bit mask: the rank of the first subset of its size,
     plus its lex rank in that level, C(n, k) - 1 minus the sum over its
     members c_0 < c_1 < ... of C(n - 1 - c_i, k - i), peeled lowest first."""
-    if bits < 0 or bits >> n:
-        raise ValueError(f"mask has bits outside a ground of size {n}")
+    try:  # a negative int shifts to a nonzero int too
+        if bits >> n:
+            raise ValueError(f"mask has bits outside a ground of size {n}")
+    except TypeError:
+        raise _not_int(bits, "mask") from None
     binom, starts = _pascal(n)
     k = bits.bit_count()
     r = starts[k + 1] - 1
@@ -253,8 +262,11 @@ class Family:
         rank_of = _tables.rank_of_mask(ground.size)
         bits = 0
         for m in masks:
-            if m < 0 or m >> ground.size:
-                raise ValueError("mask has bits outside the ground set")
+            try:  # a negative int shifts to a nonzero int too
+                if m >> ground.size:
+                    raise ValueError("mask has bits outside the ground set")
+            except TypeError:
+                raise _not_int(m, "mask") from None
             bit = 1 << rank_of[m]
             if bits & bit:
                 raise ValueError(f"duplicate member {format_subset(SubsetMask(m, ground))}")

@@ -123,6 +123,16 @@ class TestVerify:
              "max_steps": 0},
         ]
 
+    def test_section_at_n10_takes_the_rank_pass(self, capsys):
+        # 1024 samples are 2^10 families: the rank pass runs above n = 9
+        code, out, _ = run(
+            ["verify", "--theorem", "section", "--n", "10", "--samples", "1024", "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["families_checked"] == 1024 and report["violations"] == []
+
     def test_simplicial(self, capsys):
         code, out, _ = run(["verify", "--theorem", "simplicial", "--n", "6"], capsys)
         assert code == 0

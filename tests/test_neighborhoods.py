@@ -371,10 +371,11 @@ _EDGES = {
 }
 
 
-def _fault_balls(monkeypatch, ground, radius):
+def _fault_balls(monkeypatch, ground, radius, centres=None):
     """Patch _tables.balls so that at ground size `ground` every ball of
-    radius `radius` < `ground` gains the complement of its centre, the one
-    subset at distance `ground` from it."""
+    radius `radius` < `ground`, or only those around the ranks in
+    `centres`, gains the complement of its centre, the one subset at
+    distance `ground` from it."""
     real = _tables.balls
     for p in range(ground + 1):
         # build every radius first: one built later from the faulted table
@@ -383,8 +384,8 @@ def _fault_balls(monkeypatch, ground, radius):
     rank = _tables.rank_of_mask(ground)
     everything = (1 << ground) - 1
     bad = tuple(
-        ball | 1 << rank[everything ^ mask]
-        for ball, mask in zip(real(ground, radius), _tables.masks_in_order(ground))
+        ball | 1 << rank[everything ^ mask] if centres is None or c in centres else ball
+        for c, (ball, mask) in enumerate(zip(real(ground, radius), _tables.masks_in_order(ground)))
     )
     monkeypatch.setattr(
         _tables, "balls", lambda g, p: bad if (g, p) == (ground, radius) else real(g, p)
@@ -439,7 +440,7 @@ class TestSectionIdentity:
         # block p; a fault in the first or last block read from the ball
         # tables must surface as exactly the (family, j, p) instances that
         # the single-instance check rejects, in sweep order.  n = 4 and 6
-        # check enough families for the pre-joined path, n = 8 too few.
+        # check enough families for the rank pass, n = 8 too few.
         _fault_balls(monkeypatch, *_EDGES[edge](n))
         if n == 4:
             # the first 2048 families of the exhaustive stream: a top-radius
@@ -451,7 +452,6 @@ class TestSectionIdentity:
             samples, seed = (300, 61) if n == 6 else (40, 67)
             rep = nb.verify_section_identity(n, "sample", samples=samples, seed=seed)
             families = list(nb.sweep_families(n, "sample", samples, seed)[0])
-        assert nb._prejoins(n, len(families)) == (n < 8)
         g = GroundSet.range(n)
         reported = [
             (family_to_bits(Family.from_labels(g, [_parse(x) for x in v["family"]])),
@@ -473,35 +473,70 @@ class TestSectionIdentity:
         + [(n, e) for e in ("subground radius 0", "full-ground radius 1") for n in range(2, 8)],
     )
     def test_both_paths_give_equal_reports(self, monkeypatch, n, edge):
-        # each path forced, on the true ball tables and with a fault at one
-        # stack edge
+        # the rank pass against every family evaluated, on the true ball
+        # tables and with a fault at one stack edge; a count of at least 2^n
+        # forces the rank pass where 60 samples are too few (n = 6, 7)
         if edge:
             _fault_balls(monkeypatch, *_EDGES[edge](n))
+        real_sweep, real_ranks = nb.sweep_families, nb._inconsistent_ranks
+
+        def sweep(*request):
+            families, count = real_sweep(*request)
+            return families, max(count, 1 << n)
+
+        flagged = []
+
+        def ranks(*sides):
+            flagged.append(real_ranks(*sides))
+            return flagged[-1]
+
+        monkeypatch.setattr(nb, "sweep_families", sweep)
+        monkeypatch.setattr(nb, "_inconsistent_ranks", ranks)
         args = ("exhaustive",) if n <= 3 else ("sample", 60, 80 + n)
-        reports = []
-        for prejoin in (True, False):
-            monkeypatch.setattr(nb, "_prejoins", lambda n, count, flag=prejoin: flag)
-            reports.append(nb.verify_section_identity(n, *args).as_json_dict())
+        reports = [nb.verify_section_identity(n, *args).as_json_dict()]
+        monkeypatch.setattr(nb, "_inconsistent_ranks", lambda *sides: -1)
+        reports.append(nb.verify_section_identity(n, *args).as_json_dict())
         assert reports[0] == reports[1]
-        assert bool(reports[0]["violations"]) == bool(edge)
+        assert bool(reports[0]["violations"]) == bool(edge) == bool(flagged[0])
 
-    def test_path_follows_the_family_count_and_the_byte_cap(self, monkeypatch):
-        # the table is built once a call checks 2^n families, if it fits
-        assert not nb._prejoins(5, 31) and nb._prejoins(5, 32)
-        assert nb._prejoins(9, 100_000) and not nb._prejoins(10, 100_000)
-        assert not nb._prejoins(12, 2)
-        monkeypatch.setattr(nb, "MAX_PREJOIN_BYTES", 0)
-        assert not nb._prejoins(1, 100)
-        monkeypatch.undo()
+    def test_rank_pass_follows_the_family_count(self, monkeypatch):
+        # the rank pass runs once a call checks 2^n families; on the true
+        # tables it flags no rank, so no family is evaluated
+        def refuse(*args):
+            raise AssertionError("wrong path")
 
-        def refuse(n):
-            raise AssertionError(f"wrong path at n = {n}")
-
-        monkeypatch.setattr(nb, "_prejoined_diff", refuse)
+        monkeypatch.setattr(nb, "_inconsistent_ranks", refuse)
         assert nb.verify_section_identity(5, "sample", samples=31, seed=3).ok
         monkeypatch.undo()
         monkeypatch.setattr(nb, "_deposit_diff", refuse)
         assert nb.verify_section_identity(5, "sample", samples=32, seed=3).ok
+        assert nb.verify_section_identity(3, "exhaustive").ok
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rank_pass_flags_no_rank_on_the_true_tables(self, n):
+        assert nb._inconsistent_ranks(n, *nb._section_sides(n)) == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("edge", list(_EDGES))
+    def test_rank_pass_flags_the_ranks_that_read_a_faulted_ball(self, monkeypatch, n, edge):
+        # one ball at a stack edge gains the complement of its centre; the
+        # flagged ranks are those whose stacks read that ball: its centre on
+        # the full ground, and on the subground the ranks whose section at
+        # some coordinate has the centre's compact rank
+        ground, radius = _EDGES[edge](n)
+        centre = (1 << ground) // 3
+        _fault_balls(monkeypatch, ground, radius, {centre})
+        if ground == n:
+            readers = {centre}
+        else:
+            readers = {
+                r
+                for j in range(n)
+                for r, c in enumerate(_tables.section_tables(n, j).compact_rank)
+                if c == centre
+            }
+        flagged = nb._inconsistent_ranks(n, *nb._section_sides(n))
+        assert list(_tables.iter_bits(flagged)) == sorted(readers)
 
 
 class TestCounterexampleHunt:
@@ -517,6 +552,12 @@ class TestCounterexampleHunt:
         own = len(nb.common_open(fam, p))
         bound = len(nb.common_open(initial_segment(len(fam), g), p))
         assert own > bound
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_a_hunt_below_n2_is_refused(self, n_max):
+        # it would search no cell and answer None, as a clean search does
+        with pytest.raises(ValueError, match="n_max must be at least 2"):
+            nb.find_open_counterexample(n_max)
 
 
 def _parse(text):

@@ -63,6 +63,19 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             SubsetMask(0b1000, G3)
 
+    @pytest.mark.parametrize("bits", [2.0, "3", None, -1.0])
+    def test_non_int_mask_is_refused(self, bits):
+        # worded as the rank side is; -1.0 passes the sign test's type
+        g = GroundSet.range(5)
+        worded = re.escape(f"mask must be an int, got {type(bits).__name__} {bits!r}")
+        for make in (
+            lambda: SubsetMask(bits, g),
+            lambda: mask_rank(bits, 5),
+            lambda: Family.from_masks(g, [1, bits]),
+        ):
+            with pytest.raises(TypeError, match=worded):
+                make()
+
 
 class TestSimplicialCmp:
     def test_smaller_size_first(self):
