@@ -37,9 +37,11 @@ The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
 lane by doubling over the ranks, bytes.translate maps every byte through a
 table at once, lane_slack subtracts two lanes in one guarded big-int
-operation (SIMD within a register, Knuth TAOCP 7.1.3), lane_where zeroes
-the bytes of the families a 0/1 lane leaves out, and lane_below lists the
-families whose slack went negative.
+operation (SIMD within a register, Knuth TAOCP 7.1.3), optionally zeroing
+the families a 0/1 lane leaves out in the same pass, lane_where zeroes them
+alone, lane_below lists the families whose slack went negative, and
+lane_max_slack finds the largest slack with one C byte search (memchr) per
+candidate value, not a Python walk over the bytes.
 
 The *subset lanes* read a ball table through its columns: column y holds
 the ranks a whose ball contains y, so y lies in C^p[f] exactly when f is
@@ -47,9 +49,12 @@ a subset of column y.  subset_lane marks the subsets of one bitset,
 closed_size_lane sums the subset lanes of all columns into |C^p[f]|, and
 pairwise_lane marks the families whose members all lie in each other's
 balls.  Both double over the ranks as count_lane does and read balls(n, p)
-once per call, so they give the sizes and the pairwise test of
+on every call, so they give the sizes and the pairwise test of
 closed_bits_all, the subset DP kept as their reference, on any ball table,
-an asymmetric one included.
+an asymmetric one included.  closed_size_lane, read by several sweeps at
+one (n, p), keeps its lanes in a small memo keyed by the ball table's
+content, not by (n, p): a patched or faulted table is a new key, so the
+memo can never hand out the lane of another table.
 """
 
 from __future__ import annotations
@@ -294,28 +299,28 @@ def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
     return out
 
 
-def stack_balls(n: int, blocks: int) -> list[int]:
-    """stack[r] = the balls around the subset of rank r at radii 0..blocks-1
-    as one radius stack: balls(n, p)[r] in bits [p*2^n, (p+1)*2^n), and the
-    universe at radii p >= n, as closed_bits has it.  The AND of the stacks
-    of a family's members holds closed_bits_upto(family, n, blocks - 1).
-    The section sweep stacks the subground for its sides and, in its
-    per-rank pass, the full ground for each rank's direct side.
+def stack_balls(n: int, blocks: int):
+    """Yield stack[r] for r = 0..2^n-1: the balls around the subset of rank r
+    at radii 0..blocks-1 as one radius stack, balls(n, p)[r] in bits
+    [p*2^n, (p+1)*2^n), and the universe at radii p >= n, as closed_bits
+    has it.  The AND of the stacks of a family's members holds
+    closed_bits_upto(family, n, blocks - 1).  The section sweep lists the
+    subground's stacks for its sides and, in its per-rank pass, reads the
+    full ground's one rank at a time, so no list of them is held (about
+    27 MB at n = 12).
 
-    Built from balls on each call and not cached, so a stack always agrees
+    Built from balls when read and not cached, so a stack always agrees
     with the ball tables as they are when it is read.
     """
     width = 1 << n
     read = min(blocks, n)
     top = (1 << (blocks - read) * width) - 1
     tables = [balls(n, p) for p in reversed(range(read))]
-    stack = []
-    for r in range(width):  # one stack at a time: no half-built copy of the list
+    for r in range(width):
         acc = top
         for table in tables:
             acc = acc << width | table[r]
-        stack.append(acc)
-    return stack
+        yield acc
 
 
 def closed_bits_all(n: int, p: int) -> list[int]:
@@ -396,23 +401,39 @@ def _and_table(mask: int) -> bytes:
     return bytes(v & mask for v in range(256))
 
 
+# Bound on the lanes closed_size_lane keeps: the true ball tables at n <= 4
+# give 15 distinct lanes (radii 0..n at each n; a radius above n is the
+# radius-n table), 64 KiB each at n = 4.
+SIZE_LANE_MEMO = 16
+
+
 def closed_size_lane(n: int, p: int) -> bytes:
     """The lane of |C^p[f]| over every family bitset f.
 
     y lies in C^p[f] exactly when f is a subset of column y of the ball
     table (ball_columns), so the lane is the sum over y of the subset lanes
-    of the columns.  Eight columns y = 8g..8g+7 share one lane, bit y - 8g
-    of byte f standing for column y, and the lane doubles over the ranks
-    as count_lane does: the families whose top member is r are those below
-    it, each byte ANDed with the columns holding r, which are the bits of
-    ball[r] in byte g.  A byte-wise popcount turns the bits into counts,
-    and the groups' lanes add as big ints (a byte holds at most 2^n <= 16,
-    so no byte carries).  It reads balls(n, p) once and caches
-    nothing, so it agrees with closed_bits_all on any ball table, an
-    asymmetric one included.
+    of the columns (_size_lane).  The lane cap is checked before any table
+    is read; then balls(n, p) is read on every call and the lane is looked
+    up by that table's content, so it agrees with closed_bits_all on any
+    ball table, an asymmetric or a patched one included, and a sweep that
+    reads the lane of one table again does not rebuild it.
     """
     check_lane_size(n)
-    ball = balls(n, p)
+    return _size_lane(n, tuple(balls(n, p)))
+
+
+@lru_cache(maxsize=SIZE_LANE_MEMO)
+def _size_lane(n: int, ball: tuple[int, ...]) -> bytes:
+    """closed_size_lane for the ball table `ball` at ground size n, memoised
+    by the table itself.
+
+    Eight columns y = 8g..8g+7 share one lane, bit y - 8g of byte f standing
+    for column y, and the lane doubles over the ranks as count_lane does:
+    the families whose top member is r are those below it, each byte ANDed
+    with the columns holding r, which are the bits of ball[r] in byte g.  A
+    byte-wise popcount turns the bits into counts, and the groups' lanes
+    add as big ints (a byte holds at most 2^n <= 16, so no byte carries).
+    """
     universe = universe_bits(n)
     total = 0
     for shift in range(0, len(ball), 8):
@@ -429,8 +450,8 @@ def pairwise_lane(n: int, p: int) -> bytes:
 
     By doubling over the top member r: f + {r} qualifies when f does, r is
     in its own ball, and f is a subset of ball[r] and of column r
-    (ball_columns), one lane_where per rank.  It reads balls(n, p) once
-    and caches nothing.
+    (ball_columns), one lane_where per rank.  It reads balls(n, p) on every
+    call and is not memoised: only the open sweep reads it, once per (n, p).
     """
     check_lane_size(n)
     ball = balls(n, p)
@@ -450,13 +471,40 @@ def lane_where(lane: bytes, flags: bytes) -> bytes:
     return (int.from_bytes(lane, "little") & keep).to_bytes(len(lane), "little")
 
 
-def lane_slack(high: bytes, low: bytes) -> bytes:
+@lru_cache(maxsize=16)
+def _guard(length: int) -> int:
+    """The int whose `length` little-endian bytes are all 0x80."""
+    return int.from_bytes(b"\x80" * length, "little")
+
+
+def lane_slack(high: bytes, low: bytes, flags: bytes | None = None) -> bytes:
     """Byte f of the result is 0x80 + high[f] - low[f], for two lanes of one
     length whose bytes are below 0x80: one big-int subtraction, where the
-    guard bit 0x80 set in every byte of high absorbs that byte's borrow."""
-    guard = int.from_bytes(b"\x80" * len(high), "little")
-    slack = (int.from_bytes(high, "little") | guard) - int.from_bytes(low, "little")
-    return slack.to_bytes(len(high), "little")
+    guard bit 0x80 set in every byte of high absorbs that byte's borrow.
+
+    Given a 0/1 flags lane of the same length, both lanes are first masked
+    by flags * 0xFF in the same pass, so a family flagged 0 reads 0x80
+    (slack 0): lane_where on each side, with two conversions fewer."""
+    length = len(high)
+    high_int = int.from_bytes(high, "little")
+    low_int = int.from_bytes(low, "little")
+    if flags is not None:
+        keep = int.from_bytes(flags, "little") * 0xFF
+        high_int &= keep
+        low_int &= keep
+    return ((high_int | _guard(length)) - low_int).to_bytes(length, "little")
+
+
+def lane_max_slack(slack: bytes, top: int) -> int:
+    """max(max(slack) - 0x80, 0) for a lane_slack lane whose slacks are at
+    most top: the bytes 0x80 + top, ..., 0x81 are searched for in turn, each
+    with one C byte search (memchr), and the first one present gives the
+    answer; 0 when none is (an empty lane included).  A top of 0x7F or more
+    searches every positive slack."""
+    for value in range(0x80 + min(top, 0x7F), 0x80, -1):
+        if value in slack:
+            return value - 0x80
+    return 0
 
 
 def lane_below(slack: bytes):

@@ -223,21 +223,23 @@ def _check_radius(n: int, p: int) -> None:
 def sample_family_bits(n: int, rng: random.Random) -> int:
     """Random family: size m uniform in [1, 2^(n-1)], then m distinct subsets.
 
-    The ranks are those of rng.sample(range(2^n), m), drawn inline from
-    rng.getrandbits with the same pool/set switch and the same rejection
-    step, so the families and the generator state afterwards match it
-    exactly (tests/test_neighborhoods.py::TestSamplerStream checks this
+    m is drawn as rng.randint(1, 2^(n-1)) draws it, and the ranks are those
+    of rng.sample(range(2^n), m), both inline from rng.getrandbits with the
+    same rejection steps and sample's pool/set switch (read from
+    _pool_branch), so the families and the generator state afterwards match
+    them exactly (tests/test_neighborhoods.py::TestSamplerStream checks this
     against the running interpreter's random module).
     """
-    m = rng.randint(1, 1 << (n - 1))
-    size = 1 << n
     getrandbits = rng.getrandbits
+    half = 1 << (n - 1)
+    m = getrandbits(n)  # randint(1, half): n bits until below half, plus 1
+    while m >= half:
+        m = getrandbits(n)
+    m += 1
+    size = 1 << n
     drawn = ord("1")
     flags = bytearray(b"0") * size  # flags[r] is b"1" once rank r is drawn
-    setsize = 21
-    if m > 5:
-        setsize += 4 ** ceil(log(m * 3, 4))
-    if size <= setsize:
+    if _pool_branch(n)[m]:
         # pool branch: the undrawn ranks sit at pool[0 : left].  The first
         # draw is below 2^n (n + 1 bits); every later bound lies in
         # (2^(n-1), 2^n), as m <= 2^(n-1), so it draws n bits.
@@ -261,6 +263,21 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
     return int(flags[::-1], 2)
 
 
+@lru_cache(maxsize=None)
+def _pool_branch(n: int) -> bytes:
+    """_pool_branch(n)[m] is 1 when rng.sample(range(2^n), m) keeps a pool
+    list and 0 when it keeps a set of taken ranks, for m = 0..2^(n-1): the
+    pool when 2^n <= 21 + 4^ceil(log4(3m)), the second term only for m > 5."""
+    size = 1 << n
+    flags = bytearray(1 + (1 << (n - 1)))
+    for m in range(len(flags)):
+        setsize = 21
+        if m > 5:
+            setsize += 4 ** ceil(log(m * 3, 4))
+        flags[m] = size <= setsize
+    return bytes(flags)
+
+
 def verify_close_inequality(
     n: int,
     p: int,
@@ -272,8 +289,10 @@ def verify_close_inequality(
 
     Exhaustive mode enumerates all 2^(2^n) families (n <= 4) on byte lanes:
     the bound of every family is the popcount lane translated through the
-    bound table, and one lane_slack against _tables.closed_size_lane gives
-    every slack at once.  Sample mode draws seeded random families.
+    bound table, one lane_slack against _tables.closed_size_lane gives
+    every slack at once, and _tables.lane_max_slack reads the largest (a
+    bound is a size of a 2^n-element set, so no slack exceeds 2^n).
+    Sample mode draws seeded random families.
     Any violation is reported with a full witness; slack is the bound minus
     the achieved size.
     """
@@ -291,7 +310,7 @@ def verify_close_inequality(
             _witness(fam, n, p, "closed_size", size_lane[fam], bound)
             for fam in _tables.lane_below(slack)
         ]
-        report.max_slack = max(max(slack) - 0x80, 0)
+        report.max_slack = _tables.lane_max_slack(slack, 1 << n)
         return report
     sizes = ((fam, _tables.closed_bits(fam, n, p).bit_count()) for fam in families)
     _tally(report, sizes, bound, "closed_size")
@@ -338,8 +357,10 @@ def verify_open_inequality(
     lies inside its closed neighborhood, so its open one has
     closed_size_lane[f] - |f| members.  One lane_slack of the popcount lane
     translated through open_bound[k] + k against the size lane, both
-    zeroed outside the qualifying families (slack 0 there), gives every
-    slack at once.  Sample mode grows random qualifying families directly:
+    masked by the pairwise lane in the same pass (slack 0 outside the
+    qualifying families), gives every slack at once, and
+    _tables.lane_max_slack reads the largest.  Sample mode grows random
+    qualifying families directly:
     each next member is drawn uniformly from the subsets compatible with
     all current members.
     """
@@ -352,16 +373,14 @@ def verify_open_inequality(
         size_lane = _tables.closed_size_lane(n, p)
         shifted = bytes(b + k for k, b in enumerate(open_bound)).ljust(256, b"\0")
         bound_lane = _tables.count_lane(n, 0, 0, 1).translate(shifted)
-        slack = _tables.lane_slack(
-            _tables.lane_where(bound_lane, pairwise), _tables.lane_where(size_lane, pairwise)
-        )
+        slack = _tables.lane_slack(bound_lane, size_lane, pairwise)
         report.details["families_scanned"] = 1 << (1 << n)
         report.families_checked = pairwise.count(1)
         report.violations = [
             _witness(fam, n, p, "open_size", size_lane[fam] - fam.bit_count(), open_bound)
             for fam in _tables.lane_below(slack)
         ]
-        report.max_slack = max(max(slack) - 0x80, 0)
+        report.max_slack = _tables.lane_max_slack(slack, 1 << n)
         return report
     rng = random.Random(seed)
     closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
@@ -603,7 +622,7 @@ def _section_sides(n: int) -> tuple[int, list]:
     """(every, coords): every is the universe at radii 0..n over the
     subground; coords[j][0][r] is the subground stack (radii 0..n) of the
     compact rank of r, and coords[j][1][r] is 1 if r's subset contains j."""
-    sub = _tables.stack_balls(n - 1, n + 1)
+    sub = list(_tables.stack_balls(n - 1, n + 1))
     coords = []
     for j in range(n):
         t = _tables.section_tables(n, j)
@@ -634,7 +653,8 @@ def _inconsistent_ranks(n: int, every: int, coords: list) -> int:
     full-ground stack at radii 1..n for some coordinate j: the contribution
     is _section_join(s, every) if r avoids j and _section_join(every, s) if
     not, s the subground stack of coords[j].  A family holding none of
-    these ranks satisfies the identity at every (j, p)."""
+    these ranks satisfies the identity at every (j, p).  The full-ground
+    stacks are read one rank at a time (_tables.stack_balls yields them)."""
     full = 1 << n
     bad = 0
     for r, stack in enumerate(_tables.stack_balls(n, n + 1)):

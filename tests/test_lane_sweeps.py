@@ -242,6 +242,42 @@ class TestBallFaults:
         assert opened[p - 1].families_checked == clean
 
 
+class TestSizeLaneMemo:
+    def test_a_faulted_table_is_a_new_key(self, monkeypatch):
+        # closed_size_lane is memoised by the ball table's content: the lane
+        # of a faulted table is built from that table, and the true lane
+        # comes back once the fault is undone
+        n, p = 4, 2
+        true_lane = _tables.closed_size_lane(n, p)
+        with monkeypatch.context() as patch:
+            fault_ball_table(patch, n, p, [(15, 0), (3, 9), (9, 9)])
+            faulted = _tables.closed_size_lane(n, p)
+            assert faulted == bytes(v.bit_count() for v in _tables.closed_bits_all(n, p))
+            assert faulted != true_lane
+        hits = _tables._size_lane.cache_info().hits
+        assert _tables.closed_size_lane(n, p) == true_lane
+        assert true_lane == bytes(v.bit_count() for v in _tables.closed_bits_all(n, p))
+        info = _tables._size_lane.cache_info()
+        assert info.hits == hits + 1
+        assert info.maxsize == _tables.SIZE_LANE_MEMO and info.currsize <= info.maxsize
+
+    def test_the_sweeps_build_each_lane_once(self):
+        # the exhaustive close, open and compression sweeps at n = 4 read
+        # the size lanes of radii 1..4, 1..4 and 1..3: four lanes in all
+        _tables._size_lane.cache_clear()
+        for p in range(1, 5):
+            nb.verify_close_inequality(4, p, "exhaustive")
+            nb.verify_open_inequality(4, p, "exhaustive")
+        cp.verify_compression_inequality(4, "exhaustive")
+        info = _tables._size_lane.cache_info()
+        assert (info.misses, info.hits) == (4, 7)
+
+    def test_every_true_lane_fits_the_memo(self):
+        # keyed as the memo keys them: a radius above n is the radius-n table
+        tables = {(n, tuple(_tables.balls(n, p))) for n in range(5) for p in range(n + 2)}
+        assert len(tables) <= _tables.SIZE_LANE_MEMO
+
+
 class TestCompressionFaults:
     def test_corrupted_image_entry_reports_its_group(self, monkeypatch):
         # emptying the entry for the image of one pair of section sizes at

@@ -236,7 +236,7 @@ class TestRadiusStacks:
     def test_anded_stacks_hold_closed_bits_at_every_radius(self, n):
         width = 1 << n
         blocks = n + 2  # radii n and n + 1 are the universe, not read
-        stack = _tables.stack_balls(n, blocks)
+        stack = list(_tables.stack_balls(n, blocks))
         assert len(stack) == width
         universe = _tables.universe_bits(n)
         for f in kernel_families(n, random.Random(50 + n)):
@@ -374,6 +374,38 @@ class TestLanes:
         lane = bytes(v for v, _ in pairs)
         flags = bytes(int(keep) for _, keep in pairs)
         assert _tables.lane_where(lane, flags) == bytes(v if keep else 0 for v, keep in pairs)
+
+    @given(st.lists(st.tuples(st.integers(0, 0x7F), st.integers(0, 0x7F), st.booleans()),
+                    max_size=80))
+    @settings(max_examples=200)
+    def test_lane_slack_with_flags_is_lane_where_on_both_sides(self, triples):
+        high = bytes(h for h, _, _ in triples)
+        low = bytes(v for _, v, _ in triples)
+        flags = bytes(int(keep) for _, _, keep in triples)
+        assert _tables.lane_slack(high, low, flags) == _tables.lane_slack(
+            _tables.lane_where(high, flags), _tables.lane_where(low, flags)
+        ) == bytes(0x80 + h - v if keep else 0x80 for h, v, keep in triples)
+
+    @staticmethod
+    def _slack_lanes(top):
+        """Seeded slack lanes whose slacks are at most top: mixed ones, ones
+        whose largest slack is top, ones with no positive slack and ones of
+        violations only."""
+        rng = random.Random(top)
+        lanes = [b"\x80", b"\x7f", bytes([0x80 + top])]
+        for length in (1, 2, 16, 255, 4096):
+            lanes.append(bytes(rng.randint(0x70, 0x80 + top) for _ in range(length)))
+            at_top = bytearray(rng.randint(0x70, 0x80 + top) for _ in range(length))
+            at_top[rng.randrange(length)] = 0x80 + top
+            lanes.append(bytes(at_top))
+            lanes.append(bytes(rng.randint(0x70, 0x80) for _ in range(length)))
+            lanes.append(bytes(rng.randint(0x00, 0x7F) for _ in range(length)))
+        return lanes
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 4, 8, 16, 0x7F])
+    def test_lane_max_slack_is_the_largest_positive_slack(self, top):
+        for lane in self._slack_lanes(top):
+            assert _tables.lane_max_slack(lane, top) == max(max(lane) - 0x80, 0), (top, lane)
 
     @pytest.mark.parametrize("ranks", range(0, 7))
     def test_subset_lane(self, ranks):
