@@ -23,15 +23,13 @@ complement (Harper 1966), so balls derives a radius p >= n/2 by complement.
 
 The section sweep works on *radius stacks*: one int holding a bitset per
 radius p = 0, 1, ... side by side, radius p in bits [p*2^n, (p+1)*2^n).
-stack_balls stacks a ground's balls this way, so one AND per member
+stack_balls stacks the subground's balls this way, so one AND per member
 intersects a section's closed neighborhoods at every radius, and
 join_radii reassembles the two sides of every radius into full-ground
 bitsets with one parallel bit deposit, a few mask-and-shift stages
 (Hacker's Delight 7-5).  The deposit only moves and selects bits, so it
-commutes with AND: a family whose every member's joined stacks equal its
-full-ground stack satisfies the identity, and a sweep call over at least
-2^n families checks each rank that way once and ANDs the sides and joins
-only for the families that hold a rank failing it.
+commutes with AND: a family whose every member satisfies the identity
+alone satisfies it too.
 
 The all-families sweeps (n <= 4) work on *lanes*: one bytes object whose
 byte f holds a small count for the family bitset f.  count_lane builds a
@@ -252,11 +250,7 @@ def closed_bits(family: int, n: int, p: int) -> int:
     the first nonzero byte that leaves the intersection empty.  Peeling the
     lowest member instead costs three full-width big-int operations each;
     that is cheaper only on ints of a few words, which is why iter_bits,
-    split_bits and join_bits still peel.  The section sweep reads a
-    family's direct side from closed_bits_upto, its ranks' direct sides
-    from stack_balls, and its sections' sides from stack_balls and
-    join_radii; split_bits and join_bits serve single instances
-    (section_identity_holds).
+    split_bits and join_bits still peel.
     """
     if p < 0:
         raise ValueError("radius must be non-negative")
@@ -275,39 +269,13 @@ def closed_bits(family: int, n: int, p: int) -> int:
     return acc
 
 
-def closed_bits_upto(family: int, n: int, p_max: int) -> list[int]:
-    """[closed_bits(family, n, p) for p in 0..p_max], from one walk over the
-    members: the member ranks are listed once, a byte at a time
-    (member_ranks), and each radius intersects their balls, stopping as
-    soon as the intersection is empty.
-
-    The section sweep reads the direct side of each family it evaluates
-    here, one member walk instead of one per radius.
-    """
-    members = member_ranks(family)
-    universe = universe_bits(n)
-    out = []
-    for p in range(min(p_max + 1, n)):
-        ball = balls(n, p)
-        acc = universe
-        for r in members:
-            acc &= ball[r]
-            if not acc:
-                break
-        out.append(acc)
-    out += [universe] * (p_max + 1 - len(out))
-    return out
-
-
 def stack_balls(n: int, blocks: int):
     """Yield stack[r] for r = 0..2^n-1: the balls around the subset of rank r
     at radii 0..blocks-1 as one radius stack, balls(n, p)[r] in bits
     [p*2^n, (p+1)*2^n), and the universe at radii p >= n, as closed_bits
     has it.  The AND of the stacks of a family's members holds
-    closed_bits_upto(family, n, blocks - 1).  The section sweep lists the
-    subground's stacks for its sides and, in its per-rank pass, reads the
-    full ground's one rank at a time, so no list of them is held (about
-    27 MB at n = 12).
+    closed_bits(family, n, p) in block p.  The section sweep lists the
+    subground's stacks for the sides of its identity.
 
     Built from balls when read and not cached, so a stack always agrees
     with the ball tables as they are when it is read.

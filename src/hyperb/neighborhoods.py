@@ -20,9 +20,6 @@ from . import _tables
 from .errors import InfeasibleError
 from .subsets import Family, GroundSet, SubsetMask
 
-# Exhaustive family sweeps enumerate all 2^(2^n) families; n = 4 (65 536)
-# is the largest that stays a desk job.
-MAX_EXHAUSTIVE_N = 4
 MAX_SAMPLED_N = 12
 
 
@@ -162,10 +159,12 @@ def _subset_strings(n: int) -> tuple[str, ...]:
 
 
 def _require_exhaustible(n: int) -> None:
-    if n > MAX_EXHAUSTIVE_N:
+    """Exhaustive sweeps enumerate all 2^(2^n) families, every one but the
+    section sweep on lanes, so they share the lane cap _tables.MAX_LANE_N."""
+    if n > _tables.MAX_LANE_N:
         raise InfeasibleError(
             f"exhaustive family sweep at n={n} would visit 2^{1 << n} families; "
-            f"exhaustive mode is capped at n <= {MAX_EXHAUSTIVE_N}"
+            f"exhaustive mode is capped at n <= {_tables.MAX_LANE_N}"
         )
 
 
@@ -581,15 +580,14 @@ def verify_section_identity(
     The identity holds for each member r alone: y lies within p of r
     exactly when y's section part lies within p of r's (y on r's side of
     j) or within p - 1 of it (y on the other side).  C^p[A] is the AND of
-    the members' full-ground stacks, and the joined sides are the AND of
-    their joined contributions, as _section_join commutes with AND.  So a
-    family has an empty diff unless it holds a rank whose contribution
-    differs from its stack at some j.  A call that checks at least 2^n
-    families first lists those ranks (_inconsistent_ranks, n joins per
-    rank, what one evaluated family costs) and evaluates only the families
-    that hold one; on true ball tables there is none.  A call over fewer
-    families evaluates each one.  Both read the ball tables on each call,
-    caching none.
+    the members' balls, and the joined sides are the AND of their joined
+    contributions, as _section_join commutes with AND.  So a family has an
+    empty diff unless it holds a rank r whose singleton {r} has one.  A
+    call that checks at least 2^n families first lists those ranks
+    (_inconsistent_ranks, 2^n singleton evaluations) and evaluates only the
+    families that hold one; on true ball tables there is none.  A call over
+    fewer families evaluates each one.  Both read the ball tables on each
+    call, caching none.
     """
     if n < 1:
         raise ValueError(f"section sweep needs n >= 1 for a coordinate, got {n}")
@@ -604,7 +602,7 @@ def verify_section_identity(
     for fam in families:
         if not fam & suspect:
             continue
-        diff = _deposit_diff(fam, n, every, coords)
+        diff = _deposit_diff(_tables.member_ranks(fam), n, every, coords)
         if diff:
             for k in range(n * n):
                 if diff >> k * full & block:
@@ -649,37 +647,35 @@ def _section_join(cm: int, cp: int, n: int, j: int) -> int:
 
 
 def _inconsistent_ranks(n: int, every: int, coords: list) -> int:
-    """Bitset of the ranks r whose joined contribution differs from their
-    full-ground stack at radii 1..n for some coordinate j: the contribution
-    is _section_join(s, every) if r avoids j and _section_join(every, s) if
-    not, s the subground stack of coords[j].  A family holding none of
-    these ranks satisfies the identity at every (j, p).  The full-ground
-    stacks are read one rank at a time (_tables.stack_balls yields them)."""
-    full = 1 << n
+    """Bitset of the ranks r whose singleton {r} has a non-zero
+    _deposit_diff.  A family holding none of these ranks satisfies the
+    identity at every (j, p)."""
     bad = 0
-    for r, stack in enumerate(_tables.stack_balls(n, n + 1)):
-        direct = stack >> full
-        for j, (stacks, plus) in enumerate(coords):
-            s = stacks[r]
-            joined = _section_join(every, s, n, j) if plus[r] else _section_join(s, every, n, j)
-            if joined != direct:
-                bad |= 1 << r
-                break
+    for r in range(1 << n):
+        if _deposit_diff([r], n, every, coords):
+            bad |= 1 << r
     return bad
 
 
-def _deposit_diff(fam: int, n: int, every: int, coords: list) -> int:
-    """The diff of one family for verify_section_identity, with one join per
+def _deposit_diff(members: list[int], n: int, every: int, coords: list) -> int:
+    """The diff of the family with these member ranks for
+    verify_section_identity.  The joined side takes one join per
     coordinate: each member's stack is ANDed into its section's side, cm or
-    cp, and the direct side packs _tables.closed_bits_upto(fam, n, n) at
-    radii 1..n."""
+    cp.  The direct side packs C^p[A] at radii 1..n: one AND per member
+    per radius over balls(n, p) for p < n, stopping once the intersection
+    is empty, and the universe at p = n."""
     full = 1 << n
     width = n * full
-    direct = _tables.closed_bits_upto(fam, n, n)
-    packed = 0
-    for p in range(n, 0, -1):
-        packed = packed << full | direct[p]
-    members = _tables.member_ranks(fam)
+    universe = _tables.universe_bits(n)
+    packed = universe
+    for p in range(n - 1, 0, -1):
+        ball = _tables.balls(n, p)
+        acc = universe
+        for r in members:
+            acc &= ball[r]
+            if not acc:
+                break
+        packed = packed << full | acc
     out = 0
     for j, (stacks, plus) in enumerate(coords):
         cm = cp = every

@@ -501,20 +501,53 @@ class TestSectionIdentity:
 
     def test_rank_pass_follows_the_family_count(self, monkeypatch):
         # the rank pass runs once a call checks 2^n families; on the true
-        # tables it flags no rank, so no family is evaluated
+        # tables it flags no rank, so only the 2^n singletons are evaluated
         def refuse(*args):
             raise AssertionError("wrong path")
 
         monkeypatch.setattr(nb, "_inconsistent_ranks", refuse)
         assert nb.verify_section_identity(5, "sample", samples=31, seed=3).ok
         monkeypatch.undo()
-        monkeypatch.setattr(nb, "_deposit_diff", refuse)
-        assert nb.verify_section_identity(5, "sample", samples=32, seed=3).ok
-        assert nb.verify_section_identity(3, "exhaustive").ok
+        real = nb._deposit_diff
+        evaluated = []
+
+        def record(members, *sides):
+            evaluated.append(list(members))
+            return real(members, *sides)
+
+        monkeypatch.setattr(nb, "_deposit_diff", record)
+        for n, args in ((5, ("sample", 32, 3)), (3, ("exhaustive",))):
+            evaluated.clear()
+            assert nb.verify_section_identity(n, *args).ok
+            assert evaluated == [[r] for r in range(1 << n)]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_rank_pass_flags_no_rank_on_the_true_tables(self, n):
         assert nb._inconsistent_ranks(n, *nb._section_sides(n)) == 0
+
+    @pytest.mark.parametrize(
+        "n, edge, one_centre",
+        [(n, None, False) for n in range(1, 7)]
+        + [(n, e, c) for n in (2, 4, 6) for e in _EDGES for c in (False, True)],
+    )
+    def test_rank_pass_flags_the_singletons_the_reference_rejects(
+        self, monkeypatch, n, edge, one_centre
+    ):
+        # the rank pass against the split/join reference on each singleton
+        if edge:
+            ground, radius = _EDGES[edge](n)
+            centres = {(1 << ground) // 3} if one_centre else None
+            _fault_balls(monkeypatch, ground, radius, centres)
+        rejected = {
+            r
+            for r in range(1 << n)
+            for j in range(n)
+            for p in range(1, n + 1)
+            if not nb.section_identity_holds(1 << r, n, p, j)
+        }
+        flagged = nb._inconsistent_ranks(n, *nb._section_sides(n))
+        assert set(_tables.iter_bits(flagged)) == rejected
+        assert bool(rejected) == bool(edge)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("edge", list(_EDGES))
