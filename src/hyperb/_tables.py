@@ -338,6 +338,14 @@ def count_lane(n: int, selector: int, step_in: int, step_out: int) -> bytes:
     return lane
 
 
+@lru_cache(maxsize=None)
+def popcount_lane(n: int) -> bytes:
+    """count_lane(n, 0, 0, 1), byte f being the number of members of f,
+    built once per n: it reads no ball table, so a cached lane cannot hide
+    a fault in one."""
+    return count_lane(n, 0, 0, 1)
+
+
 def subset_lane(members: int, ranks: int) -> bytes:
     """The lane over the families of ranks 0..ranks-1 whose byte f is 1 when
     f is a subset of the bitset `members` and 0 when not, by doubling: the
@@ -445,17 +453,19 @@ def _guard(length: int) -> int:
     return int.from_bytes(b"\x80" * length, "little")
 
 
-def lane_slack(high: bytes, low: bytes, flags: bytes | None = None) -> bytes:
+def lane_slack(high: bytes, low: bytes | int, flags: bytes | None = None) -> bytes:
     """Byte f of the result is 0x80 + high[f] - low[f], for two lanes of one
     length whose bytes are below 0x80: one big-int subtraction, where the
     guard bit 0x80 set in every byte of high absorbs that byte's borrow.
+    low may also be given as int.from_bytes(low, "little"), so a caller
+    that holds one lane against many converts it once.
 
     Given a 0/1 flags lane of the same length, both lanes are first masked
     by flags * 0xFF in the same pass, so a family flagged 0 reads 0x80
     (slack 0): lane_where on each side, with two conversions fewer."""
     length = len(high)
     high_int = int.from_bytes(high, "little")
-    low_int = int.from_bytes(low, "little")
+    low_int = low if isinstance(low, int) else int.from_bytes(low, "little")
     if flags is not None:
         keep = int.from_bytes(flags, "little") * 0xFF
         high_int &= keep

@@ -369,18 +369,19 @@ def _compression_lanes(report: VerifyReport, n: int) -> None:
     lane of every family's |C^p[A]| (_tables.closed_size_lane); per
     coordinate j, the key lane of _section_keys translated through the
     table of the compressed sizes, one compression per key; and one
-    lane_slack per (j, p).  The (family, j, p) hits are sorted into family
-    order."""
+    lane_slack per (j, p), against the size lane of p converted to an int
+    once.  The (family, j, p) hits are sorted into family order."""
     sizes = [_tables.closed_size_lane(n, p) for p in range(1, n)]
+    size_ints = [int.from_bytes(size, "little") for size in sizes]
     hits = []
     for j in range(n):
         lane, keyed = _section_keys(n, j)
-        for p, size in enumerate(sizes, 1):
+        for p, (size, size_int) in enumerate(zip(sizes, size_ints), 1):
             table = bytearray(256)
             for key, _, image in keyed:
                 table[key] = size[image]
             compressed = lane.translate(table)
-            slack = _tables.lane_slack(compressed, size)
+            slack = _tables.lane_slack(compressed, size_int)
             hits += [(fam, j, p, size[fam], compressed[fam]) for fam in _tables.lane_below(slack)]
     hits.sort()
     report.violations = [

@@ -228,6 +228,11 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
     _pool_branch), so the families and the generator state afterwards match
     them exactly (tests/test_neighborhoods.py::TestSamplerStream checks this
     against the running interpreter's random module).
+
+    The pool branch is a partial Fisher-Yates selection (Knuth, TAOCP 2,
+    3.4.2): one swap per pick on a copy of the cached list 0..2^n-1
+    (_rank_pool), so a draw builds no new int objects.  The cached list is
+    never handed out or written to.
     """
     getrandbits = rng.getrandbits
     half = 1 << (n - 1)
@@ -242,7 +247,7 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
         # pool branch: the undrawn ranks sit at pool[0 : left].  The first
         # draw is below 2^n (n + 1 bits); every later bound lies in
         # (2^(n-1), 2^n), as m <= 2^(n-1), so it draws n bits.
-        pool = list(range(size))
+        pool = _rank_pool(n).copy()
         k = n + 1
         for left in range(size, size - m, -1):
             j = getrandbits(k)
@@ -260,6 +265,15 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
                 j = getrandbits(k)
             flags[j] = drawn
     return int(flags[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _rank_pool(n: int) -> list[int]:
+    """The list 0..2^n-1 that every pool-branch draw of sample_family_bits
+    copies.  It is sorted from _tables.masks_in_order(n), a permutation of
+    the same values, so it shares that table's int objects instead of
+    holding 2^n of its own."""
+    return sorted(_tables.masks_in_order(n))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +317,7 @@ def verify_close_inequality(
     )
     if mode == "exhaustive":
         size_lane = _tables.closed_size_lane(n, p)
-        bound_lane = _tables.count_lane(n, 0, 0, 1).translate(bytes(bound).ljust(256, b"\0"))
+        bound_lane = _tables.popcount_lane(n).translate(bytes(bound).ljust(256, b"\0"))
         slack = _tables.lane_slack(bound_lane, size_lane)
         report.violations = [
             _witness(fam, n, p, "closed_size", size_lane[fam], bound)
@@ -371,7 +385,7 @@ def verify_open_inequality(
         pairwise = _tables.pairwise_lane(n, p)
         size_lane = _tables.closed_size_lane(n, p)
         shifted = bytes(b + k for k, b in enumerate(open_bound)).ljust(256, b"\0")
-        bound_lane = _tables.count_lane(n, 0, 0, 1).translate(shifted)
+        bound_lane = _tables.popcount_lane(n).translate(shifted)
         slack = _tables.lane_slack(bound_lane, size_lane, pairwise)
         report.details["families_scanned"] = 1 << (1 << n)
         report.families_checked = pairwise.count(1)
@@ -395,25 +409,31 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
     ones, stopping early when none is left.
 
     The pool of compatible subsets starts as all N = 2^n of them, and each
-    pick r keeps only ball[r] minus r.  The draws match randrange, so the
-    families and the generator state afterwards are those of picking
-    randrange(N) by rejection while the pool holds at least N/8 subsets
-    and the randrange(count)-th member after that
+    pick r keeps only ball[r].  The picks stay in the pool and are marked
+    taken (_grow_in_pool), which relies on symmetric balls: a later pick s
+    lies in ball[r], so ball[s] holds r, and every member lies in every
+    member's ball.  The draws match randrange, so the families and the
+    generator state afterwards are those of picking randrange(N) by
+    rejection while at least N/8 untaken subsets are left in the pool and
+    the randrange(count)-th untaken one after that
     (tests/test_neighborhoods.py::TestSamplerStream):
 
     * dense phase: rejection, drawing n + 1 bits per try as randrange(N)
-      does.  No pick recounts the pool: from an exact count (N at the
-      start), a lower bound on it falls by N - |ball| + 1 per pick, the
-      most one pick can remove, as every ball has the same size.  Only
-      when the bound would drop below N/8 is the pool counted again, and
-      only an exact count below N/8 ends the phase, so the phase boundary
-      is randrange's.
-    * sparse phase: the pool only shrinks, so it stays sparse.  Its ranks
-      are listed once, a byte at a time (_tables.member_ranks), and the
-      j-th is picked, j drawn as randrange(count) draws it.  A pick that
+      does; a try fails on a rank outside the pool or taken.  No pick
+      recounts the pool: from an exact count (N at the start), a lower
+      bound on it falls by N - |ball| + 1 per pick, the most one pick can
+      remove, itself included, as every ball has the same size.  Only
+      when the bound would drop below N/8 is the pool counted again (its
+      popcount less the picks so far), and only an exact count below N/8
+      ends the phase, so the phase boundary is randrange's.
+    * sparse phase: the pool only shrinks, so it stays sparse.  Its
+      untaken ranks are listed once, a byte at a time
+      (_tables.member_ranks), and the j-th is picked, j drawn as
+      randrange(count) draws it, and popped from the list.  A pick that
       removes under a quarter of the list deletes those ranks by
-      bisection; one that removes more keeps the ranks still in the pool,
-      read from its bytes (BENCH_open_grower.json times the cut-off).
+      bisection, highest first; one that removes more keeps the ranks
+      still in the pool, read from its bytes (BENCH_open_grower.json times
+      the cut-off).
     """
     m = rng.randint(1, 1 << (n - 1))
     members, pool = _grow_in_pool(_tables.universe_bits(n), _tables.balls(n, p), m, rng)
@@ -423,57 +443,70 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
 
 
 def _grow_in_pool(pool: int, ball, picks: int, rng: random.Random) -> tuple[int, int]:
-    """(members, pool) after up to `picks` picks from a nonempty pool of
-    ranks below len(ball), as _grow_pairwise_family describes; all balls
-    have the size of ball[0]."""
+    """(members, pool without them) after up to `picks` picks from a
+    nonempty pool of ranks below len(ball), as _grow_pairwise_family
+    describes.  All balls have the size of ball[0], and the table must be
+    symmetric (r in ball[s] exactly when s in ball[r]), as true balls are.
+
+    Each pick r stays in the pool, as ball[r] holds r: taken[r] marks it,
+    the rejection test and the rank list skip it, and the pick pays one
+    AND, pool &= ball[r].  By symmetry no later AND drops it.  The members
+    are read from taken at the end (and once at the phase change)."""
     count = pool.bit_count()
     if not count:
         raise ValueError("cannot pick from an empty pool")
     width = len(ball)
     drop = width + 1 - ball[0].bit_count()  # the most one pick removes
     getrandbits = rng.getrandbits
-    members = 0
+    taken = bytearray(width)  # taken[r] is 1 once r is picked
     k = width.bit_length()
     left = picks
-    while count * 8 >= width:  # dense phase
-        if not left:
-            return members, pool
+    while left and count * 8 >= width:  # dense phase
         # the count bound stays at width/8 or more for this many picks
         run = min(left, (count * 8 - width) // (drop * 8) + 1)
         left -= run
         for _ in range(run):
             r = getrandbits(k)
-            while r >= width or not pool >> r & 1:
+            while r >= width or taken[r] or not pool >> r & 1:
                 r = getrandbits(k)
-            bit = 1 << r
-            members |= bit
-            pool = (pool ^ bit) & ball[r]
-        count = pool.bit_count()
-    ranks = _tables.member_ranks(pool)
-    for _ in range(left):  # sparse phase
-        count = len(ranks)
-        if not count:
-            break
-        k = count.bit_length()
-        j = getrandbits(k)
-        while j >= count:
+            taken[r] = 1
+            pool &= ball[r]
+        count = pool.bit_count() - (picks - left)
+    if left:  # sparse phase
+        ranks = _tables.member_ranks(pool ^ _taken_bits(taken))
+        for _ in range(left):
+            count = len(ranks)
+            if not count:
+                break
+            k = count.bit_length()
             j = getrandbits(k)
-        r = ranks[j]
-        bit = 1 << r
-        members |= bit
-        kept = pool & ball[r]
-        out = pool ^ kept  # what this pick removes besides r
-        pool = kept ^ bit
-        if out.bit_count() * 4 < count:
-            del ranks[j]
-            while out:
-                low = out & -out
-                del ranks[bisect_left(ranks, low.bit_length() - 1)]
-                out ^= low
-        else:  # a quarter or more goes: keep the ranks still in the pool
-            held = pool.to_bytes((width + 7) >> 3, "little")
-            ranks = [x for x in ranks if held[x >> 3] >> (x & 7) & 1]
-    return members, pool
+            while j >= count:
+                j = getrandbits(k)
+            r = ranks.pop(j)
+            taken[r] = 1
+            kept = pool & ball[r]
+            out = pool ^ kept  # what this pick removes, r kept
+            pool = kept
+            if out.bit_count() * 4 < count:
+                while out:
+                    top = out.bit_length() - 1
+                    del ranks[bisect_left(ranks, top)]
+                    out ^= 1 << top
+            else:  # a quarter or more goes: keep the ranks still in the pool
+                held = pool.to_bytes((width + 7) >> 3, "little")
+                ranks = [x for x in ranks if held[x >> 3] >> (x & 7) & 1]
+    members = _taken_bits(taken)
+    return members, pool ^ members
+
+
+# bytes.translate table from the bytes 0 and 1 to the digits "0" and "1"
+_DIGITS = b"01".ljust(256, b"\0")
+
+
+def _taken_bits(taken: bytearray) -> int:
+    """The bitset of the r with taken[r] == 1, for a bytearray of 0s and
+    1s: one parse of its reversed bytes as binary digits."""
+    return int(taken[::-1].translate(_DIGITS), 2)
 
 
 def verify_initial_segment_closure(n: int) -> VerifyReport:

@@ -355,6 +355,26 @@ class TestSweeps:
         rep = cp.verify_compression_inequality(4, "exhaustive")
         assert rep.ok and rep.families_checked == 65536
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_compression_lanes_convert_each_size_lane_once(self, monkeypatch, n):
+        # one lane_slack per (j, p), each against the size lane of p as an
+        # int converted once per radius, not once per coordinate
+        real = _tables.lane_slack
+        lows = []
+
+        def record(high, low, flags=None):
+            lows.append(low)
+            return real(high, low, flags)
+
+        monkeypatch.setattr(_tables, "lane_slack", record)
+        assert cp.verify_compression_inequality(n, "exhaustive").ok
+        assert len(lows) == n * (n - 1)
+        assert all(isinstance(low, int) for low in lows)
+        assert len({id(low) for low in lows}) == n - 1
+        assert {low.to_bytes(1 << (1 << n), "little") for low in lows} == {
+            _tables.closed_size_lane(n, p) for p in range(1, n)
+        }
+
     @pytest.mark.slow
     def test_compression_inequality_full_scale(self):
         # compression never shrinks the common closed neighborhood: 10^5

@@ -703,6 +703,20 @@ class TestSamplerStream:
         assert min(sizes) <= 341 < max(sizes)
         assert ours.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("n, p, seed", [(12, 3, 7), (5, 2, 7)])
+    def test_cached_rank_pool_is_never_handed_out(self, n, p, seed):
+        # every pool-branch draw copies the cached list 0..2^n-1; a close
+        # sweep that wrote to it would change the next draws
+        first = nb.sample_family_bits(n, random.Random(seed))
+        assert first == _reference_family_bits(n, random.Random(seed))
+        families = list(nb.sweep_families(n, "sample", 40, seed)[0])
+        assert nb._pool_branch(n)[first.bit_count()]
+        assert sum(nb._pool_branch(n)[fam.bit_count()] for fam in families) > 10
+        assert nb.verify_close_inequality(n, p, "sample", samples=40, seed=seed).ok
+        assert nb.sample_family_bits(n, random.Random(seed)) == first
+        assert nb._rank_pool(n) == list(range(1 << n))
+        assert list(nb.sweep_families(n, "sample", 40, seed)[0]) == families
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_pairwise_families_match_randrange(self, seed):
         ours, ref = random.Random(seed), random.Random(seed)
@@ -756,6 +770,39 @@ class TestSamplerStream:
                 pool ^= 1 << r
             ball = [(1 << width) - 1] * width
             assert nb._grow_in_pool(bits, ball, 50, ours) == (members, pool), (bits, width)
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("p", [2, 8, 9])
+    def test_grow_in_pool_matches_randrange_on_true_balls(self, p):
+        # seeded pools short of the universe, on the true balls(10, p): a
+        # pick removes its ball's outside as well as itself, so the dense
+        # phase recounts and crosses to the sparse phase after a few picks
+        # (p = 2: 56 subsets per ball) or after hundreds (p = 8, 9)
+        n, width, picks = 10, 1 << 10, 1 << 9
+        ball = _tables.balls(n, p)
+        gen = random.Random(p)
+        pools = []
+        for words in (1, 2, 3, 4):
+            bits = ~0
+            for _ in range(words):
+                bits &= gen.getrandbits(width)  # density 2^-words
+            pools.append(bits | 1 << gen.randrange(width))
+        pools.append(_tables.universe_bits(n) ^ 1 << gen.randrange(width))
+        ours, ref = random.Random(p), random.Random(p)
+        crossings = 0
+        for bits in pools:
+            members, pool = 0, bits
+            phases = set()
+            for _ in range(picks):
+                if not pool:
+                    break
+                phases.add(pool.bit_count() * 8 >= width)
+                r = _reference_pick(pool, width, ref)
+                members |= 1 << r
+                pool &= ball[r] & ~(1 << r)
+            crossings += phases == {True, False}
+            assert nb._grow_in_pool(bits, ball, picks, ours) == (members, pool), (p, bits)
+        assert crossings >= 3
         assert ours.getstate() == ref.getstate()
 
     def test_pick_set_bit_refuses_an_empty_pool(self):

@@ -358,6 +358,23 @@ class TestLanes:
         low = bytes(v for _, v in pairs)
         assert _tables.lane_slack(high, low) == bytes(0x80 + h - v for h, v in pairs)
 
+    @given(st.lists(st.tuples(st.integers(0, 0x7F), st.integers(0, 0x7F), st.booleans()),
+                    max_size=80))
+    @settings(max_examples=100)
+    def test_lane_slack_takes_the_low_lane_as_an_int(self, triples):
+        high = bytes(h for h, _, _ in triples)
+        low = bytes(v for _, v, _ in triples)
+        flags = bytes(int(keep) for _, _, keep in triples)
+        low_int = int.from_bytes(low, "little")
+        assert _tables.lane_slack(high, low_int) == _tables.lane_slack(high, low)
+        assert _tables.lane_slack(high, low_int, flags) == _tables.lane_slack(high, low, flags)
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_popcount_lane_is_built_once_per_n(self, n):
+        lane = _tables.popcount_lane(n)
+        assert lane == _tables.count_lane(n, 0, 0, 1)
+        assert _tables.popcount_lane(n) is lane
+
     @given(st.binary(max_size=300))
     @settings(max_examples=200)
     def test_lane_below_lists_the_low_bytes_in_order(self, slack):
