@@ -201,17 +201,19 @@ def check_sweep_request(
 
 
 def sweep_families(
-    n: int, mode: str, samples: int | None, seed: int | None
-) -> tuple[Iterable[int], int]:
+    n: int, mode: str, samples: int | None, seed: int | None, ball=None
+) -> tuple[Iterable, int]:
     """(families, count) for a family sweep, after check_sweep_request:
     every family bitset of 2^[n] in exhaustive mode, or `samples` lazy
-    sample_family_bits draws from random.Random(seed) in sample mode."""
+    sample_family_bits(n, rng, ball) draws from random.Random(seed) in
+    sample mode, so a ball table makes each draw the (size, C^p[A],
+    family) triple of a folded draw.  Exhaustive mode ignores `ball`."""
     check_sweep_request(n, mode, samples, seed)
     if mode == "exhaustive":
         count = 1 << (1 << n)
         return range(count), count
     rng = random.Random(seed)
-    return (sample_family_bits(n, rng) for _ in range(samples)), samples
+    return (sample_family_bits(n, rng, ball) for _ in range(samples)), samples
 
 
 def _check_radius(n: int, p: int) -> None:
@@ -219,7 +221,7 @@ def _check_radius(n: int, p: int) -> None:
         raise ValueError(f"radius p={p} outside 1..{n} for ground size {n}")
 
 
-def sample_family_bits(n: int, rng: random.Random) -> int:
+def sample_family_bits(n: int, rng: random.Random, ball=None):
     """Random family: size m uniform in [1, 2^(n-1)], then m distinct subsets.
 
     m is drawn as rng.randint(1, 2^(n-1)) draws it, and the ranks are those
@@ -233,6 +235,22 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
     3.4.2): one swap per pick on a copy of the cached list 0..2^n-1
     (_rank_pool), so a draw builds no new int objects.  The cached list is
     never handed out or written to.
+
+    Without a ball table the family bitset is returned.  With one (the
+    balls(n, p) table of the sweep's radius) the draw folds the
+    intersection: it returns (m, C^p[A], family), C^p[A] being the AND of
+    ball[x] over the members x, and None in place of the family when
+    C^p[A] is empty.  Such a family is no witness: its size 0 lies below
+    every bound.  The pool branch ANDs each pick's ball as the pick is
+    drawn.  C^p[A] only shrinks, so once it is empty the rest of the draw
+    need only leave the generator where the full draw would, and it can:
+    the rejection test j >= left reads the drawn value and the pick count,
+    never the pool, and the picks' values feed only the flags and the
+    AND.  So each remaining pick draws getrandbits(n) until below its
+    `left`, with no swap, no flag and no parse (the drain).  A drain starts
+    after a pick, so after the one draw of n + 1 bits.  The set branch
+    rejects ranks already drawn, so it draws every pick with its flags and
+    then ANDs the members in rank order, stopping at the first empty AND.
     """
     getrandbits = rng.getrandbits
     half = 1 << (n - 1)
@@ -249,13 +267,32 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
         # (2^(n-1), 2^n), as m <= 2^(n-1), so it draws n bits.
         pool = _rank_pool(n).copy()
         k = n + 1
-        for left in range(size, size - m, -1):
+        stop = size - m
+        if ball is None:
+            for left in range(size, stop, -1):
+                j = getrandbits(k)
+                while j >= left:
+                    j = getrandbits(k)
+                flags[pool[j]] = drawn
+                pool[j] = pool[left - 1]
+                k = n
+            return int(flags[::-1], 2)
+        closed = _tables.universe_bits(n)  # the fold's C^p[A]
+        for left in range(size, stop, -1):
             j = getrandbits(k)
             while j >= left:
                 j = getrandbits(k)
-            flags[pool[j]] = drawn
+            r = pool[j]
+            flags[r] = drawn
             pool[j] = pool[left - 1]
             k = n
+            closed &= ball[r]
+            if not closed:  # drain the picks at left - 1 .. stop + 1
+                for left in range(left - 1, stop, -1):
+                    j = getrandbits(n)
+                    while j >= left:
+                        j = getrandbits(n)
+                return m, 0, None
     else:
         # set branch: redraw a rank already taken
         k = size.bit_length()
@@ -264,7 +301,17 @@ def sample_family_bits(n: int, rng: random.Random) -> int:
             while j >= size or flags[j] == drawn:
                 j = getrandbits(k)
             flags[j] = drawn
-    return int(flags[::-1], 2)
+        if ball is None:
+            return int(flags[::-1], 2)
+        # every pick is drawn already: fold the members in rank order
+        closed = _tables.universe_bits(n)
+        r = flags.find(drawn)
+        while r >= 0:
+            closed &= ball[r]
+            if not closed:
+                return m, 0, None
+            r = flags.find(drawn, r + 1)
+    return m, closed, int(flags[::-1], 2)
 
 
 @lru_cache(maxsize=None)
@@ -305,17 +352,25 @@ def verify_close_inequality(
     bound table, one lane_slack against _tables.closed_size_lane gives
     every slack at once, and _tables.lane_max_slack reads the largest (a
     bound is a size of a 2^n-element set, so no slack exceeds 2^n).
-    Sample mode draws seeded random families.
+    Sample mode draws seeded random families (sweep_families) that fold
+    balls(n, p) as they are drawn (sample_family_bits): each draw yields
+    |A| and C^p[A] directly, with no closed_bits walk, and the family
+    bitset only when C^p[A] is non-empty.  A draw with C^p[A] empty, most
+    of them for p <= 5 at n >= 10, only advances the generator past its
+    remaining picks, so the families, the generator state and the report
+    are those of drawing every family in full.  A family with an empty
+    C^p[A] has slack bound[|A|] >= 0, so it can raise no violation.
     Any violation is reported with a full witness; slack is the bound minus
     the achieved size.
     """
-    families, count = sweep_families(n, mode, samples, seed)
+    check_sweep_request(n, mode, samples, seed)
     _check_radius(n, p)
     bound = _tables.initial_segment_closed_sizes(n, p)
     report = VerifyReport(
-        check="close", n=n, p=p, mode=mode, families_checked=count, seed=seed
+        check="close", n=n, p=p, mode=mode, families_checked=samples, seed=seed
     )
     if mode == "exhaustive":
+        report.families_checked = 1 << (1 << n)
         size_lane = _tables.closed_size_lane(n, p)
         bound_lane = _tables.popcount_lane(n).translate(bytes(bound).ljust(256, b"\0"))
         slack = _tables.lane_slack(bound_lane, size_lane)
@@ -325,19 +380,20 @@ def verify_close_inequality(
         ]
         report.max_slack = _tables.lane_max_slack(slack, 1 << n)
         return report
-    sizes = ((fam, _tables.closed_bits(fam, n, p).bit_count()) for fam in families)
+    draws, _ = sweep_families(n, mode, samples, seed, _tables.balls(n, p))
+    sizes = ((m, closed.bit_count(), fam) for m, closed, fam in draws)
     _tally(report, sizes, bound, "closed_size")
     return report
 
 
 def _tally(report: VerifyReport, sizes, bound, size_key: str) -> None:
-    """Hold each sampled (family, neighborhood size) against
+    """Hold each sampled (|family|, neighborhood size, family) against
     bound[|family|]: a violation gets a witness, and report.max_slack is
-    the largest slack."""
+    the largest slack.  The family is read only for a witness."""
     n, p = report.n, report.p
     max_slack = 0
-    for fam, size in sizes:
-        slack = bound[fam.bit_count()] - size
+    for m, size, fam in sizes:
+        slack = bound[m] - size
         if slack < 0:
             report.violations.append(_witness(fam, n, p, size_key, size, bound))
         elif slack > max_slack:
@@ -397,7 +453,7 @@ def verify_open_inequality(
         return report
     rng = random.Random(seed)
     closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
-    sizes = ((fam, (val & ~fam).bit_count()) for fam, val in closed)
+    sizes = ((fam.bit_count(), (val & ~fam).bit_count(), fam) for fam, val in closed)
     _tally(report, sizes, open_bound, "open_size")
     return report
 

@@ -1,6 +1,7 @@
 """The all-families sweeps on byte lanes (close, open, compression and
-fixpoint) against per-family loops kept here as oracles: equal reports,
-violation order included, on the real tables and under seeded faults."""
+fixpoint), and the sampled close sweep, against per-family loops kept here
+as oracles: equal reports, violation order included, on the real tables
+and under seeded faults."""
 
 import random
 
@@ -14,12 +15,30 @@ from hyperb.errors import IntegrityError
 
 def close_oracle(n, p):
     """verify_close_inequality(n, p, "exhaustive") one family at a time."""
-    bound = _tables.initial_segment_closed_sizes(n, p)
     report = nb.VerifyReport(
         check="close", n=n, p=p, mode="exhaustive", families_checked=1 << (1 << n)
     )
+    return _close_tally(report, enumerate(_tables.closed_bits_all(n, p)))
+
+
+def sampled_close_oracle(n, p, samples, seed):
+    """verify_close_inequality(n, p, "sample", samples, seed) one family at
+    a time: each family drawn in full and its neighborhood walked by
+    closed_bits, as the sweep did before it folded the balls into the
+    draws."""
+    report = nb.VerifyReport(
+        check="close", n=n, p=p, mode="sample", families_checked=samples, seed=seed
+    )
+    families = nb.sweep_families(n, "sample", samples, seed)[0]
+    return _close_tally(report, ((fam, _tables.closed_bits(fam, n, p)) for fam in families))
+
+
+def _close_tally(report, closed):
+    """The close report over (family, C^p[family]) pairs, in their order."""
+    n, p = report.n, report.p
+    bound = _tables.initial_segment_closed_sizes(n, p)
     max_slack = 0
-    for fam, val in enumerate(_tables.closed_bits_all(n, p)):
+    for fam, val in closed:
         size = val.bit_count()
         slack = bound[fam.bit_count()] - size
         if slack < 0:
@@ -240,6 +259,53 @@ class TestBallFaults:
         families = [v["family"] for v in close[p - 1].violations]
         assert ["{1,2,3,4}"] in families and ["{}"] not in families
         assert opened[p - 1].families_checked == clean
+
+
+class TestSampledCloseFaults:
+    """The sampled close sweep folds the ball table into each draw and
+    drains the draws whose neighborhood empties; on a faulted table its
+    report must be the per-family one, witnesses and their order
+    included."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_sweep_matches_the_oracle(self, monkeypatch, seed):
+        with monkeypatch.context() as patch:
+            n, p = flip_ball_bits(patch, seed)
+        families = list(nb.sweep_families(n, "sample", 2000, seed)[0])
+        clean = [_tables.closed_bits(fam, n, p) for fam in families]
+        flip_ball_bits(monkeypatch, seed)
+        got = nb.verify_close_inequality(n, p, "sample", samples=2000, seed=seed)
+        assert got.as_json_dict() == sampled_close_oracle(n, p, 2000, seed).as_json_dict()
+        # the fault must reach a drawn family, or the comparison shows nothing
+        assert [_tables.closed_bits(fam, n, p) for fam in families] != clean
+
+    def test_one_way_fault(self, monkeypatch):
+        # rank 0 put into the 2-ball of rank 15 only: {{1,2,3,4}} gains a
+        # neighbour, {{}} does not
+        n, p = 4, 2
+        fault_ball_table(monkeypatch, n, p, [(15, 0)])
+        got = nb.verify_close_inequality(n, p, "sample", samples=2000, seed=3)
+        assert got.as_json_dict() == sampled_close_oracle(n, p, 2000, 3).as_json_dict()
+        families = [v["family"] for v in got.violations]
+        assert ["{1,2,3,4}"] in families and ["{}"] not in families
+
+    @pytest.mark.parametrize("n, p", [(6, 2), (8, 3)])
+    def test_every_ball_gaining_a_subset(self, monkeypatch, n, p):
+        # one seeded subset outside each ball put into it: every singleton
+        # becomes a violation, and singletons take random.sample's set
+        # branch, which folds the members after its picks
+        rng = random.Random(n)
+        ball = _tables.balls(n, p)
+        flips = []
+        for r in range(1 << n):
+            y = rng.randrange(1 << n)
+            while ball[r] >> y & 1:
+                y = rng.randrange(1 << n)
+            flips.append((r, y))
+        fault_ball_table(monkeypatch, n, p, flips)
+        got = nb.verify_close_inequality(n, p, "sample", samples=600, seed=n)
+        assert got.as_json_dict() == sampled_close_oracle(n, p, 600, n).as_json_dict()
+        assert any(len(v["family"]) == 1 for v in got.violations)
 
 
 class TestSizeLaneMemo:

@@ -659,6 +659,12 @@ def _reference_family_bits(n, rng):
     return bits
 
 
+def _reference_picks(n, rng):
+    """The ranks of _reference_family_bits in the order rng.sample picks
+    them."""
+    return rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1)))
+
+
 def _reference_pick(bits, n_universe_bits, rng):
     count = bits.bit_count()
     if count * 8 >= n_universe_bits:
@@ -804,6 +810,60 @@ class TestSamplerStream:
             assert nb._grow_in_pool(bits, ball, picks, ours) == (members, pool), (p, bits)
         assert crossings >= 3
         assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 104729])
+    def test_folded_draws_match_closed_bits_and_random_sample(self, seed):
+        # three streams in step: the folded draw, the plain draw with
+        # closed_bits, and random.sample; a drain that draws the wrong bits
+        # or too few shows as a generator state apart
+        folded, plain, ref = (random.Random(seed) for _ in range(3))
+        seen = set()
+        for n in range(1, 13):
+            for p in range(1, n + 1):
+                ball = _tables.balls(n, p)
+                for _ in range(12 if n == 12 else 4):
+                    fam = nb.sample_family_bits(n, plain)
+                    assert fam == _reference_family_bits(n, ref), (n, p)
+                    closed = _tables.closed_bits(fam, n, p)
+                    if p == n:
+                        assert closed == _tables.universe_bits(n)
+                    expect = (fam.bit_count(), closed, fam if closed else None)
+                    assert nb.sample_family_bits(n, folded, ball) == expect, (n, p)
+                    assert folded.getstate() == ref.getstate(), (n, p)
+                    if n == 12:
+                        seen.add((nb._pool_branch(n)[fam.bit_count()], bool(closed)))
+        # at n = 12 the set branch takes m <= 341 and the pool branch
+        # m >= 342; each must run with C^p[A] empty (the pool drains) and not
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+    @staticmethod
+    def _emptied_at(n, rng, index):
+        """(m, ball table, branch) for the next draw of rng: the table is
+        the universe at every rank but the pick at `index` of
+        random.sample's pick order, where it is empty."""
+        state = rng.getstate()
+        picks = _reference_picks(n, rng)
+        rng.setstate(state)
+        universe = _tables.universe_bits(n)
+        ball = [universe] * (1 << n)
+        ball[picks[index]] = 0
+        return len(picks), ball, nb._pool_branch(n)[len(picks)]
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first pick", "last pick"])
+    def test_fold_emptied_at_one_pick_leaves_the_stream_as_a_full_draw(self, index):
+        # the first pick is the one drawn with n + 1 bits, so a draw that
+        # empties there drains every other pick; one that empties on its
+        # last pick has nothing left to drain, and its AND must be taken
+        folded, ref = random.Random(11), random.Random(11)
+        branches = set()
+        for n in range(1, 13):
+            for _ in range(30 if n == 12 else 10):
+                m, ball, pool = self._emptied_at(n, folded, index)
+                branches.add(pool)
+                assert nb.sample_family_bits(n, folded, ball) == (m, 0, None), n
+                _reference_family_bits(n, ref)
+                assert folded.getstate() == ref.getstate(), n
+        assert branches == {0, 1}
 
     def test_pick_set_bit_refuses_an_empty_pool(self):
         with pytest.raises(ValueError, match="empty pool"):
