@@ -220,8 +220,15 @@ def balls(n: int, p: int) -> tuple[int, ...]:
     """balls(n, p)[r] = family bitset of all y with |x xor y| <= p, where x
     is the subset of rank r.
 
-    A radius p < n/2 is one ball_step over the hypercube moves (flip_ranks)
-    from the cached radius p - 1: n big-int ORs per vertex.  A radius
+    A radius p < n/2 is one ball_step from the cached radius p - 1 over the
+    hypercube moves (flip_ranks) of the first n - p + 1 coordinates only:
+    n - p + 1 big-int ORs per vertex.  A y at distance exactly p from x
+    differs from it in p coordinates, so it agrees with x on at most n - p
+    of any n - p + 1 fixed coordinates; flipping x at one where they differ
+    gives a neighbour within p - 1 of y, whose (p - 1)-ball holds y.  Every
+    y nearer than p is in the (p - 1)-ball of x itself, and every
+    neighbour's (p - 1)-ball lies in the p-ball, so the trimmed OR is the
+    whole p-ball (at p = 1 it takes all n coordinates).  A radius
     p >= n/2 is the complement of the (n - 1 - p)-ball around the complement
     subset, at the mirrored rank: one XOR per vertex, and no radius between
     is built.  Radius n repeats one universe, and radii above n are the
@@ -239,7 +246,8 @@ def balls(n: int, p: int) -> tuple[int, ...]:
     if 2 * p >= n:
         return tuple(universe ^ b for b in reversed(balls(n, n - 1 - p)))
     flips = flip_ranks(n)
-    return ball_step(balls(n, p - 1), (flips[i : i + n] for i in range(0, len(flips), n)))
+    keep = n - p + 1
+    return ball_step(balls(n, p - 1), (flips[i : i + keep] for i in range(0, len(flips), n)))
 
 
 def closed_bits(family: int, n: int, p: int) -> int:

@@ -207,7 +207,7 @@ def sweep_families(
     every family bitset of 2^[n] in exhaustive mode, or `samples` lazy
     sample_family_bits(n, rng, ball) draws from random.Random(seed) in
     sample mode, so a ball table makes each draw the (size, C^p[A],
-    family) triple of a folded draw.  Exhaustive mode ignores `ball`."""
+    flags) triple of a folded draw.  Exhaustive mode ignores `ball`."""
     check_sweep_request(n, mode, samples, seed)
     if mode == "exhaustive":
         count = 1 << (1 << n)
@@ -238,8 +238,10 @@ def sample_family_bits(n: int, rng: random.Random, ball=None):
 
     Without a ball table the family bitset is returned.  With one (the
     balls(n, p) table of the sweep's radius) the draw folds the
-    intersection: it returns (m, C^p[A], family), C^p[A] being the AND of
-    ball[x] over the members x, and None in place of the family when
+    intersection: it returns (m, C^p[A], flags), C^p[A] being the AND of
+    ball[x] over the members x and flags the draw's unparsed bytearray of
+    b"0"/b"1" per rank (_flag_bits parses it into the family bitset, which
+    a sweep needs only for a witness), and None in place of the flags when
     C^p[A] is empty.  Such a family is no witness: its size 0 lies below
     every bound.  The pool branch ANDs each pick's ball as the pick is
     drawn.  C^p[A] only shrinks, so once it is empty the rest of the draw
@@ -311,7 +313,14 @@ def sample_family_bits(n: int, rng: random.Random, ball=None):
             if not closed:
                 return m, 0, None
             r = flags.find(drawn, r + 1)
-    return m, closed, int(flags[::-1], 2)
+    return m, closed, flags
+
+
+def _flag_bits(flags: bytearray) -> int:
+    """The family bitset of a folded draw's flags (sample_family_bits),
+    b"1" at the ranks drawn: one parse of the reversed bytes as binary
+    digits, as the table-less draws parse theirs inline."""
+    return int(flags[::-1], 2)
 
 
 @lru_cache(maxsize=None)
@@ -354,11 +363,11 @@ def verify_close_inequality(
     bound is a size of a 2^n-element set, so no slack exceeds 2^n).
     Sample mode draws seeded random families (sweep_families) that fold
     balls(n, p) as they are drawn (sample_family_bits): each draw yields
-    |A| and C^p[A] directly, with no closed_bits walk, and the family
-    bitset only when C^p[A] is non-empty.  A draw with C^p[A] empty, most
-    of them for p <= 5 at n >= 10, only advances the generator past its
-    remaining picks, so the families, the generator state and the report
-    are those of drawing every family in full.  A family with an empty
+    |A| and C^p[A] directly, with no closed_bits walk, and its unparsed
+    flags, which _tally parses only for a witness.  A draw with C^p[A]
+    empty, most of them for p <= 5 at n >= 10, only advances the generator
+    past its remaining picks, so the families, the generator state and the
+    report are those of drawing every family in full.  A family with an empty
     C^p[A] has slack bound[|A|] >= 0, so it can raise no violation.
     Any violation is reported with a full witness; slack is the bound minus
     the achieved size.
@@ -381,21 +390,27 @@ def verify_close_inequality(
         report.max_slack = _tables.lane_max_slack(slack, 1 << n)
         return report
     draws, _ = sweep_families(n, mode, samples, seed, _tables.balls(n, p))
-    sizes = ((m, closed.bit_count(), fam) for m, closed, fam in draws)
-    _tally(report, sizes, bound, "closed_size")
+    sizes = ((m, closed.bit_count(), flags) for m, closed, flags in draws)
+
+    def witness(flags, size):
+        return _witness(_flag_bits(flags), n, p, "closed_size", size, bound)
+
+    _tally(report, sizes, bound, witness)
     return report
 
 
-def _tally(report: VerifyReport, sizes, bound, size_key: str) -> None:
-    """Hold each sampled (|family|, neighborhood size, family) against
-    bound[|family|]: a violation gets a witness, and report.max_slack is
-    the largest slack.  The family is read only for a witness."""
-    n, p = report.n, report.p
+def _tally(report: VerifyReport, sizes, bound, witness) -> None:
+    """Hold each sampled (|family|, neighborhood size, draw) against
+    bound[|family|]: a violation gets witness(draw, size), and
+    report.max_slack is the largest slack.  The draw is the sampler's
+    unparsed record of the family (flags, or the grower's pool and taken
+    bytes), which only witness parses, so a draw that raises no violation
+    is never parsed."""
     max_slack = 0
-    for m, size, fam in sizes:
+    for m, size, drawn in sizes:
         slack = bound[m] - size
         if slack < 0:
-            report.violations.append(_witness(fam, n, p, size_key, size, bound))
+            report.violations.append(witness(drawn, size))
         elif slack > max_slack:
             max_slack = slack
     report.max_slack = max_slack
@@ -429,9 +444,16 @@ def verify_open_inequality(
     masked by the pairwise lane in the same pass (slack 0 outside the
     qualifying families), gives every slack at once, and
     _tables.lane_max_slack reads the largest.  Sample mode grows random
-    qualifying families directly:
-    each next member is drawn uniformly from the subsets compatible with
-    all current members.
+    qualifying families directly (_grow_pairwise_family): each next member
+    is drawn uniformly from the subsets compatible with all current
+    members.  The grower hands back |A|, its pool, which is C^p[A] and
+    holds A (the balls are symmetric), and its taken bytes, so
+    |C^p(A)| = |pool| - |A| takes one popcount, and _tally parses the taken
+    bytes only for a witness.  A witness's size is counted afresh as
+    |pool less A|: on a table where some ball drops an earlier pick (no
+    symmetric table does) |pool| - |A| is short by the dropped picks, so
+    such a table may hide violations, but each one reported holds with
+    its exact size.
     """
     check_sweep_request(n, mode, samples, seed)
     _check_radius(n, p)
@@ -452,17 +474,24 @@ def verify_open_inequality(
         report.max_slack = _tables.lane_max_slack(slack, 1 << n)
         return report
     rng = random.Random(seed)
-    closed = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
-    sizes = ((fam.bit_count(), (val & ~fam).bit_count(), fam) for fam, val in closed)
-    _tally(report, sizes, open_bound, "open_size")
+    draws = (_grow_pairwise_family(n, p, rng) for _ in range(samples))
+
+    def witness(drawn, _):
+        pool, taken = drawn
+        fam = _taken_bits(taken)
+        return _witness(fam, n, p, "open_size", (pool & ~fam).bit_count(), open_bound)
+
+    sizes = ((m, pool.bit_count() - m, (pool, taken)) for m, pool, taken in draws)
+    _tally(report, sizes, open_bound, witness)
     return report
 
 
-def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]:
-    """(family, its closed neighborhood) for a random family whose members
-    are pairwise within p: size target m uniform in [1, 2^(n-1)], each next
+def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int, bytearray]:
+    """(|A|, C^p[A], taken) for a random family A whose members are
+    pairwise within p: size target m uniform in [1, 2^(n-1)], each next
     member drawn uniformly from the subsets compatible with all current
-    ones, stopping early when none is left.
+    ones, stopping early when none is left.  taken marks the members
+    (_taken_bits parses it into the family bitset), and C^p[A] holds A.
 
     The pool of compatible subsets starts as all N = 2^n of them, and each
     pick r keeps only ball[r].  The picks stay in the pool and are marked
@@ -475,13 +504,15 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
     (tests/test_neighborhoods.py::TestSamplerStream):
 
     * dense phase: rejection, drawing n + 1 bits per try as randrange(N)
-      does; a try fails on a rank outside the pool or taken.  No pick
-      recounts the pool: from an exact count (N at the start), a lower
-      bound on it falls by N - |ball| + 1 per pick, the most one pick can
-      remove, itself included, as every ball has the same size.  Only
-      when the bound would drop below N/8 is the pool counted again (its
-      popcount less the picks so far), and only an exact count below N/8
-      ends the phase, so the phase boundary is randrange's.
+      does; a try fails on a rank taken or outside the pool, the latter
+      tested as pool & single[r] against the radius-0 table balls(n, 0),
+      with no shifted copy of the pool.  No pick recounts the pool: from
+      an exact count (N at the start), a lower bound on it falls by
+      N - |ball| + 1 per pick, the most one pick can remove, itself
+      included, as every ball has the same size.  Only when the bound
+      would drop below N/8 is the pool counted again (its popcount less
+      the picks so far), and only an exact count below N/8 ends the
+      phase, so the phase boundary is randrange's.
     * sparse phase: the pool only shrinks, so it stays sparse.  Its
       untaken ranks are listed once, a byte at a time
       (_tables.member_ranks), and the j-th is picked, j drawn as
@@ -492,22 +523,26 @@ def _grow_pairwise_family(n: int, p: int, rng: random.Random) -> tuple[int, int]
       the cut-off).
     """
     m = rng.randint(1, 1 << (n - 1))
-    members, pool = _grow_in_pool(_tables.universe_bits(n), _tables.balls(n, p), m, rng)
-    # every member lies in every member's ball, so the closed neighborhood
-    # is pool | members
-    return members, pool | members
+    universe = _tables.universe_bits(n)
+    return _grow_in_pool(universe, _tables.balls(n, p), _tables.balls(n, 0), m, rng)
 
 
-def _grow_in_pool(pool: int, ball, picks: int, rng: random.Random) -> tuple[int, int]:
-    """(members, pool without them) after up to `picks` picks from a
-    nonempty pool of ranks below len(ball), as _grow_pairwise_family
-    describes.  All balls have the size of ball[0], and the table must be
-    symmetric (r in ball[s] exactly when s in ball[r]), as true balls are.
+def _grow_in_pool(
+    pool: int, ball, single, picks: int, rng: random.Random
+) -> tuple[int, int, bytearray]:
+    """(picks made, pool, taken) after up to `picks` picks from a nonempty
+    pool of ranks below len(ball), as _grow_pairwise_family describes;
+    single[r] is 1 << r.  All balls have the size of ball[0], and the
+    table must be symmetric (r in ball[s] exactly when s in ball[r]), as
+    true balls are.
 
     Each pick r stays in the pool, as ball[r] holds r: taken[r] marks it,
     the rejection test and the rank list skip it, and the pick pays one
-    AND, pool &= ball[r].  By symmetry no later AND drops it.  The members
-    are read from taken at the end (and once at the phase change)."""
+    AND, pool &= ball[r].  By symmetry no later AND drops it, so the pool
+    handed back is the starting pool ANDed with the picks' balls, the
+    picks included, and the pool without the picks has |pool| - picks
+    members.  The picks are parsed from taken only once, at the phase
+    change (_taken_bits); the count handed back is taken.count(1)."""
     count = pool.bit_count()
     if not count:
         raise ValueError("cannot pick from an empty pool")
@@ -523,7 +558,7 @@ def _grow_in_pool(pool: int, ball, picks: int, rng: random.Random) -> tuple[int,
         left -= run
         for _ in range(run):
             r = getrandbits(k)
-            while r >= width or taken[r] or not pool >> r & 1:
+            while r >= width or taken[r] or not pool & single[r]:
                 r = getrandbits(k)
             taken[r] = 1
             pool &= ball[r]
@@ -551,8 +586,7 @@ def _grow_in_pool(pool: int, ball, picks: int, rng: random.Random) -> tuple[int,
             else:  # a quarter or more goes: keep the ranks still in the pool
                 held = pool.to_bytes((width + 7) >> 3, "little")
                 ranks = [x for x in ranks if held[x >> 3] >> (x & 7) & 1]
-    members = _taken_bits(taken)
-    return members, pool ^ members
+    return taken.count(1), pool, taken
 
 
 # bytes.translate table from the bytes 0 and 1 to the digits "0" and "1"

@@ -188,11 +188,20 @@ def _segment_sizes():
     ]
 
 
+def _grown(n, p, rng):
+    """[family, closed neighborhood] of one _grow_pairwise_family draw,
+    its taken bytes parsed and its count checked against them."""
+    m, pool, taken = nb._grow_pairwise_family(n, p, rng)
+    family = nb._taken_bits(taken)
+    assert m == family.bit_count()
+    return [family, pool]
+
+
 def _pairwise_families():
     out = []
     for n, p, seed in [(6, 4, 17), (10, 5, 7)]:
         rng = random.Random(seed)
-        out.append([list(nb._grow_pairwise_family(n, p, rng)) for _ in range(200)])
+        out.append([_grown(n, p, rng) for _ in range(200)])
     return out
 
 
@@ -218,7 +227,7 @@ def _pairwise_families_full():
     """_grow_pairwise_family at n = 11 and 12 for every p in 1..n-1."""
     rng = random.Random(31)
     return [
-        [list(nb._grow_pairwise_family(n, p, rng)) for _ in range(3)]
+        [_grown(n, p, rng) for _ in range(3)]
         for n in (11, 12)
         for p in range(1, n)
     ]

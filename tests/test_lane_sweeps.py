@@ -1,7 +1,7 @@
 """The all-families sweeps on byte lanes (close, open, compression and
-fixpoint), and the sampled close sweep, against per-family loops kept here
-as oracles: equal reports, violation order included, on the real tables
-and under seeded faults."""
+fixpoint), the sampled close and open sweeps and the simplicial sweep,
+against per-family loops kept here as oracles: equal reports, violation
+order included, on the real tables and under seeded faults."""
 
 import random
 
@@ -48,6 +48,62 @@ def _close_tally(report, closed):
                     "n": n,
                     "p": p,
                     "closed_size": size,
+                    "bound": bound[fam.bit_count()],
+                }
+            )
+        elif slack > max_slack:
+            max_slack = slack
+    report.max_slack = max_slack
+    return report
+
+
+def sampled_open_draws(n, p, samples, seed):
+    """The (family, closed neighborhood) pairs of
+    verify_open_inequality(n, p, "sample", samples, seed), one family at a
+    time: each grown by randint and randrange picks from the subsets within
+    p of all its members and not yet in it (rejection while at least 2^n/8
+    are left, else the randrange(count)-th), its closed neighborhood the
+    running AND of its members' balls."""
+    ball = _tables.balls(n, p)
+    width = 1 << n
+    rng = random.Random(seed)
+    for _ in range(samples):
+        fam, closed = 0, _tables.universe_bits(n)
+        for _ in range(rng.randint(1, width >> 1)):
+            pool = closed & ~fam
+            count = pool.bit_count()
+            if not count:
+                break
+            if count * 8 >= width:
+                r = rng.randrange(width)
+                while not pool >> r & 1:
+                    r = rng.randrange(width)
+            else:
+                r = list(_tables.iter_bits(pool))[rng.randrange(count)]
+            fam |= 1 << r
+            closed &= ball[r]
+        yield fam, closed
+
+
+def sampled_open_oracle(n, p, samples, seed):
+    """verify_open_inequality(n, p, "sample", samples, seed) one family at
+    a time (sampled_open_draws): the open neighborhood is the closed one
+    less the family."""
+    bound = _tables.initial_segment_open_sizes(n, p)
+    report = nb.VerifyReport(
+        check="open", n=n, p=p, mode="sample", families_checked=samples, seed=seed
+    )
+    max_slack = 0
+    for fam, closed in sampled_open_draws(n, p, samples, seed):
+        size = (closed & ~fam).bit_count()
+        slack = bound[fam.bit_count()] - size
+        if slack < 0:
+            report.violations.append(
+                {
+                    "family": nb.family_bits_to_strings(fam, n),
+                    "n": n,
+                    "p": p,
+                    "open_size": size,
                     "bound": bound[fam.bit_count()],
                 }
             )
@@ -306,6 +362,156 @@ class TestSampledCloseFaults:
         got = nb.verify_close_inequality(n, p, "sample", samples=600, seed=n)
         assert got.as_json_dict() == sampled_close_oracle(n, p, 600, n).as_json_dict()
         assert any(len(v["family"]) == 1 for v in got.violations)
+
+
+class TestSampledOpenFaults:
+    """The sampled open sweep takes |C^p(A)| as |pool| - |A| from its
+    grower and parses a family only for a witness; on a faulted symmetric
+    table (both (r, y) and (y, r) flipped, as the grower requires) its
+    report must be the per-family one, witnesses and their order
+    included."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_one_symmetric_flip(self, monkeypatch, n):
+        # r is a member of a family drawn on the true table and y a subset
+        # outside r's ball but in every other member's: in r's ball, y joins
+        # that family's neighborhood unless an earlier draw changes first
+        rng = random.Random(n)
+        p = rng.randrange(1, n - 1)
+        ball = _tables.balls(n, p)
+        clean = list(sampled_open_draws(n, p, 300, n))
+        flips = []
+        for fam, _ in clean:
+            for r in _tables.iter_bits(fam):
+                gain = _tables.closed_bits(fam ^ 1 << r, n, p) & ~ball[r]
+                if gain:
+                    y = rng.choice(list(_tables.iter_bits(gain)))
+                    flips = [(r, y), (y, r)]
+                    break
+            if flips:
+                break
+        fault_ball_table(monkeypatch, n, p, flips)
+        got = nb.verify_open_inequality(n, p, "sample", samples=300, seed=n)
+        assert got.as_json_dict() == sampled_open_oracle(n, p, 300, n).as_json_dict()
+        # the fault must reach a drawn family, or the comparison shows nothing
+        assert list(sampled_open_draws(n, p, 300, n)) != clean
+
+    @pytest.mark.parametrize("n, p, seed", [(5, 3, 0), (6, 4, 1), (7, 5, 2), (8, 2, 0)])
+    def test_every_ball_gaining_its_partner(self, monkeypatch, n, p, seed):
+        # x and x xor mask put into each other's balls, mask of weight
+        # above p: every ball gains one subset, so the balls stay symmetric
+        # and of one size, and the drawn families break the bound
+        rng = random.Random(seed * 100 + n)
+        mask = sum(1 << c for c in rng.sample(range(n), rng.randrange(p + 1, n + 1)))
+        order, rank = _tables.masks_in_order(n), _tables.rank_of_mask(n)
+        fault_ball_table(monkeypatch, n, p, [(r, rank[order[r] ^ mask]) for r in range(1 << n)])
+        got = nb.verify_open_inequality(n, p, "sample", samples=300, seed=seed)
+        assert got.as_json_dict() == sampled_open_oracle(n, p, 300, seed).as_json_dict()
+        assert got.violations
+
+    @pytest.mark.parametrize("n, p, seed", [(6, 4, 1), (7, 5, 2)])
+    def test_ball_without_its_centre(self, monkeypatch, n, p, seed):
+        # the partner fault above, and the subset of rank 0 taken out of its
+        # own ball: a pick of it leaves the pool, so |pool| - |A| is one
+        # short for the families holding it.  The sweep tallies that short
+        # count, which here hides a violation, and gives every witness its
+        # exact size
+        rng = random.Random(seed * 100 + n)
+        mask = sum(1 << c for c in rng.sample(range(n), rng.randrange(p + 1, n + 1)))
+        order, rank = _tables.masks_in_order(n), _tables.rank_of_mask(n)
+        flips = [(r, rank[order[r] ^ mask]) for r in range(1 << n)]
+        fault_ball_table(monkeypatch, n, p, flips + [(0, 0)])
+        draws = []
+        grow = nb._grow_pairwise_family
+
+        def recorded(*args):
+            draws.append(grow(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(nb, "_grow_pairwise_family", recorded)
+        got = nb.verify_open_inequality(n, p, "sample", samples=300, seed=seed)
+        bound = _tables.initial_segment_open_sizes(n, p)
+        exact, tallied, short = [], [], 0
+        for m, pool, taken in draws:
+            fam = nb._taken_bits(taken)
+            assert m == fam.bit_count() and pool == _tables.closed_bits(fam, n, p)
+            size = (pool & ~fam).bit_count()
+            witness = {
+                "family": nb.family_bits_to_strings(fam, n),
+                "n": n,
+                "p": p,
+                "open_size": size,
+                "bound": bound[m],
+            }
+            if size > bound[m]:
+                exact.append(witness)
+            if pool.bit_count() - m > bound[m]:
+                tallied.append(witness)
+                short += pool.bit_count() - m < size
+        assert got.violations == tallied
+        assert len(tallied) < len(exact) and all(w in exact for w in tallied)
+        assert short  # a witness whose tallied count was short
+
+
+def simplicial_oracle(n):
+    """The (a, p, closed) violations of verify_initial_segment_closure(n):
+    every segment closure C^p[I_a] walked in full, a running AND over the
+    balls, and tested against the initial-segment form 2^k - 1."""
+    out = []
+    for p in range(1, n + 1):
+        cur = _tables.universe_bits(n)
+        for a, ball in enumerate(_tables.balls(n, p), 1):
+            cur &= ball
+            if cur & (cur + 1):
+                out.append({"a": a, "p": p, "closed": nb.family_bits_to_strings(cur, n)})
+    return out
+
+
+class TestSimplicialFaults:
+    """The simplicial sweep walks the table balls(n, p) reads now, not the
+    walk cached for the size tables: a fault patched in after the size
+    tables are built is reported."""
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_fault_after_the_size_tables_is_reported(self, monkeypatch, n):
+        # seeded flips at two radii: the ball of rank 0 gains a far subset,
+        # and the lowest member of a later closure C^p[I_a] with two or more
+        # members leaves the ball of rank a - 1
+        rng = random.Random(n)
+        for p in (2, n - 2):
+            ball = _tables.balls(n, p)
+            far = [y for y in range(1 << n) if not ball[0] >> y & 1]
+            walk = list(_tables.segment_closures(n, p))
+            a = rng.choice([a for a in range(2, len(walk)) if walk[a].bit_count() >= 2])
+            low = (walk[a] & -walk[a]).bit_length() - 1
+            fault_ball_table(monkeypatch, n, p, [(0, rng.choice(far)), (a - 1, low)])
+        report = nb.verify_initial_segment_closure(n)
+        assert report.violations == simplicial_oracle(n)
+        assert {v["p"] for v in report.violations} == {2, n - 2}
+        assert report.families_checked == n * ((1 << n) + 1)
+
+    def test_a_faulted_sweep_leaves_the_size_tables_alone(self, monkeypatch):
+        # the sweep runs first on a table faulted before any size table of
+        # its ground is cached; the size tables built once the fault is
+        # undone must be the true table's
+        n, p = 3, 1
+        _tables.segment_size_tables.cache_clear()
+        real = _tables.balls
+        bad = list(real(n, p))
+        bad[0] ^= 1 << 7  # {} gains {1,2,3}
+        bad = tuple(bad)
+        with monkeypatch.context() as patch:
+            patch.setattr(_tables, "balls", lambda g, q: bad if (g, q) == (n, p) else real(g, q))
+            assert nb.verify_initial_segment_closure(n).violations
+        cur = _tables.universe_bits(n)
+        closed = [cur]
+        for ball in real(n, p):
+            cur &= ball
+            closed.append(cur)
+        assert _tables.initial_segment_closed_sizes(n, p) == tuple(c.bit_count() for c in closed)
+        assert _tables.initial_segment_open_sizes(n, p) == tuple(
+            (c >> m).bit_count() for m, c in enumerate(closed)
+        )
 
 
 class TestSizeLaneMemo:

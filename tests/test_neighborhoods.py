@@ -24,6 +24,25 @@ G3 = GroundSet.range(3)
 G4 = GroundSet.range(4)
 
 
+def grown(draw):
+    """(members, closed neighborhood) of a _grow_pairwise_family draw
+    (count, pool, taken): the taken bytes parsed, and the count checked to
+    be the number of members."""
+    m, pool, taken = draw
+    members = nb._taken_bits(taken)
+    assert m == members.bit_count()
+    return members, pool
+
+
+def grown_in_pool(bits, ball, picks, rng):
+    """(members, pool without them) of _grow_in_pool on these ranks, with
+    the radius-0 table of their width."""
+    members, pool = grown(
+        nb._grow_in_pool(bits, ball, tuple(1 << r for r in range(len(ball))), picks, rng)
+    )
+    return members, pool ^ members
+
+
 def naive_common_closed(members, n, p):
     """Definition-level oracle: scan all 2^n candidates per member."""
     out = []
@@ -318,7 +337,7 @@ class TestOpenInequality:
         rng = random.Random(3)
         order = _tables.masks_in_order(4)
         for _ in range(200):
-            members, closed = nb._grow_pairwise_family(4, 2, rng)
+            members, closed = grown(nb._grow_pairwise_family(4, 2, rng))
             assert members
             masks = [order[r] for r in _tables.iter_bits(members)]
             assert all((a ^ b).bit_count() <= 2 for a in masks for b in masks)
@@ -326,7 +345,7 @@ class TestOpenInequality:
 
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_sampled_families_qualify_full_size(self, n):
-        # the sampler keeps its pool in place and returns pool | members as
+        # the sampler keeps its picks in its pool and returns the pool as
         # the closed neighborhood; p = 1 stops early (two adjacent members
         # share no neighbour), p = n - 1 stays dense until a family holds
         # 7/16 of the subsets, and p = n // 2 moves from the dense to the
@@ -337,7 +356,7 @@ class TestOpenInequality:
             sizes, went_sparse = [], []
             for _ in range(4):
                 rng.widths.clear()
-                members, closed = nb._grow_pairwise_family(n, p, rng)
+                members, closed = grown(nb._grow_pairwise_family(n, p, rng))
                 assert members
                 # pairwise within p: every member's ball holds every member
                 assert all(not members & ~ball[r] for r in _tables.iter_bits(members))
@@ -734,9 +753,8 @@ class TestSamplerStream:
                 radii |= {n - 2, n - 3}
             for p in sorted(radii):
                 for _ in range(3):
-                    assert nb._grow_pairwise_family(n, p, ours) == _reference_pairwise_family(
-                        n, p, ref
-                    ), (n, p)
+                    got = grown(nb._grow_pairwise_family(n, p, ours))
+                    assert got == _reference_pairwise_family(n, p, ref), (n, p)
         assert ours.getstate() == ref.getstate()
 
     @staticmethod
@@ -775,7 +793,7 @@ class TestSamplerStream:
                 members |= 1 << r
                 pool ^= 1 << r
             ball = [(1 << width) - 1] * width
-            assert nb._grow_in_pool(bits, ball, 50, ours) == (members, pool), (bits, width)
+            assert grown_in_pool(bits, ball, 50, ours) == (members, pool), (bits, width)
         assert ours.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("p", [2, 8, 9])
@@ -807,7 +825,7 @@ class TestSamplerStream:
                 members |= 1 << r
                 pool &= ball[r] & ~(1 << r)
             crossings += phases == {True, False}
-            assert nb._grow_in_pool(bits, ball, picks, ours) == (members, pool), (p, bits)
+            assert grown_in_pool(bits, ball, picks, ours) == (members, pool), (p, bits)
         assert crossings >= 3
         assert ours.getstate() == ref.getstate()
 
@@ -828,7 +846,9 @@ class TestSamplerStream:
                     if p == n:
                         assert closed == _tables.universe_bits(n)
                     expect = (fam.bit_count(), closed, fam if closed else None)
-                    assert nb.sample_family_bits(n, folded, ball) == expect, (n, p)
+                    m, got, flags = nb.sample_family_bits(n, folded, ball)
+                    fam_got = None if flags is None else nb._flag_bits(flags)
+                    assert (m, got, fam_got) == expect, (n, p)
                     assert folded.getstate() == ref.getstate(), (n, p)
                     if n == 12:
                         seen.add((nb._pool_branch(n)[fam.bit_count()], bool(closed)))
@@ -867,4 +887,4 @@ class TestSamplerStream:
 
     def test_pick_set_bit_refuses_an_empty_pool(self):
         with pytest.raises(ValueError, match="empty pool"):
-            nb._grow_in_pool(0, [(1 << 4096) - 1] * 4096, 1, random.Random(1))
+            grown_in_pool(0, [(1 << 4096) - 1] * 4096, 1, random.Random(1))

@@ -70,6 +70,16 @@ class TestBalls:
                 _tables.balls(10, r)
             assert _tables.balls.cache_info().misses == len(kept)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_untrimmed_recurrence(self, n):
+        # every radius, 0..n, by ball_step over all n coordinates' flips
+        flips = _tables.flip_ranks(n)
+        moves = [flips[i : i + n] for i in range(0, len(flips), n)]
+        table = _tables.balls(n, 0)
+        for p in range(1, n + 1):
+            table = _tables.ball_step(table, moves)
+            assert _tables.balls(n, p) == table, (n, p)
+
     def test_radii_above_n_are_the_full_table(self):
         assert _tables.balls(5, 9) is _tables.balls(5, 5)
         assert set(_tables.balls(5, 5)) == {_tables.universe_bits(5)}
