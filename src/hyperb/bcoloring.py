@@ -307,11 +307,20 @@ class SolveBudget:
 
 @dataclass
 class BChromaticResult:
+    """The solver's outcome.  `upper` is the k the search starts from and
+    `upper_source` says where it came from: "delta+1" for the degree bound,
+    "upper_new" where the paper's bound is lower.  `nodes_by_k` holds
+    (k, nodes) for each k searched, from the top down; on a budget stop the
+    last entry is the k that was cut."""
+
     value: int
     coloring: Coloring
     exact: bool
     nodes: int
     note: str = ""
+    upper: int = 0
+    upper_source: str = ""
+    nodes_by_k: tuple[tuple[int, int], ...] = ()
 
 
 class _BudgetExhausted(Exception):
@@ -360,11 +369,13 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     For each k, k dominating vertices are seeded in index order with the
     k colors, vertex 0 always among them (the graph is vertex-transitive),
     skipping seed tuples that a symmetry fixing vertex 0 maps below
-    themselves (see _decide_b_coloring); then the remaining vertices are
-    assigned by most-constrained-first backtracking under properness and the
+    themselves or that have a prefix whose seeds cannot all be covered (see
+    _decide_b_coloring); then the remaining vertices are assigned by
+    most-constrained-first backtracking under properness and the
     requirement that every seed ends up seeing all other colors.  The first
     k that admits a coloring is the answer; if every k above the greedy
-    fallback fails, the fallback count is exact.
+    fallback fails, the fallback count is exact.  A node, the unit of the
+    budget, is one seed prefix tested or one coloring state.
 
     On budget exhaustion the result reports the best lower bound found.
     """
@@ -375,12 +386,13 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     fallback = greedy_b_coloring(g)
     k_lo = fallback.k
     upper = rows[0].bit_count() + 1  # the graph is regular, so Delta + 1 is also its m-degree
+    source = "delta+1"
     if g.kind == "hypercube":
         # upper_new is the least of the paper's upper bounds where they apply,
         # and None outside its range (n = 1 and p >= n included)
         ub = bounds.upper_new(g.n, g.p)
-        if ub is not None:
-            upper = min(upper, ub)
+        if ub is not None and ub < upper:
+            upper, source = ub, "upper_new"
     if upper < k_lo:
         raise IntegrityError(
             f"fallback b-coloring uses {k_lo} colors, above the proven upper "
@@ -401,24 +413,28 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
         if state["nodes"] % 4096 == 0 and time.monotonic() > deadline:
             raise _BudgetExhausted
 
+    searched = []  # (k, the nodes spent before k)
+
+    def result(value, coloring, exact, note=""):
+        ends = [before for _, before in searched[1:]] + [state["nodes"]]
+        per_k = tuple((k, end - before) for (k, before), end in zip(searched, ends))
+        return BChromaticResult(value, coloring, exact, state["nodes"], note,
+                                upper, source, per_k)
+
     try:
         for k in range(upper, k_lo, -1):
+            searched.append((k, state["nodes"]))
             witness = _decide_b_coloring(rows, k, charge, symmetries)
             if witness is not None:
                 coloring = Coloring(tuple(witness), k)
                 cert = validate_coloring(g, coloring)
                 if not cert.valid_b:
                     raise IntegrityError("solver produced an invalid witness")
-                return BChromaticResult(k, coloring, True, state["nodes"])
-        return BChromaticResult(k_lo, fallback, True, state["nodes"])
+                return result(k, coloring, True)
+        return result(k_lo, fallback, True)
     except _BudgetExhausted:
-        return BChromaticResult(
-            k_lo,
-            fallback,
-            False,
-            state["nodes"],
-            note=f"budget exhausted; value is unknown but at least {k_lo}",
-        )
+        return result(k_lo, fallback, False,
+                      note=f"budget exhausted; value is unknown but at least {k_lo}")
 
 
 def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
@@ -453,10 +469,11 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _seed_tuples(count, k, symmetries):
-    """The seed tuples (0, a1 < ... < a_{k-1}) over vertices 0..count-1 in
+def _seed_tuples(rows, k, symmetries, charge):
+    """The seed tuples (0, a1 < ... < a_{k-1}) over the vertices of `rows` in
     itertools.combinations order, less every tuple with a prefix P that some
-    sigma in `symmetries` maps below itself (sorted(sigma(P)) < P).
+    sigma in `symmetries` maps below itself (sorted(sigma(P)) < P) and every
+    tuple with a prefix that fails the root coverage test.
 
     The prefixes are grown depth first, so a failing prefix drops all of
     its extensions at once; testing whole tuples keeps the same ones but
@@ -465,6 +482,14 @@ def _seed_tuples(count, k, symmetries):
     prefix, one OR per new seed.  Two sets of one size compare as sorted
     tuples by the lowest element of their symmetric difference, so with
     d = x ^ pmask the prefix fails exactly when d & -d & x is set.
+
+    Coverage: with `free` the vertices outside P, each seed t of P must be
+    able to see every seed s of P that it is apart from (s is not t and not
+    adjacent to t) through a free neighbour of its own that may take s's
+    color: _covers(rows, N(t) & free, apart).  A new seed only leaves `free`
+    and joins apart sets, so a refuted prefix refutes every extension and
+    is not grown.  Each prefix that passes the symmetry test is charged one
+    node before its coverage test (_joins_covered).
     """
     seeds = [0]
 
@@ -472,7 +497,7 @@ def _seed_tuples(count, k, symmetries):
         if len(seeds) == k:
             yield tuple(seeds)
             return
-        for a in range(seeds[-1] + 1, count - k + len(seeds) + 1):
+        for a in range(seeds[-1] + 1, len(rows) - k + len(seeds) + 1):
             pmask = prefix | 1 << a
             nxt = []
             for sigma, x in zip(symmetries, images):
@@ -482,11 +507,48 @@ def _seed_tuples(count, k, symmetries):
                     break
                 nxt.append(x)
             else:
-                seeds.append(a)
-                yield from grow(pmask, nxt)
-                seeds.pop()
+                charge()
+                if _joins_covered(rows, seeds, pmask, a):
+                    seeds.append(a)
+                    yield from grow(pmask, nxt)
+                    seeds.pop()
 
     return grow(1, [1] * len(symmetries))
+
+
+def _joins_covered(rows, seeds, pmask, a):
+    """Whether the prefix `seeds` + (a,), the vertex bitset pmask, passes
+    the coverage test, given that `seeds` passes it.
+
+    The seeds adjacent to a lost a from their pools and are re-tested in
+    full; the others keep their pools and gain the apart seed a, one count
+    and one AND; a is tested last."""
+    free = ~pmask
+    row_a = rows[a]
+    for t in seeds:
+        row = rows[t]
+        pool = row & free
+        if row >> a & 1:
+            if not _covers(rows, pool, pmask & ~row ^ 1 << t):
+                return False
+        # pmask & ~row holds t and its apart seeds, a among them
+        elif not pool & ~row_a or (pmask & ~row).bit_count() > pool.bit_count() + 1:
+            return False
+    return _covers(rows, row_a & free, pmask & ~row_a ^ 1 << a)
+
+
+def _covers(rows, pool, apart):
+    """Whether `pool` can give a seed one neighbour for each vertex s of
+    `apart`, each not adjacent to s: at least |apart| vertices, and for
+    every s one outside N(s)."""
+    if apart.bit_count() > pool.bit_count():
+        return False
+    while apart:
+        low = apart & -apart
+        if not pool & ~rows[low.bit_length() - 1]:
+            return False
+        apart ^= low
+    return True
 
 
 def _decide_b_coloring(rows, k, charge, symmetries):
@@ -511,7 +573,8 @@ def _decide_b_coloring(rows, k, charge, symmetries):
     automorphisms that fix vertex 0 (_symmetries_fixing_0): _seed_tuples
     skips every tuple with a prefix P such that sorted(sigma(P)) < P for
     some sigma (isomorph rejection in the manner of orderly generation,
-    McKay 1998).  No decision changes:
+    McKay 1998), and every tuple with a prefix that fails the root coverage
+    test.  No decision changes:
 
     1. Let T be the first tuple, in combinations order, that extends to a
        b-coloring.  Every sigma(T) extends too, as sigma fixes 0 and maps
@@ -521,9 +584,14 @@ def _decide_b_coloring(rows, k, charge, symmetries):
        sorted(sigma(S)) < S: S adds elements above max(P), so S's order
        statistics up to |P| are P's, while each order statistic of sigma(S)
        is at most the same one of sigma(P).
-    3. Hence T is never skipped: the first witness of a feasible k is that
-       of the unpruned search, and a refuted k stays refuted.  Only the
-       node count (one per tuple tried, plus the _extend calls) drops.
+    3. Hence T is never skipped by a symmetry: the first witness of a
+       feasible k is that of the unpruned search, and a refuted k stays
+       refuted.
+    4. A prefix that fails the coverage test has no extension that passes
+       it, and a whole tuple fails it exactly when its root state fails
+       coverage, which no completion can mend.  So T is not skipped by
+       coverage either, and the tuples skipped are exactly those whose
+       root state fails coverage.  Only the node count drops.
 
     The rest of the search state is bitsets, handed to _extend: can[c]
     holds the vertices that no c-colored vertex is adjacent to, so its
@@ -534,8 +602,7 @@ def _decide_b_coloring(rows, k, charge, symmetries):
     count = len(rows)
     if rows[0].bit_count() < k - 1:
         return None
-    for seeds in _seed_tuples(count, k, symmetries):
-        charge()
+    for seeds in _seed_tuples(rows, k, symmetries, charge):
         seed_mask = 0
         color = [-1] * count
         for t, d in enumerate(seeds):
@@ -566,23 +633,19 @@ def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
     c only clears v's neighbors from can[c] and the undo restores that one
     int.  The branching order is fixed: the uncolored vertex with the fewest
     allowed colors first (ties to the lowest index), its colors ascending.
+
+    Coverage holds on entry: every seed can still meet its missing colors,
+    one per uncolored neighbor, each from a vertex that may take it.  The
+    root state has passed _seed_tuples' test, and each child is tested
+    before it is entered, on the seeds its assignment touched.  A child
+    that fails is still charged one node, so node counts equal those of a
+    search that tests every state on entry.  On a state that breaks
+    coverage the search stays correct but does not prune the seeds that
+    break it.
     """
     charge()
     if not uncolored:
         return not any(missing)
-    # coverage pruning: every seed must still be able to meet its missing
-    # colors, one per uncolored neighbor, each from a vertex that may take it
-    for t, m in enumerate(missing):
-        if not m:
-            continue
-        pool = rows[seeds[t]] & uncolored
-        if m.bit_count() > pool.bit_count():
-            return False
-        while m:
-            low = m & -m
-            if not pool & can[low.bit_length() - 1]:
-                return False
-            m ^= low
     # per-vertex counts of allowed colors, bit-sliced: planes[j] holds the
     # uncolored vertices whose count has bit j set
     planes = []
@@ -619,7 +682,7 @@ def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
         if not before & bit_v:
             continue
         color[v] = c
-        can[c] = before & ~row_v
+        after = can[c] = before & ~row_v
         bit = 1 << c
         touched = []
         hits = seen_seeds
@@ -630,7 +693,28 @@ def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
                 missing[t] ^= bit
                 touched.append(t)
             hits ^= low
-        if _extend(rows, seeds, seed_mask, color, can, missing, rest, charge):
+        # the child's coverage: a seed adjacent to v lost v from its pool and
+        # is re-tested in full; one apart from v that misses c lost only the
+        # neighbours of v from can[c]
+        covered = True
+        for t, m in enumerate(missing):
+            if not m:
+                continue
+            d = seeds[t]
+            if row_v >> d & 1:
+                pool = rows[d] & rest
+                covered = m.bit_count() <= pool.bit_count()
+                while covered and m:
+                    low = m & -m
+                    covered = pool & can[low.bit_length() - 1] != 0
+                    m ^= low
+            elif m & bit:
+                covered = rows[d] & rest & after != 0
+            if not covered:
+                break
+        if not covered:
+            charge()
+        elif _extend(rows, seeds, seed_mask, color, can, missing, rest, charge):
             return True
         can[c] = before
         for t in touched:

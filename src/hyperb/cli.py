@@ -248,6 +248,8 @@ def cmd_solve(args) -> int:
         "value": result.value,
         "exact": result.exact,
         "nodes": result.nodes,
+        "upper": {"value": result.upper, "source": result.upper_source},
+        "nodes_by_k": [{"k": k, "nodes": nodes} for k, nodes in result.nodes_by_k],
         "note": result.note,
         "witness": bcoloring.coloring_to_json(g, result.coloring),
         "certificate": cert.as_json_dict(),

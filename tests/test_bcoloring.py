@@ -318,12 +318,27 @@ class TestExactSolver:
         assert bc.validate_coloring(g, res.coloring).valid_b  # partial witness still valid
 
     def test_node_cap_is_exact(self):
-        # Q_3^2 takes 38 nodes: a cap of 38 lets it finish, 37 stops it at 37
+        # Q_3^2 takes 34 nodes: a cap of 34 lets it finish, 33 stops it at 33
         g = bc.hypercube_power(3, 2)
-        done = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=38))
-        stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=37))
-        assert (done.exact, done.nodes) == (True, 38)
-        assert (stopped.exact, stopped.nodes) == (False, 37)
+        done = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=34))
+        stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=33))
+        assert (done.exact, done.nodes) == (True, 34)
+        assert (stopped.exact, stopped.nodes) == (False, 33)
+        # the cut k is the last one reported, with the nodes it got
+        assert stopped.nodes_by_k == ((7, 6), (6, 10), (5, 17))
+
+    def test_node_cap_inside_the_prefix_test(self, monkeypatch):
+        # Q_4^3 refutes every k above the greedy 8 by prefix tests alone, so
+        # a cap there stops the seed generator, still at exactly the cap
+        def entered(*args):
+            raise AssertionError("no Q_4^3 seed tuple reaches the coloring search")
+
+        monkeypatch.setattr(bc, "_extend", entered)
+        g = bc.hypercube_power(4, 3)
+        res = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=100))
+        assert (res.exact, res.nodes) == (False, 100)
+        assert res.nodes_by_k == ((15, 13), (14, 21), (13, 35), (12, 31))
+        assert bc.exact_b_chromatic(g, BUDGET).nodes == 613
 
     def test_paper_bound_seeds_the_search(self):
         # Q_5^3 is the smallest solved cube inside a paper bound's gate: the
@@ -331,7 +346,19 @@ class TestExactSolver:
         g = bc.hypercube_power(5, 3)
         assert bounds.upper_new(5, 3) == 17 < bc._adjacency_rows(g)[0].bit_count() + 1
         res = bc.exact_b_chromatic(g, BUDGET)
-        assert (res.value, res.exact, res.nodes) == (17, True, 612)
+        assert (res.value, res.exact, res.nodes) == (17, True, 627)
+        assert (res.upper, res.upper_source, res.nodes_by_k) == (17, "upper_new", ((17, 627),))
+        assert bc.validate_coloring(g, res.coloring).valid_b
+
+    def test_q5p4_is_exact_without_a_paper_bound(self):
+        # no paper bound applies to Q_5^4, so the search starts at Delta + 1
+        # = 31 and refutes every k down to 17 under the default budget
+        g = bc.hypercube_power(5, 4)
+        res = bc.exact_b_chromatic(g, bc.SolveBudget())
+        assert (res.value, res.exact, res.nodes) == (16, True, 268_006)
+        assert (res.upper, res.upper_source) == (31, "delta+1")
+        assert [k for k, _ in res.nodes_by_k] == list(range(31, 16, -1))
+        assert sum(nodes for _, nodes in res.nodes_by_k) == res.nodes
         assert bc.validate_coloring(g, res.coloring).valid_b
 
     def test_bound_below_greedy_is_an_integrity_error(self, monkeypatch):
@@ -452,18 +479,39 @@ class TestRootedSeeds:
     @pytest.mark.parametrize("tag,g", PRUNED, ids=[c[0] for c in PRUNED])
     def test_seed_tuples_are_the_unmapped_combinations(self, tag, g):
         # pruning by prefixes keeps exactly the tuples that no symmetry maps
-        # below themselves, in combinations order
+        # below themselves and that pass the root coverage check, in
+        # combinations order
         count = g.vertex_count
+        rows = bc._adjacency_rows(g)
         symmetries = bc._symmetries_fixing_0(g)
+        uncovered = 0
         for k in range(1, 7):
-            expected = [
+            unmapped = [
                 seeds
                 for seeds in ((0, *rest) for rest in itertools.combinations(range(1, count), k - 1))
                 if all(tuple(sorted(sigma[v] for v in seeds)) >= seeds for sigma in symmetries)
             ]
-            assert list(bc._seed_tuples(count, k, symmetries)) == expected, k
+            expected = [seeds for seeds in unmapped if _root_covered(rows, seeds)]
+            assert list(bc._seed_tuples(rows, k, symmetries, lambda: None)) == expected, k
+            uncovered += len(unmapped) - len(expected)
             if k > 2:
-                assert len(expected) < math.comb(count - 1, k - 1)
+                assert len(unmapped) < math.comb(count - 1, k - 1)
+        assert uncovered
+
+
+def _root_covered(rows, seeds):
+    """Test-side root check: each seed t has, among its neighbours outside
+    the seeds, at least as many vertices as seeds apart from it (not t, not
+    adjacent to t), and for each apart seed s one that s is not adjacent to."""
+    free = set(range(len(rows))) - set(seeds)
+    for t in seeds:
+        pool = [v for v in free if rows[t] >> v & 1]
+        apart = [s for s in seeds if s != t and not rows[t] >> s & 1]
+        if len(apart) > len(pool):
+            return False
+        if any(all(rows[s] >> v & 1 for v in pool) for s in apart):
+            return False
+    return True
 
 
 def _assignment_digest(coloring):
@@ -478,19 +526,19 @@ class TestGoldenSearch:
     """
 
     CASES = [
-        ("Q3p2", bc.hypercube_power(3, 2), 4, 38,
+        ("Q3p2", bc.hypercube_power(3, 2), 4, 34,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("Q4p1", bc.hypercube_power(4, 1), 5, 407,
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 401,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p3", bc.hypercube_power(4, 3), 8, 2086,
+        ("Q4p3", bc.hypercube_power(4, 3), 8, 613,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 125,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 134,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
-        ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 10,
+        ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 12,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 10_243,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 10_362,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
-        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2046,
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2063,
          "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
     ]
 

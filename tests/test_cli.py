@@ -205,6 +205,30 @@ class TestSolve:
         payload = json.loads(out)
         assert (payload["exact"], payload["nodes"]) == (False, cap)
 
+    def test_node_cap_inside_the_prefix_test(self, capsys):
+        # Q_4^3's refuted k are decided by seed-prefix tests alone; a cap
+        # there still stops at the cap, and the report says where it stopped
+        code, out, _ = run(
+            ["solve", "--hypercube", "4", "--p", "3", "--max-nodes", "100"], capsys
+        )
+        assert code == 4
+        payload = json.loads(out)
+        assert (payload["exact"], payload["nodes"]) == (False, 100)
+        assert payload["upper"] == {"value": 15, "source": "delta+1"}
+        assert [e["k"] for e in payload["nodes_by_k"]] == [15, 14, 13, 12]
+        assert sum(e["nodes"] for e in payload["nodes_by_k"]) == 100
+
+    def test_time_budget_stops_a_long_search(self, capsys):
+        # Q_6^5 runs far past a second; every prefix tested is a node, so
+        # the deadline, checked every 4096 nodes, is seen within a few seconds
+        start = time.monotonic()
+        code, out, _ = run(
+            ["solve", "--hypercube", "6", "--p", "5", "--max-seconds", "1"], capsys
+        )
+        assert code == 4
+        assert json.loads(out)["exact"] is False
+        assert time.monotonic() - start < 6
+
     def test_complete_graph_needs_no_search(self, capsys):
         # H(1, q) is K_q: greedy meets the bound, so no k is searched and
         # nothing is built for the search, even at the vertex cap

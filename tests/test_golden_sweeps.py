@@ -95,9 +95,9 @@ SERIALISER_CASES = [
     ("table-csv", ["table", "--n", "2..9", "--format", "csv"],
      "3becd29eb8cc65d195c47e7f2681d4cc7460c7f367f7f8b79c69691ca2bded5a"),
     ("solve-Q3p2", ["solve", "--hypercube", "3", "--p", "2"],
-     "a38c728b24f2be931b89108347e210721096204495a6a9057d2b67a8015589cb"),
+     "281f4608dfd5867bd71d7c6202f4af9a2698fa4e91a4ca5b1a13aee23be57d2a"),
     ("solve-H2q3p1", ["solve", "--hamming", "2,3", "--p", "1"],
-     "d85788abac0af3be2ae450622f75c59dd16f657fea84e409c169dfd61454635b"),
+     "0f561f2ac14488102fb569ca5d53055ca1d8f79451aabe3737b6ad696525821d"),
     ("color-n3q2p2", ["color", "--n", "3", "--q", "2", "--p", "2"],
      "7f6b84ea6e3116fda560b905c73f03acb8e513c904741cc57467fd28b8fe660b"),
     ("coset-n4q3p3", ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"],
