@@ -15,11 +15,12 @@ _dominating the first vertex of each class that sees every other class.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import _tables, bounds
 from .errors import InfeasibleError, IntegrityError
@@ -193,7 +194,13 @@ class BColorCertificate:
     singleton_classes: tuple[int, ...]
 
     def as_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "k": self.k,
+            "valid_proper": self.valid_proper,
+            "valid_b": self.valid_b,
+            "dominating": self.dominating,
+            "singleton_classes": self.singleton_classes,
+        }
 
 
 def _neighbor_color_masks(rows, assign, k) -> list[int]:
@@ -253,11 +260,14 @@ def all_vertices_dominating(g: PowerGraph, c: Coloring) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def coset_coloring(n: int, q: int) -> Coloring:
     """Color Z_q^n by the cosets of the diagonal subgroup {(a, ..., a)}.
 
     q^(n-1) classes of q vertices each.  The color index is the base-q value
-    of the coset representative with last coordinate 0.
+    of the coset representative with last coordinate 0.  A Coloring is
+    immutable, so one is built per (n, q) and kept for the life of the
+    process, like the digit tables.
     """
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
@@ -311,7 +321,9 @@ class BChromaticResult:
     `upper_source` says where it came from: "delta+1" for the degree bound,
     "upper_new" where the paper's bound is lower.  `nodes_by_k` holds
     (k, nodes) for each k searched, from the top down; on a budget stop the
-    last entry is the k that was cut."""
+    last entry is the k that was cut.  `cuts_by_k` holds, for the same k,
+    (k, symmetry, translation, coverage): the seed prefixes dropped for
+    each of CUT_REASONS."""
 
     value: int
     coloring: Coloring
@@ -321,6 +333,7 @@ class BChromaticResult:
     upper: int = 0
     upper_source: str = ""
     nodes_by_k: tuple[tuple[int, int], ...] = ()
+    cuts_by_k: tuple[tuple[int, int, int, int], ...] = ()
 
 
 class _BudgetExhausted(Exception):
@@ -368,12 +381,15 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
 
     For each k, k dominating vertices are seeded in index order with the
     k colors, vertex 0 always among them (the graph is vertex-transitive),
-    skipping seed tuples that a symmetry fixing vertex 0 maps below
-    themselves or that have a prefix whose seeds cannot all be covered (see
-    _decide_b_coloring); then the remaining vertices are assigned by
-    most-constrained-first backtracking under properness and the
-    requirement that every seed ends up seeing all other colors.  The first
-    k that admits a coloring is the answer; if every k above the greedy
+    skipping seed tuples with a prefix that a symmetry fixing vertex 0, or
+    the translation v -> v - s by one of its seeds s, maps below itself, or
+    whose seeds cannot all be covered (see _decide_b_coloring: the first
+    seed tuple that extends is the least of all its images, so it is never
+    skipped, and the witness is that of the unpruned search); then the
+    remaining vertices are assigned by most-constrained-first backtracking
+    under properness and the requirement that every seed ends up seeing all
+    other colors.  The first k that admits a coloring is the answer; if
+    every k above the greedy
     fallback fails, the fallback count is exact.  A node, the unit of the
     budget, is one seed prefix tested or one coloring state.
 
@@ -401,6 +417,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     # built only when some k is left to decide: on H(1, q) = K_q greedy
     # already meets the bound, and the set would hold C(q-1, 2) tuples of q
     symmetries = _symmetries_fixing_0(g) if upper > k_lo else ()
+    minus = _translations(g)
     state = {"nodes": 0}
     deadline = time.monotonic() + budget.max_seconds
 
@@ -413,18 +430,20 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
         if state["nodes"] % 4096 == 0 and time.monotonic() > deadline:
             raise _BudgetExhausted
 
-    searched = []  # (k, the nodes spent before k)
+    searched = []  # (k, the nodes spent before k, the prefixes cut at k)
 
     def result(value, coloring, exact, note=""):
-        ends = [before for _, before in searched[1:]] + [state["nodes"]]
-        per_k = tuple((k, end - before) for (k, before), end in zip(searched, ends))
+        ends = [before for _, before, _ in searched[1:]] + [state["nodes"]]
+        per_k = tuple((k, end - before) for (k, before, _), end in zip(searched, ends))
+        cut = tuple((k, *cuts) for k, _, cuts in searched)
         return BChromaticResult(value, coloring, exact, state["nodes"], note,
-                                upper, source, per_k)
+                                upper, source, per_k, cut)
 
     try:
         for k in range(upper, k_lo, -1):
-            searched.append((k, state["nodes"]))
-            witness = _decide_b_coloring(rows, k, charge, symmetries)
+            cuts = [0] * len(CUT_REASONS)
+            searched.append((k, state["nodes"], cuts))
+            witness = _decide_b_coloring(rows, k, charge, symmetries, minus, cuts)
             if witness is not None:
                 coloring = Coloring(tuple(witness), k)
                 cert = validate_coloring(g, coloring)
@@ -469,31 +488,64 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _seed_tuples(rows, k, symmetries, charge):
+def _translations(g: PowerGraph):
+    """minus(v, s), the vertex v - s of the group the graph is a Cayley
+    graph of: for each s, v -> v - s is an automorphism that sends s to 0.
+
+    On cubes v - s is the symmetric difference of the two subsets, renumbered
+    through the rank tables; on Hamming graphs it is the digit-wise difference
+    mod q, the bitwise XOR of the indices when q = 2.  For q > 2 it is the
+    index difference v - s plus q^(i+1) for each digit i with v_i < s_i,
+    the borrow that the mod q takes back.  Nothing is tabulated per pair of
+    vertices: the solver asks only for differences of seeds and candidates.
+    """
+    if g.kind == "hypercube":
+        rank = _tables.rank_of_mask(g.n)
+        mask = _tables.masks_in_order(g.n)
+        return lambda v, s: rank[mask[v] ^ mask[s]]
+    if g.q == 2:
+        return operator.xor
+    digits = _digit_table(g.n, g.q)
+    borrow = [g.q ** (i + 1) for i in range(g.n)]
+    return lambda v, s: v - s + sum(compress(borrow, map(operator.lt, digits[v], digits[s])))
+
+
+# the prune reasons _seed_tuples counts, in the order it tests them
+CUT_REASONS = ("symmetry", "translation", "coverage")
+
+
+def _seed_tuples(rows, k, symmetries, minus, charge, cuts):
     """The seed tuples (0, a1 < ... < a_{k-1}) over the vertices of `rows` in
     itertools.combinations order, less every tuple with a prefix P that some
-    sigma in `symmetries` maps below itself (sorted(sigma(P)) < P) and every
-    tuple with a prefix that fails the root coverage test.
+    sigma in `symmetries` or some translation v -> v - s, s in P, maps below
+    itself (sorted(sigma(P)) < P, or sorted(P - s) < P) and every tuple with
+    a prefix that fails the root coverage test.  cuts[i] counts the prefixes
+    dropped for CUT_REASONS[i].
 
     The prefixes are grown depth first, so a failing prefix drops all of
     its extensions at once; testing whole tuples keeps the same ones but
     visits every combination, which made the benchmark's solve jobs take
-    1.6 times as long.  Each sigma keeps the bitset x of its image of the
-    prefix, one OR per new seed.  Two sets of one size compare as sorted
-    tuples by the lowest element of their symmetric difference, so with
-    d = x ^ pmask the prefix fails exactly when d & -d & x is set.
+    1.6 times as long.  Each sigma, and each translation by a seed other
+    than 0, keeps the bitset x of its image of the prefix, one OR per new
+    seed; a new seed a adds the image of P + a under its own translation,
+    {s - a} = {-(a - s)}, read off the differences a - s just taken.  Two
+    sets of one size compare as sorted tuples by the lowest element of their
+    symmetric difference, so with d = x ^ pmask the prefix fails exactly
+    when d & -d & x is set.
 
     Coverage: with `free` the vertices outside P, each seed t of P must be
     able to see every seed s of P that it is apart from (s is not t and not
     adjacent to t) through a free neighbour of its own that may take s's
     color: _covers(rows, N(t) & free, apart).  A new seed only leaves `free`
     and joins apart sets, so a refuted prefix refutes every extension and
-    is not grown.  Each prefix that passes the symmetry test is charged one
-    node before its coverage test (_joins_covered).
+    is not grown.  Each prefix that passes the symmetry and translation
+    tests is charged one node before its coverage test (_joins_covered).
     """
     seeds = [0]
+    movers = []  # the seeds other than 0: the translation by 0 moves nothing
+    neg = [minus(0, v) for v in range(len(rows))]
 
-    def grow(prefix, images):
+    def grow(prefix, images, shifted):
         if len(seeds) == k:
             yield tuple(seeds)
             return
@@ -504,16 +556,39 @@ def _seed_tuples(rows, k, symmetries, charge):
                 x |= 1 << sigma[a]
                 d = x ^ pmask
                 if d & -d & x:
+                    cuts[0] += 1
                     break
                 nxt.append(x)
             else:
-                charge()
-                if _joins_covered(rows, seeds, pmask, a):
+                # shifted[i] is the image under the translation by movers[i]
+                own = 1 | 1 << neg[a]  # a - a and 0 - a
+                moved = []
+                for s, x in zip(movers, shifted):
+                    e = minus(a, s)
+                    own |= 1 << neg[e]
+                    x |= 1 << e
+                    d = x ^ pmask
+                    if d & -d & x:
+                        cuts[1] += 1
+                        break
+                    moved.append(x)
+                else:
+                    d = own ^ pmask
+                    if d & -d & own:
+                        cuts[1] += 1
+                        continue
+                    moved.append(own)
+                    charge()
+                    if not _joins_covered(rows, seeds, pmask, a):
+                        cuts[2] += 1
+                        continue
                     seeds.append(a)
-                    yield from grow(pmask, nxt)
+                    movers.append(a)
+                    yield from grow(pmask, nxt, moved)
                     seeds.pop()
+                    movers.pop()
 
-    return grow(1, [1] * len(symmetries))
+    return grow(1, [1] * len(symmetries), [])
 
 
 def _joins_covered(rows, seeds, pmask, a):
@@ -551,18 +626,18 @@ def _covers(rows, pool, apart):
     return True
 
 
-def _decide_b_coloring(rows, k, charge, symmetries):
+def _decide_b_coloring(rows, k, charge, symmetries, minus, cuts):
     """Search for a b-coloring with exactly k colors; None if impossible.
 
     The seed search is rooted at vertex 0.  Every PowerGraph is a Cayley
     graph: cube vertices are subsets under symmetric difference (relabelled
     by rank, with the empty set at rank 0), Hamming vertices are Z_q^n under
     addition, and adjacency depends only on the difference of the two ends.
-    So the translation by -d is an automorphism that moves d to vertex 0
-    and maps b-colorings to b-colorings.  Applied to one dominating vertex
-    d of a k-b-coloring, it gives a k-b-coloring in which vertex 0
-    dominates its class; hence k is feasible iff some seed tuple that
-    contains vertex 0 extends.
+    So the translation v -> v - d (minus(v, d), _translations) is an
+    automorphism that moves d to vertex 0 and maps b-colorings to
+    b-colorings.  Applied to one dominating vertex d of a k-b-coloring, it
+    gives a k-b-coloring in which vertex 0 dominates its class; hence k is
+    feasible iff some seed tuple that contains vertex 0 extends.
 
     A Cayley graph is regular, so every vertex has vertex 0's degree: when
     that is below k-1 no vertex can dominate a class and k is refuted at
@@ -570,23 +645,30 @@ def _decide_b_coloring(rows, k, charge, symmetries):
     dominating vertex per color) are (0, *rest) for rest in
     itertools.combinations of vertices 1..count-1, k-1 at a time, in that
     order; seed t gets color t.  They are pruned by `symmetries`,
-    automorphisms that fix vertex 0 (_symmetries_fixing_0): _seed_tuples
-    skips every tuple with a prefix P such that sorted(sigma(P)) < P for
-    some sigma (isomorph rejection in the manner of orderly generation,
-    McKay 1998), and every tuple with a prefix that fails the root coverage
-    test.  No decision changes:
+    automorphisms that fix vertex 0 (_symmetries_fixing_0), and by the
+    translations: _seed_tuples skips every tuple with a prefix P such that
+    sorted(sigma(P)) < P for some sigma, or sorted(P - s) < P for some seed
+    s of P (isomorph rejection in the manner of orderly generation, McKay
+    1998), and every tuple with a prefix that fails the root coverage test.
+    cuts counts the prefixes skipped for each reason (_seed_tuples).  No
+    decision changes:
 
     1. Let T be the first tuple, in combinations order, that extends to a
        b-coloring.  Every sigma(T) extends too, as sigma fixes 0 and maps
        b-colorings to b-colorings (the colors are renamed to match the
-       sorted seeds).  So T is the lex-minimum of its orbit.
+       sorted seeds).  So does T - s for every s in T: it contains 0,
+       since the translation sends s there, and it is a seed tuple.  So T
+       is the lex-minimum of its orbit under the sigmas and of the sets
+       T - s.
     2. If a prefix P has sorted(sigma(P)) < P, every extension S of P has
        sorted(sigma(S)) < S: S adds elements above max(P), so S's order
        statistics up to |P| are P's, while each order statistic of sigma(S)
-       is at most the same one of sigma(P).
-    3. Hence T is never skipped by a symmetry: the first witness of a
-       feasible k is that of the unpruned search, and a refuted k stays
-       refuted.
+       is at most the same one of sigma(P).  The same holds with the
+       translation by a seed s of P in place of sigma: S - s contains
+       P - s, so sorted(P - s) < P gives sorted(S - s) < S.
+    3. Hence T is never skipped by a symmetry or a translation: the first
+       witness of a feasible k is that of the unpruned search, and a
+       refuted k stays refuted.
     4. A prefix that fails the coverage test has no extension that passes
        it, and a whole tuple fails it exactly when its root state fails
        coverage, which no completion can mend.  So T is not skipped by
@@ -595,14 +677,15 @@ def _decide_b_coloring(rows, k, charge, symmetries):
 
     The rest of the search state is bitsets, handed to _extend: can[c]
     holds the vertices that no c-colored vertex is adjacent to, so its
-    uncolored members are the vertices that may still take color c, and
+    uncolored members are the vertices that may still take color c,
     missing[t] holds the colors that seed t does not see yet: at the start,
-    those of the other seeds it is not adjacent to.
+    those of the other seeds it is not adjacent to, and needers[c] holds
+    the seeds t whose missing[t] holds c.
     """
     count = len(rows)
     if rows[0].bit_count() < k - 1:
         return None
-    for seeds in _seed_tuples(rows, k, symmetries, charge):
+    for seeds in _seed_tuples(rows, k, symmetries, minus, charge, cuts):
         seed_mask = 0
         color = [-1] * count
         for t, d in enumerate(seeds):
@@ -611,37 +694,41 @@ def _decide_b_coloring(rows, k, charge, symmetries):
         uncolored = (1 << count) - 1 ^ seed_mask
         can = [uncolored & ~rows[d] for d in seeds]
         missing = []
-        for d in seeds:
+        needers = [0] * k
+        for t, d in enumerate(seeds):
             apart = seed_mask & ~rows[d] & ~(1 << d)
             m = 0
             while apart:
                 low = apart & -apart
-                m |= 1 << color[low.bit_length() - 1]
+                c = color[low.bit_length() - 1]
+                m |= 1 << c
+                needers[c] |= 1 << t
                 apart ^= low
             missing.append(m)
-        if _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
+        if _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, charge):
             return color
     return None
 
 
-def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
+def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, charge):
     """Color the vertices of `uncolored`, or return False if no completion
     gives every seed all of its missing colors.
 
     can[c] & uncolored is the set of uncolored vertices that may take
     color c; the bits of colored vertices are never read, so coloring v with
     c only clears v's neighbors from can[c] and the undo restores that one
-    int.  The branching order is fixed: the uncolored vertex with the fewest
+    int.  needers[c] is the bitset of the seeds t whose missing[t] holds c.
+    The branching order is fixed: the uncolored vertex with the fewest
     allowed colors first (ties to the lowest index), its colors ascending.
 
     Coverage holds on entry: every seed can still meet its missing colors,
     one per uncolored neighbor, each from a vertex that may take it.  The
     root state has passed _seed_tuples' test, and each child is tested
-    before it is entered, on the seeds its assignment touched.  A child
-    that fails is still charged one node, so node counts equal those of a
-    search that tests every state on entry.  On a state that breaks
-    coverage the search stays correct but does not prune the seeds that
-    break it.
+    before it is entered, on the seeds its assignment touched: those
+    adjacent to v, and needers[c].  A child that fails is still charged one
+    node, so node counts equal those of a search that tests every state on
+    entry.  On a state that breaks coverage the search stays correct but
+    does not prune the seeds that break it.
     """
     charge()
     if not uncolored:
@@ -677,48 +764,57 @@ def _extend(rows, seeds, seed_mask, color, can, missing, uncolored, charge):
     v = bit_v.bit_length() - 1
     row_v = rows[v]
     rest = uncolored ^ bit_v
-    seen_seeds = row_v & seed_mask
+    adjacent = []  # the seeds adjacent to v (seed t has color t)
+    hits = row_v & seed_mask
+    while hits:
+        low = hits & -hits
+        adjacent.append(color[low.bit_length() - 1])
+        hits ^= low
     for c, before in enumerate(can):
         if not before & bit_v:
             continue
         color[v] = c
         after = can[c] = before & ~row_v
         bit = 1 << c
-        touched = []
-        hits = seen_seeds
-        while hits:
-            low = hits & -hits
-            t = color[low.bit_length() - 1]  # seed t has color t
+        met = 0  # the seeds adjacent to v that missed c
+        for t in adjacent:
             if missing[t] & bit:
                 missing[t] ^= bit
-                touched.append(t)
-            hits ^= low
+                met |= 1 << t
+        needers[c] ^= met
         # the child's coverage: a seed adjacent to v lost v from its pool and
-        # is re-tested in full; one apart from v that misses c lost only the
-        # neighbours of v from can[c]
+        # is re-tested in full; one apart from v that misses c (needers[c]
+        # now holds only those) lost only the neighbours of v from can[c]
         covered = True
-        for t, m in enumerate(missing):
+        for t in adjacent:
+            m = missing[t]
             if not m:
                 continue
-            d = seeds[t]
-            if row_v >> d & 1:
-                pool = rows[d] & rest
-                covered = m.bit_count() <= pool.bit_count()
-                while covered and m:
-                    low = m & -m
-                    covered = pool & can[low.bit_length() - 1] != 0
-                    m ^= low
-            elif m & bit:
-                covered = rows[d] & rest & after != 0
+            pool = rows[seeds[t]] & rest
+            covered = m.bit_count() <= pool.bit_count()
+            while covered and m:
+                low = m & -m
+                covered = pool & can[low.bit_length() - 1] != 0
+                m ^= low
             if not covered:
                 break
+        apart = needers[c] if covered else 0
+        while apart:
+            low = apart & -apart
+            if not rows[seeds[low.bit_length() - 1]] & rest & after:
+                covered = False
+                break
+            apart ^= low
         if not covered:
             charge()
-        elif _extend(rows, seeds, seed_mask, color, can, missing, rest, charge):
+        elif _extend(rows, seeds, seed_mask, color, can, missing, needers, rest, charge):
             return True
         can[c] = before
-        for t in touched:
-            missing[t] |= bit
+        needers[c] ^= met
+        while met:
+            low = met & -met
+            missing[low.bit_length() - 1] |= bit
+            met ^= low
     color[v] = -1
     return False
 

@@ -250,6 +250,9 @@ def cmd_solve(args) -> int:
         "nodes": result.nodes,
         "upper": {"value": result.upper, "source": result.upper_source},
         "nodes_by_k": [{"k": k, "nodes": nodes} for k, nodes in result.nodes_by_k],
+        "cuts_by_k": [
+            {"k": k, **dict(zip(bcoloring.CUT_REASONS, cuts))} for k, *cuts in result.cuts_by_k
+        ],
         "note": result.note,
         "witness": bcoloring.coloring_to_json(g, result.coloring),
         "certificate": cert.as_json_dict(),

@@ -318,14 +318,17 @@ class TestExactSolver:
         assert bc.validate_coloring(g, res.coloring).valid_b  # partial witness still valid
 
     def test_node_cap_is_exact(self):
-        # Q_3^2 takes 34 nodes: a cap of 34 lets it finish, 33 stops it at 33
+        # Q_3^2 takes 21 nodes: a cap of 21 lets it finish, 20 stops it at 20
         g = bc.hypercube_power(3, 2)
-        done = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=34))
-        stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=33))
-        assert (done.exact, done.nodes) == (True, 34)
-        assert (stopped.exact, stopped.nodes) == (False, 33)
-        # the cut k is the last one reported, with the nodes it got
-        assert stopped.nodes_by_k == ((7, 6), (6, 10), (5, 17))
+        done = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=21))
+        stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=20))
+        assert (done.exact, done.nodes) == (True, 21)
+        assert (stopped.exact, stopped.nodes) == (False, 20)
+        # the cut k is the last one reported, with the nodes it got and the
+        # prefixes cut (symmetry, translation, coverage) before the stop
+        assert stopped.nodes_by_k == ((7, 5), (6, 6), (5, 9))
+        assert stopped.cuts_by_k == ((7, 3, 1, 1), (6, 6, 2, 2), (5, 8, 3, 3))
+        assert done.cuts_by_k == ((7, 3, 1, 1), (6, 6, 2, 2), (5, 8, 4, 3))
 
     def test_node_cap_inside_the_prefix_test(self, monkeypatch):
         # Q_4^3 refutes every k above the greedy 8 by prefix tests alone, so
@@ -337,8 +340,8 @@ class TestExactSolver:
         g = bc.hypercube_power(4, 3)
         res = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=100))
         assert (res.exact, res.nodes) == (False, 100)
-        assert res.nodes_by_k == ((15, 13), (14, 21), (13, 35), (12, 31))
-        assert bc.exact_b_chromatic(g, BUDGET).nodes == 613
+        assert res.nodes_by_k == ((15, 11), (14, 15), (13, 23), (12, 38), (11, 13))
+        assert bc.exact_b_chromatic(g, BUDGET).nodes == 351
 
     def test_paper_bound_seeds_the_search(self):
         # Q_5^3 is the smallest solved cube inside a paper bound's gate: the
@@ -355,7 +358,7 @@ class TestExactSolver:
         # = 31 and refutes every k down to 17 under the default budget
         g = bc.hypercube_power(5, 4)
         res = bc.exact_b_chromatic(g, bc.SolveBudget())
-        assert (res.value, res.exact, res.nodes) == (16, True, 268_006)
+        assert (res.value, res.exact, res.nodes) == (16, True, 137_956)
         assert (res.upper, res.upper_source) == (31, "delta+1")
         assert [k for k, _ in res.nodes_by_k] == list(range(31, 16, -1))
         assert sum(nodes for _, nodes in res.nodes_by_k) == res.nodes
@@ -395,7 +398,8 @@ def _unrooted_decision(rows, degrees, k):
         for t, d in enumerate(seeds):
             seen = sum(1 << seed_of[w] for w in seeds if rows[d] >> w & 1)
             missing.append((1 << k) - 1 & ~(1 << t) & ~seen)
-        if bc._extend(rows, seeds, seed_mask, color, can, missing, uncolored,
+        needers = [sum(1 << t for t, m in enumerate(missing) if m >> c & 1) for c in range(k)]
+        if bc._extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored,
                       lambda: None):
             return True
     return False
@@ -403,8 +407,8 @@ def _unrooted_decision(rows, degrees, k):
 
 class TestRootedSeeds:
     """The seed search pinned at vertex 0 (the power graphs are
-    vertex-transitive) and pruned by symmetries that fix vertex 0 decides
-    every k as the unrooted, unpruned search does."""
+    vertex-transitive) and pruned by symmetries that fix vertex 0 and by
+    translations decides every k as the unrooted, unpruned search does."""
 
     GRAPHS = [
         ("Q2p1", bc.hypercube_power(2, 1)),
@@ -425,13 +429,15 @@ class TestRootedSeeds:
         rows = list(bc._adjacency_rows(g))
         degrees = [r.bit_count() for r in rows]
         symmetries = bc._symmetries_fixing_0(g)
+        minus = bc._translations(g)
         value = bc.exact_b_chromatic(g, BUDGET).value
         # from one above max degree + 1, where vertex 0 is refused at once,
         # down through every k the solver can try (its upper bound is at
         # most max degree + 1)
         decisions = []
         for k in range(max(degrees) + 2, value - 1, -1):
-            rooted = bc._decide_b_coloring(rows, k, lambda: None, symmetries) is not None
+            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus, [0] * 3)
+            rooted = witness is not None
             assert rooted == _unrooted_decision(rows, degrees, k), k
             decisions.append(rooted)
         assert decisions[-1] and not any(decisions[:-1])
@@ -469,34 +475,75 @@ class TestRootedSeeds:
                 image = sum(1 << sigma[v] for v in _tables.iter_bits(row))
                 assert rows[sigma[u]] == image, (sigma, u)
 
+    @pytest.mark.parametrize("tag,g", AUTOMORPHISMS, ids=[c[0] for c in AUTOMORPHISMS])
+    def test_translations_are_automorphisms_sending_s_to_0(self, tag, g):
+        rows = bc._adjacency_rows(g)
+        minus = bc._translations(g)
+        images = set()
+        for s in range(g.vertex_count):
+            tau = [minus(v, s) for v in range(g.vertex_count)]
+            assert tau[s] == 0
+            assert sorted(tau) == list(range(g.vertex_count))
+            for u, row in enumerate(rows):
+                image = sum(1 << tau[v] for v in _tables.iter_bits(row))
+                assert rows[tau[u]] == image, (s, u)
+            images.add(tuple(tau))
+        # one translation per vertex: v -> v - s moves 0 to -s
+        assert len(images) == g.vertex_count
+
     PRUNED = [
         ("Q3p2", bc.hypercube_power(3, 2)),
         ("Q4p1", bc.hypercube_power(4, 1)),
         ("H2q3p1", bc.hamming_power(2, 3, 1)),
         ("H2q4p1", bc.hamming_power(2, 4, 1)),
+        ("H3q3p1", bc.hamming_power(3, 3, 1)),
     ]
 
     @pytest.mark.parametrize("tag,g", PRUNED, ids=[c[0] for c in PRUNED])
     def test_seed_tuples_are_the_unmapped_combinations(self, tag, g):
-        # pruning by prefixes keeps exactly the tuples that no symmetry maps
-        # below themselves and that pass the root coverage check, in
-        # combinations order
+        # pruning by prefixes keeps exactly the tuples that no symmetry and
+        # no translation by one of their seeds maps below themselves and
+        # that pass the root coverage check, in combinations order
         count = g.vertex_count
         rows = bc._adjacency_rows(g)
         symmetries = bc._symmetries_fixing_0(g)
-        uncovered = 0
+        minus = bc._translations(g)
+        uncovered = translated = 0
         for k in range(1, 7):
             unmapped = [
                 seeds
                 for seeds in ((0, *rest) for rest in itertools.combinations(range(1, count), k - 1))
                 if all(tuple(sorted(sigma[v] for v in seeds)) >= seeds for sigma in symmetries)
             ]
-            expected = [seeds for seeds in unmapped if _root_covered(rows, seeds)]
-            assert list(bc._seed_tuples(rows, k, symmetries, lambda: None)) == expected, k
-            uncovered += len(unmapped) - len(expected)
+            unmoved = [
+                seeds
+                for seeds in unmapped
+                if all(tuple(sorted(_difference(g, v, s) for v in seeds)) >= seeds for s in seeds)
+            ]
+            expected = [seeds for seeds in unmoved if _root_covered(rows, seeds)]
+            cuts = [0] * 3
+            got = list(bc._seed_tuples(rows, k, symmetries, minus, lambda: None, cuts))
+            assert got == expected, k
+            uncovered += len(unmoved) - len(expected)
+            translated += len(unmapped) - len(unmoved)
             if k > 2:
                 assert len(unmapped) < math.comb(count - 1, k - 1)
-        assert uncovered
+            # the translation test counts the prefixes it cuts (here at
+            # least one on every k where translations drop a tuple)
+            if len(unmoved) < len(unmapped):
+                assert cuts[1]
+        assert uncovered and translated
+
+
+def _difference(g, v, s):
+    """Test-side v - s: the symmetric difference of the subsets on cubes (by
+    rank), the coordinate-wise difference mod q on Hamming graphs."""
+    if g.kind == "hypercube":
+        masks = _tables.masks_in_order(g.n)
+        return masks.index(masks[v] ^ masks[s])
+    a = bc.HammingVertex.from_index(v, g.n, g.q).coords
+    b = bc.HammingVertex.from_index(s, g.n, g.q).coords
+    return bc.HammingVertex(tuple((x - y) % g.q for x, y in zip(a, b)), g.q).index()
 
 
 def _root_covered(rows, seeds):
@@ -526,19 +573,21 @@ class TestGoldenSearch:
     """
 
     CASES = [
-        ("Q3p2", bc.hypercube_power(3, 2), 4, 34,
+        ("Q3p2", bc.hypercube_power(3, 2), 4, 21,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("Q4p1", bc.hypercube_power(4, 1), 5, 401,
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 320,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p3", bc.hypercube_power(4, 3), 8, 613,
+        ("Q4p2", bc.hypercube_power(4, 2), 8, 6292,
+         "58a4794f79f73c7ce29775e282015971c6414697faa436d2a0f6b6ec4d0a10cc"),
+        ("Q4p3", bc.hypercube_power(4, 3), 8, 351,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 134,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 101,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
         ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 12,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 10_362,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 7574,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
-        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2063,
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2029,
          "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
     ]
 

@@ -215,8 +215,13 @@ class TestSolve:
         payload = json.loads(out)
         assert (payload["exact"], payload["nodes"]) == (False, 100)
         assert payload["upper"] == {"value": 15, "source": "delta+1"}
-        assert [e["k"] for e in payload["nodes_by_k"]] == [15, 14, 13, 12]
+        assert [e["k"] for e in payload["nodes_by_k"]] == [15, 14, 13, 12, 11]
         assert sum(e["nodes"] for e in payload["nodes_by_k"]) == 100
+        # the prefixes cut at each k, by reason, up to the stop
+        assert [e["k"] for e in payload["cuts_by_k"]] == [15, 14, 13, 12, 11]
+        assert payload["cuts_by_k"][0] == {
+            "k": 15, "symmetry": 7, "translation": 1, "coverage": 1
+        }
 
     def test_time_budget_stops_a_long_search(self, capsys):
         # Q_6^5 runs far past a second; every prefix tested is a node, so

@@ -95,9 +95,9 @@ SERIALISER_CASES = [
     ("table-csv", ["table", "--n", "2..9", "--format", "csv"],
      "3becd29eb8cc65d195c47e7f2681d4cc7460c7f367f7f8b79c69691ca2bded5a"),
     ("solve-Q3p2", ["solve", "--hypercube", "3", "--p", "2"],
-     "281f4608dfd5867bd71d7c6202f4af9a2698fa4e91a4ca5b1a13aee23be57d2a"),
+     "02fe9dd23bf66dda4216b3ebec0de1f1e3dd224bf50bd8a6782f1e9412d927ad"),
     ("solve-H2q3p1", ["solve", "--hamming", "2,3", "--p", "1"],
-     "0f561f2ac14488102fb569ca5d53055ca1d8f79451aabe3737b6ad696525821d"),
+     "3e12faa4a7b23b7a4e2b3b0a3d87f6ac7c4c7d9297d7bfc3f718ee61e6809468"),
     ("color-n3q2p2", ["color", "--n", "3", "--q", "2", "--p", "2"],
      "7f6b84ea6e3116fda560b905c73f03acb8e513c904741cc57467fd28b8fe660b"),
     ("coset-n4q3p3", ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"],
