@@ -1,16 +1,12 @@
 """Power-graph adjacency, b-coloring validation, the coset coloring, and a
 desk-scale exact b-chromatic solver.
 
-Vertices are integers.  On the cube side a vertex is the rank of its subset
-in the subset order, so initial segments are index prefixes; on the Hamming
-side a vertex encodes its coordinate tuple in base q, first coordinate least
-significant.  With q = 2 the Hamming index equals the subset bitmask.
-
-_adjacency_rows is the one adjacency: `adjacent`, the validator, the greedy
-coloring and the solver all read its neighbor bitsets, so every one of them
-stops at MAX_ADJACENCY_VERTICES.  The b-coloring condition is evaluated in
-one place too: _neighbor_color_masks gives the colors each vertex sees and
-_dominating the first vertex of each class that sees every other class.
+A cube vertex is the rank of its subset, so initial segments are index
+prefixes; a Hamming vertex is its coordinates in base q, first coordinate
+least significant (with q = 2, the subset bitmask).  _adjacency_rows is the
+one adjacency, so everything stops at MAX_ADJACENCY_VERTICES, and the
+b-coloring condition is evaluated in one place: _neighbor_color_masks and
+_dominating.
 """
 
 from __future__ import annotations
@@ -129,14 +125,12 @@ def check_adjacency_size(count: int) -> None:
 
 @lru_cache(maxsize=None)
 def _adjacency_rows(g: PowerGraph) -> tuple[int, ...]:
-    """Materialized neighbor bitsets; used by the validator and the solver.
+    """Neighbor bitsets: row u is the radius-p ball around u without u.
 
-    Row u is the radius-p ball around u with u itself dropped.  Cube
-    vertices are ranks, so cube rows are the kernel's rank-keyed ball table
-    _tables.balls(n, p).  Hamming rows are grown by the same recurrence step,
-    _tables.ball_step, over the n(q-1) one-coordinate moves, for radii
-    1..min(p, n).  Kept for the life of the process, like the ball tables;
-    the vertex cap holds one graph's rows to about 2 MiB.
+    Cube rows are the kernel's rank-keyed ball table _tables.balls(n, p);
+    Hamming rows are grown by its recurrence step, _tables.ball_step, over
+    the n(q-1) one-coordinate moves.  Kept for the life of the process; the
+    vertex cap holds one graph's rows to about 2 MiB.
     """
     count = g.vertex_count
     check_adjacency_size(count)
@@ -209,8 +203,7 @@ def _neighbor_color_masks(rows, assign, k) -> list[int]:
     Adjacency is symmetric, so v sees color t iff v lies in near[t], the
     union of the rows of the t-colored vertices: one OR per vertex builds
     the k x V matrix near, and its transpose, taken column by column over
-    binary strings, gives the masks.  Walking the rows instead would cost
-    one Python step per edge end."""
+    binary strings, gives the masks."""
     near = [0] * k
     for row, t in zip(rows, assign):
         near[t] |= row
@@ -265,9 +258,7 @@ def coset_coloring(n: int, q: int) -> Coloring:
     """Color Z_q^n by the cosets of the diagonal subgroup {(a, ..., a)}.
 
     q^(n-1) classes of q vertices each.  The color index is the base-q value
-    of the coset representative with last coordinate 0.  A Coloring is
-    immutable, so one is built per (n, q) and kept for the life of the
-    process, like the digit tables.
+    of the coset representative with last coordinate 0.  Cached per (n, q).
     """
     if q < 2 or n < 1:
         raise ValueError("need q >= 2 and n >= 1")
@@ -285,12 +276,10 @@ def coset_coloring(n: int, q: int) -> Coloring:
 
 
 def verify_coset_bcoloring(n: int, q: int, p: int) -> BColorCertificate:
-    """Validate the coset coloring on the p-th Hamming power.
-
-    Where the construction is claimed to work (p at least floor(n(q-1)/q)
-    with q <= n-1, or p = n-1 for any q >= 2) an invalid outcome raises
-    IntegrityError; outside those gates the certificate is informational.
-    """
+    """Validate the coset coloring on the p-th Hamming power.  Where the
+    construction is claimed to work (p >= floor(n(q-1)/q) with q <= n-1, or
+    p = n-1) an invalid outcome raises IntegrityError; elsewhere the
+    certificate is informational."""
     if p > n - 1:
         raise ValueError("coset coloring is only proper for p <= n-1")
     cert = validate_coloring(hamming_power(n, q, p), coset_coloring(n, q))
@@ -322,8 +311,9 @@ class BChromaticResult:
     "upper_new" where the paper's bound is lower.  `nodes_by_k` holds
     (k, nodes) for each k searched, from the top down; on a budget stop the
     last entry is the k that was cut.  `cuts_by_k` holds, for the same k,
-    (k, symmetry, translation, coverage): the seed prefixes dropped for
-    each of CUT_REASONS."""
+    (k, symmetry, translation, coverage, forced): the seed prefixes dropped
+    for each of the first three CUT_REASONS, then the coloring states (not
+    prefixes) refuted by a forced-demand clash (_extend)."""
 
     value: int
     coloring: Coloring
@@ -333,7 +323,7 @@ class BChromaticResult:
     upper: int = 0
     upper_source: str = ""
     nodes_by_k: tuple[tuple[int, int], ...] = ()
-    cuts_by_k: tuple[tuple[int, int, int, int], ...] = ()
+    cuts_by_k: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
 class _BudgetExhausted(Exception):
@@ -341,11 +331,9 @@ class _BudgetExhausted(Exception):
 
 
 def greedy_b_coloring(g: PowerGraph) -> Coloring:
-    """Greedy proper coloring, then repeatedly dissolve an undominated class.
-
-    Every class of the result has a dominating vertex, so the color count is
-    a valid lower bound for the b-chromatic number.
-    """
+    """Greedy proper coloring, then repeatedly dissolve an undominated class:
+    every class of the result has a dominating vertex, so the color count is
+    a lower bound for the b-chromatic number."""
     rows = _adjacency_rows(g)
     assign: list[int] = []
     members: list[int] = []  # the vertex bitset of each class so far
@@ -379,20 +367,10 @@ def greedy_b_coloring(g: PowerGraph) -> Coloring:
 def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     """Exact b-chromatic number by descending-k backtracking.
 
-    For each k, k dominating vertices are seeded in index order with the
-    k colors, vertex 0 always among them (the graph is vertex-transitive),
-    skipping seed tuples with a prefix that a symmetry fixing vertex 0, or
-    the translation v -> v - s by one of its seeds s, maps below itself, or
-    whose seeds cannot all be covered (see _decide_b_coloring: the first
-    seed tuple that extends is the least of all its images, so it is never
-    skipped, and the witness is that of the unpruned search); then the
-    remaining vertices are assigned by most-constrained-first backtracking
-    under properness and the requirement that every seed ends up seeing all
-    other colors.  The first k that admits a coloring is the answer; if
-    every k above the greedy
-    fallback fails, the fallback count is exact.  A node, the unit of the
-    budget, is one seed prefix tested or one coloring state.
-
+    Each k from the upper bound down is decided by _decide_b_coloring; the
+    first k that admits a b-coloring is the answer, and if every k above
+    the greedy fallback fails, the fallback count is exact.  A node, the
+    unit of the budget, is one seed prefix tested or one coloring state.
     On budget exhaustion the result reports the best lower bound found.
     """
     count = g.vertex_count
@@ -404,8 +382,7 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     upper = rows[0].bit_count() + 1  # the graph is regular, so Delta + 1 is also its m-degree
     source = "delta+1"
     if g.kind == "hypercube":
-        # upper_new is the least of the paper's upper bounds where they apply,
-        # and None outside its range (n = 1 and p >= n included)
+        # the least of the paper's upper bounds, None outside their range
         ub = bounds.upper_new(g.n, g.p)
         if ub is not None and ub < upper:
             upper, source = ub, "upper_new"
@@ -414,35 +391,37 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
             f"fallback b-coloring uses {k_lo} colors, above the proven upper "
             f"bound {upper}; a bound or the validator is wrong"
         )
-    # built only when some k is left to decide: on H(1, q) = K_q greedy
-    # already meets the bound, and the set would hold C(q-1, 2) tuples of q
+    # built only when some k is left to decide (on H(1, q) = K_q greedy
+    # meets the bound, and there would be C(q-1, 2) tuples of q)
     symmetries = _symmetries_fixing_0(g) if upper > k_lo else ()
     minus = _translations(g)
-    state = {"nodes": 0}
+    nodes = 0
+    cap = budget.max_nodes
     deadline = time.monotonic() + budget.max_seconds
 
     def charge():
         # the cap is tested before the node is counted, so a stopped search
         # reports at most max_nodes nodes
-        if state["nodes"] >= budget.max_nodes:
+        nonlocal nodes
+        if nodes >= cap:
             raise _BudgetExhausted
-        state["nodes"] += 1
-        if state["nodes"] % 4096 == 0 and time.monotonic() > deadline:
+        nodes += 1
+        if not nodes & 4095 and time.monotonic() > deadline:
             raise _BudgetExhausted
 
     searched = []  # (k, the nodes spent before k, the prefixes cut at k)
 
     def result(value, coloring, exact, note=""):
-        ends = [before for _, before, _ in searched[1:]] + [state["nodes"]]
+        ends = [before for _, before, _ in searched[1:]] + [nodes]
         per_k = tuple((k, end - before) for (k, before, _), end in zip(searched, ends))
         cut = tuple((k, *cuts) for k, _, cuts in searched)
-        return BChromaticResult(value, coloring, exact, state["nodes"], note,
+        return BChromaticResult(value, coloring, exact, nodes, note,
                                 upper, source, per_k, cut)
 
     try:
         for k in range(upper, k_lo, -1):
             cuts = [0] * len(CUT_REASONS)
-            searched.append((k, state["nodes"], cuts))
+            searched.append((k, nodes, cuts))
             witness = _decide_b_coloring(rows, k, charge, symmetries, minus, cuts)
             if witness is not None:
                 coloring = Coloring(tuple(witness), k)
@@ -460,12 +439,10 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of the base graph that fix vertex 0, as index tuples:
     sigma[v] is the image of vertex v.
 
-    They preserve Hamming distance, so they are automorphisms of every
-    power too: the C(n,2) transpositions of two coordinates and, in each
-    coordinate, the C(q-1,2) transpositions of two nonzero symbols, built
-    once over the base-q digits.  For q = 2 the digit index of a vertex is
-    its mask and there are no symbol transpositions; cube vertices are
-    ranks, so each permutation is renumbered through the rank tables.
+    They preserve Hamming distance, so every power keeps them: the C(n,2)
+    transpositions of two coordinates and, in each coordinate, the C(q-1,2)
+    transpositions of two nonzero symbols.  Cube permutations are built on
+    masks and renumbered through the rank tables.
     """
     n, q = g.n, g.q
     digits = _digit_table(n, q)
@@ -492,12 +469,10 @@ def _translations(g: PowerGraph):
     """minus(v, s), the vertex v - s of the group the graph is a Cayley
     graph of: for each s, v -> v - s is an automorphism that sends s to 0.
 
-    On cubes v - s is the symmetric difference of the two subsets, renumbered
-    through the rank tables; on Hamming graphs it is the digit-wise difference
-    mod q, the bitwise XOR of the indices when q = 2.  For q > 2 it is the
-    index difference v - s plus q^(i+1) for each digit i with v_i < s_i,
-    the borrow that the mod q takes back.  Nothing is tabulated per pair of
-    vertices: the solver asks only for differences of seeds and candidates.
+    On cubes v - s is the symmetric difference of the subsets, by rank; on
+    Hamming graphs it is the digit-wise difference mod q: XOR when q = 2,
+    else the index difference plus q^(i+1) for each digit i with v_i < s_i.
+    Nothing is tabulated per pair of vertices.
     """
     if g.kind == "hypercube":
         rank = _tables.rank_of_mask(g.n)
@@ -510,36 +485,31 @@ def _translations(g: PowerGraph):
     return lambda v, s: v - s + sum(compress(borrow, map(operator.lt, digits[v], digits[s])))
 
 
-# the prune reasons _seed_tuples counts, in the order it tests them
-CUT_REASONS = ("symmetry", "translation", "coverage")
+# the prune reasons, in test order: _seed_tuples' prefixes, then _extend's states
+CUT_REASONS = ("symmetry", "translation", "coverage", "forced")
 
 
 def _seed_tuples(rows, k, symmetries, minus, charge, cuts):
     """The seed tuples (0, a1 < ... < a_{k-1}) over the vertices of `rows` in
-    itertools.combinations order, less every tuple with a prefix P that some
-    sigma in `symmetries` or some translation v -> v - s, s in P, maps below
-    itself (sorted(sigma(P)) < P, or sorted(P - s) < P) and every tuple with
-    a prefix that fails the root coverage test.  cuts[i] counts the prefixes
-    dropped for CUT_REASONS[i].
+    itertools.combinations order, less every tuple with a prefix P that a
+    sigma in `symmetries` or a translation by some s in P maps below itself
+    (sorted(sigma(P)) < P, or sorted(P - s) < P), or that fails the root
+    coverage test.  cuts[i] counts the prefixes dropped for CUT_REASONS[i].
 
-    The prefixes are grown depth first, so a failing prefix drops all of
-    its extensions at once; testing whole tuples keeps the same ones but
-    visits every combination, which made the benchmark's solve jobs take
-    1.6 times as long.  Each sigma, and each translation by a seed other
+    Prefixes grow depth first, so a failing prefix drops all of its
+    extensions at once.  Each sigma, and each translation by a seed other
     than 0, keeps the bitset x of its image of the prefix, one OR per new
     seed; a new seed a adds the image of P + a under its own translation,
-    {s - a} = {-(a - s)}, read off the differences a - s just taken.  Two
-    sets of one size compare as sorted tuples by the lowest element of their
-    symmetric difference, so with d = x ^ pmask the prefix fails exactly
-    when d & -d & x is set.
+    {-(a - s)}, read off the differences a - s just taken.  Sets of one size
+    compare as sorted tuples by the least element of their symmetric
+    difference d = x ^ pmask, so the prefix fails iff d & -d & x is set.
 
-    Coverage: with `free` the vertices outside P, each seed t of P must be
-    able to see every seed s of P that it is apart from (s is not t and not
-    adjacent to t) through a free neighbour of its own that may take s's
-    color: _covers(rows, N(t) & free, apart).  A new seed only leaves `free`
-    and joins apart sets, so a refuted prefix refutes every extension and
-    is not grown.  Each prefix that passes the symmetry and translation
-    tests is charged one node before its coverage test (_joins_covered).
+    Coverage: each seed t of P must be able to see each seed s of P apart
+    from it (not t, not adjacent) through a neighbour outside P that s does
+    not see: _covers(rows, N(t) - P, apart).  A new seed only shrinks pools
+    and grows apart sets, so a refuted prefix refutes every extension.  Each
+    prefix past the symmetry and translation tests is charged one node
+    before its coverage test (_joins_covered).
     """
     seeds = [0]
     movers = []  # the seeds other than 0: the translation by 0 moves nothing
@@ -592,12 +562,10 @@ def _seed_tuples(rows, k, symmetries, minus, charge, cuts):
 
 
 def _joins_covered(rows, seeds, pmask, a):
-    """Whether the prefix `seeds` + (a,), the vertex bitset pmask, passes
-    the coverage test, given that `seeds` passes it.
-
-    The seeds adjacent to a lost a from their pools and are re-tested in
-    full; the others keep their pools and gain the apart seed a, one count
-    and one AND; a is tested last."""
+    """Whether the prefix `seeds` + (a,), bitset pmask, passes the coverage
+    test, given that `seeds` does: the seeds adjacent to a lost it from
+    their pools and are re-tested in full, the others gain the apart seed a
+    (one count and one AND), and a is tested last."""
     free = ~pmask
     row_a = rows[a]
     for t in seeds:
@@ -629,58 +597,29 @@ def _covers(rows, pool, apart):
 def _decide_b_coloring(rows, k, charge, symmetries, minus, cuts):
     """Search for a b-coloring with exactly k colors; None if impossible.
 
-    The seed search is rooted at vertex 0.  Every PowerGraph is a Cayley
-    graph: cube vertices are subsets under symmetric difference (relabelled
-    by rank, with the empty set at rank 0), Hamming vertices are Z_q^n under
-    addition, and adjacency depends only on the difference of the two ends.
-    So the translation v -> v - d (minus(v, d), _translations) is an
-    automorphism that moves d to vertex 0 and maps b-colorings to
-    b-colorings.  Applied to one dominating vertex d of a k-b-coloring, it
-    gives a k-b-coloring in which vertex 0 dominates its class; hence k is
-    feasible iff some seed tuple that contains vertex 0 extends.
+    Every PowerGraph is a Cayley graph (of the subsets under symmetric
+    difference, or of Z_q^n), so the translation v -> v - d is an
+    automorphism that moves a dominating vertex d to vertex 0: k is
+    feasible iff a seed tuple (one dominating vertex per color, seed t
+    colored t) holding vertex 0 extends, and a degree below k - 1 refutes
+    k.  The tuples are (0, *rest), rest in combinations(range(1, count),
+    k - 1), less those _seed_tuples prunes (isomorph rejection in the
+    manner of orderly generation, McKay 1998).  No decision or witness
+    changes:
 
-    A Cayley graph is regular, so every vertex has vertex 0's degree: when
-    that is below k-1 no vertex can dominate a class and k is refuted at
-    once, and otherwise every vertex is a candidate.  Seed tuples (one
-    dominating vertex per color) are (0, *rest) for rest in
-    itertools.combinations of vertices 1..count-1, k-1 at a time, in that
-    order; seed t gets color t.  They are pruned by `symmetries`,
-    automorphisms that fix vertex 0 (_symmetries_fixing_0), and by the
-    translations: _seed_tuples skips every tuple with a prefix P such that
-    sorted(sigma(P)) < P for some sigma, or sorted(P - s) < P for some seed
-    s of P (isomorph rejection in the manner of orderly generation, McKay
-    1998), and every tuple with a prefix that fails the root coverage test.
-    cuts counts the prefixes skipped for each reason (_seed_tuples).  No
-    decision changes:
+    1. Let T be the first tuple, in combinations order, that extends.  So
+       does every sigma(T), as sigma fixes 0, and every T - s for s in T,
+       which holds 0.  So T is the lex-minimum of all these images.
+    2. If sorted(sigma(P)) < P for a prefix P, then sorted(sigma(S)) < S
+       for every extension S: S's order statistics up to |P| are P's, and
+       each of sigma(S)'s is at most sigma(P)'s.  Likewise S - s holds
+       P - s.  So no symmetry or translation skips T.
+    3. A prefix failing the coverage test has no extension that passes it,
+       and a tuple fails it iff its root fails coverage, which is final.
 
-    1. Let T be the first tuple, in combinations order, that extends to a
-       b-coloring.  Every sigma(T) extends too, as sigma fixes 0 and maps
-       b-colorings to b-colorings (the colors are renamed to match the
-       sorted seeds).  So does T - s for every s in T: it contains 0,
-       since the translation sends s there, and it is a seed tuple.  So T
-       is the lex-minimum of its orbit under the sigmas and of the sets
-       T - s.
-    2. If a prefix P has sorted(sigma(P)) < P, every extension S of P has
-       sorted(sigma(S)) < S: S adds elements above max(P), so S's order
-       statistics up to |P| are P's, while each order statistic of sigma(S)
-       is at most the same one of sigma(P).  The same holds with the
-       translation by a seed s of P in place of sigma: S - s contains
-       P - s, so sorted(P - s) < P gives sorted(S - s) < S.
-    3. Hence T is never skipped by a symmetry or a translation: the first
-       witness of a feasible k is that of the unpruned search, and a
-       refuted k stays refuted.
-    4. A prefix that fails the coverage test has no extension that passes
-       it, and a whole tuple fails it exactly when its root state fails
-       coverage, which no completion can mend.  So T is not skipped by
-       coverage either, and the tuples skipped are exactly those whose
-       root state fails coverage.  Only the node count drops.
-
-    The rest of the search state is bitsets, handed to _extend: can[c]
-    holds the vertices that no c-colored vertex is adjacent to, so its
-    uncolored members are the vertices that may still take color c,
-    missing[t] holds the colors that seed t does not see yet: at the start,
-    those of the other seeds it is not adjacent to, and needers[c] holds
-    the seeds t whose missing[t] holds c.
+    The root state is bitsets: can[c] holds the vertices no c-colored
+    vertex is adjacent to, missing[t] the colors of the seeds apart from
+    seed t.  A root whose forced demands clash (_extend) is refuted here.
     """
     count = len(rows)
     if rows[0].bit_count() < k - 1:
@@ -694,47 +633,57 @@ def _decide_b_coloring(rows, k, charge, symmetries, minus, cuts):
         uncolored = (1 << count) - 1 ^ seed_mask
         can = [uncolored & ~rows[d] for d in seeds]
         missing = []
-        needers = [0] * k
-        for t, d in enumerate(seeds):
-            apart = seed_mask & ~rows[d] & ~(1 << d)
+        forced = {}
+        clash = False
+        for d in seeds:
+            row = rows[d]
+            apart = seed_mask & ~row ^ 1 << d
+            pool = row & uncolored
             m = 0
             while apart:
                 low = apart & -apart
+                apart ^= low
                 c = color[low.bit_length() - 1]
                 m |= 1 << c
-                needers[c] |= 1 << t
-                apart ^= low
+                # the demand's candidates, never none after the coverage test
+                cand = pool & can[c]
+                if not cand & cand - 1 and forced.setdefault(cand.bit_length() - 1, c) != c:
+                    clash = True
             missing.append(m)
-        if _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, charge):
+        # seeds t and c are apart iff c and t are, so needers[c] = missing[c]
+        needers = missing[:]
+        if clash:
+            charge()  # the root state is refuted as one node
+            cuts[3] += 1
+        elif _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored,
+                     forced, charge, cuts):
             return color
     return None
 
 
-def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, charge):
+def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, forced,
+            charge, cuts):
     """Color the vertices of `uncolored`, or return False if no completion
     gives every seed all of its missing colors.
 
-    can[c] & uncolored is the set of uncolored vertices that may take
-    color c; the bits of colored vertices are never read, so coloring v with
-    c only clears v's neighbors from can[c] and the undo restores that one
-    int.  needers[c] is the bitset of the seeds t whose missing[t] holds c.
-    The branching order is fixed: the uncolored vertex with the fewest
-    allowed colors first (ties to the lowest index), its colors ascending.
+    can[c] & uncolored holds the uncolored vertices that may take color c.
+    The vertex with the fewest allowed colors goes first (ties to the
+    lowest index), its colors ascending; the counts are bit-sliced, with
+    planes[j] holding the vertices whose count has bit j set.
 
-    Coverage holds on entry: every seed can still meet its missing colors,
-    one per uncolored neighbor, each from a vertex that may take it.  The
-    root state has passed _seed_tuples' test, and each child is tested
-    before it is entered, on the seeds its assignment touched: those
-    adjacent to v, and needers[c].  A child that fails is still charged one
-    node, so node counts equal those of a search that tests every state on
-    entry.  On a state that breaks coverage the search stays correct but
-    does not prune the seeds that break it.
+    A demand is a seed t with a color c of missing[t]; its candidates are
+    t's uncolored neighbors still in can[c].  One with no candidate fails
+    coverage.  One with a single candidate u forces u to take c, since u
+    alone can still show c to t; `forced` maps forced vertices to their
+    colors, and a vertex forced to two colors refutes the state (cuts[3]
+    counts such states).  This is sound: candidate sets only shrink along a
+    path, so an entry stays valid until u takes c or t fails coverage, and
+    a completion would have to give u both colors, so the first completion
+    in the fixed order is never cut.  The root should pass coverage and
+    `forced` hold its forced demands; else the search prunes less.
     """
     charge()
-    if not uncolored:
-        return not any(missing)
-    # per-vertex counts of allowed colors, bit-sliced: planes[j] holds the
-    # uncolored vertices whose count has bit j set
+    seed_rows = [rows[d] for d in seeds]
     planes = []
     for members in can:
         carry = members & uncolored
@@ -747,8 +696,38 @@ def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, cha
             planes[j] = plane ^ carry
             carry &= plane
             j += 1
-    # most-constrained vertex next, ties by index: narrow to the smallest
-    # count one plane at a time, from the top bit down
+    return _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
+                   planes, forced, [], charge, cuts)
+
+
+def _forces_clash(forced, trail, cuts, cand, c):
+    """Force the one vertex of `cand` to take color c; True, and one more
+    state counted in cuts[3], if a demand already forces another color."""
+    u = cand.bit_length() - 1
+    if u not in forced:
+        forced[u] = c
+        trail.append(u)
+    elif forced[u] != c:
+        cuts[3] += 1
+        return True
+    return False
+
+
+def _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
+            planes, forced, trail, charge, cuts):
+    """The backtracking below an _extend root.
+
+    Each child is tested before it is entered, on the demands that coloring
+    v with c touched; the parent passed, so no other demand can fail.  The
+    seeds adjacent to v meet c and lose v from their pools, which changes
+    their counts and the demands v was a candidate of (`allowed`); those of
+    needers[c] lose the vertices `lost` that leave can[c], whose counts the
+    child decrements.  A demand left with one candidate adds an entry to
+    `forced`, undone on backtrack (`trail`).  A refuted child costs a node.
+    """
+    if not uncolored:
+        return not any(missing)
+    # the most-constrained vertex, ties by index: narrow plane by plane
     fewest = uncolored
     some = False
     for plane in reversed(planes):
@@ -756,7 +735,6 @@ def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, cha
         if lower:
             fewest = lower
         else:
-            fewest &= plane
             some = True
     if not some:
         return False  # an uncolored vertex has no allowed color
@@ -770,45 +748,70 @@ def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, cha
         low = hits & -hits
         adjacent.append(color[low.bit_length() - 1])
         hits ^= low
-    for c, before in enumerate(can):
-        if not before & bit_v:
-            continue
+    allowed = 0
+    for c, members in enumerate(can):
+        if members & bit_v:
+            allowed |= 1 << c
+    colors = allowed
+    while colors:
+        bit = colors & -colors
+        colors ^= bit
+        c = bit.bit_length() - 1
         color[v] = c
+        before = can[c]
         after = can[c] = before & ~row_v
-        bit = 1 << c
+        lost = before & row_v & rest
         met = 0  # the seeds adjacent to v that missed c
         for t in adjacent:
             if missing[t] & bit:
                 missing[t] ^= bit
                 met |= 1 << t
         needers[c] ^= met
-        # the child's coverage: a seed adjacent to v lost v from its pool and
-        # is re-tested in full; one apart from v that misses c (needers[c]
-        # now holds only those) lost only the neighbours of v from can[c]
-        covered = True
+        mark = len(trail)
+        dead = False
         for t in adjacent:
             m = missing[t]
             if not m:
                 continue
-            pool = rows[seeds[t]] & rest
-            covered = m.bit_count() <= pool.bit_count()
-            while covered and m:
+            pool = seed_rows[t] & rest
+            dead = m.bit_count() > pool.bit_count()
+            m &= allowed
+            while m and not dead:
                 low = m & -m
-                covered = pool & can[low.bit_length() - 1] != 0
                 m ^= low
-            if not covered:
+                d = low.bit_length() - 1
+                cand = pool & can[d]
+                dead = not cand or not cand & cand - 1 and _forces_clash(
+                    forced, trail, cuts, cand, d)
+            if dead:
                 break
-        apart = needers[c] if covered else 0
+        apart = needers[c] if lost and not dead else 0
         while apart:
             low = apart & -apart
-            if not rows[seeds[low.bit_length() - 1]] & rest & after:
-                covered = False
-                break
             apart ^= low
-        if not covered:
-            charge()
-        elif _extend(rows, seeds, seed_mask, color, can, missing, needers, rest, charge):
-            return True
+            row = seed_rows[low.bit_length() - 1]
+            if row & lost:
+                cand = row & rest & after
+                if not cand or not cand & cand - 1 and _forces_clash(
+                        forced, trail, cuts, cand, c):
+                    dead = True
+                    break
+        charge()
+        if not dead:
+            child = planes
+            if lost:  # one less allowed color for each vertex of lost
+                child = planes[:]
+                j = 0
+                while lost:
+                    plane = child[j] ^ lost
+                    child[j] = plane
+                    lost &= plane
+                    j += 1
+            if _search(rows, seed_rows, seed_mask, color, can, missing, needers, rest,
+                       child, forced, trail, charge, cuts):
+                return True
+        while len(trail) > mark:
+            del forced[trail.pop()]
         can[c] = before
         needers[c] ^= met
         while met:
@@ -890,11 +893,8 @@ def singleton_certificate(g: PowerGraph, c: Coloring, ell: int) -> SingletonRepo
 
 
 def to_rank_indexing(n: int, c: Coloring) -> Coloring:
-    """Re-index a Hamming(q=2) coloring for the rank-indexed cube graph.
-
-    Hamming vertices with q = 2 are subset bitmasks; cube-power vertices are
-    subset ranks.  The two graphs are isomorphic under that bijection.
-    """
+    """Re-index a Hamming(q=2) coloring, on subset bitmasks, for the cube
+    graph on subset ranks; the two graphs are isomorphic under that map."""
     order = _tables.masks_in_order(n)
     return Coloring(tuple(c.assignment[order[v]] for v in range(1 << n)), c.k)
 

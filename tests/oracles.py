@@ -1,0 +1,69 @@
+"""Reference implementations for the tests, sharing no code with the
+program paths they check.
+
+b_coloring_with decides b-colourings by brute force: it builds its own
+adjacency from Hamming distances, enumerates every proper colouring with
+the colours in first-use order, and tests domination only on complete
+colourings.  It knows nothing of seeds, coverage, forced demands, symmetry
+or translations, so a fault in any of the exact solver's prunes shows as a
+disagreement.  b-colouring is NP-hard (Irving and Manlove 1999), so small
+exhaustive oracles are the natural check.
+"""
+
+from __future__ import annotations
+
+
+def hamming_rows(n: int, q: int, p: int) -> list[int]:
+    """Neighbour bitsets of H(n, q)^p: vertex v is the base-q number of its
+    coordinates, and u, v are adjacent when they differ in 1..p places.
+    With q = 2 this is Q_n^p on subset bitmasks."""
+    digits = [tuple(v // q**i % q for i in range(n)) for v in range(q**n)]
+    return [
+        sum(1 << u for u, b in enumerate(digits) if 0 < sum(x != y for x, y in zip(a, b)) <= p)
+        for a in digits
+    ]
+
+
+def _every_class_dominated(rows: list[int], members: list[int]) -> bool:
+    """Whether each class holds a vertex adjacent to every other class."""
+    for c, own in enumerate(members):
+        others = members[:c] + members[c + 1:]
+        while own:
+            low = own & -own
+            own ^= low
+            row = rows[low.bit_length() - 1]
+            if all(row & m for m in others):
+                break
+        else:
+            return False
+    return True
+
+
+def b_coloring_with(rows: list[int], k: int) -> list[int] | None:
+    """A b-colouring of the graph with exactly k colours, as one colour per
+    vertex, or None if there is none.
+
+    Vertices are coloured in index order, each with a colour some earlier
+    vertex has or with the next unused one, so every partition into colour
+    classes is met once.  A branch stops when too few vertices are left to
+    open the unused colours."""
+    count = len(rows)
+    members = [0] * k
+    assign = [0] * count
+
+    def place(v: int, used: int) -> bool:
+        if count - v < k - used:
+            return False
+        if v == count:
+            return _every_class_dominated(rows, members)
+        row = rows[v]
+        for c in range(min(used + 1, k)):
+            if not row & members[c]:
+                members[c] |= 1 << v
+                assign[v] = c
+                if place(v + 1, max(used, c + 1)):
+                    return True
+                members[c] ^= 1 << v
+        return False
+
+    return assign if place(0, 0) else None

@@ -14,6 +14,8 @@ from hyperb import bcoloring as bc
 from hyperb import bounds
 from hyperb.errors import InfeasibleError, IntegrityError
 
+import oracles
+
 BUDGET = bc.SolveBudget()
 
 
@@ -324,11 +326,20 @@ class TestExactSolver:
         stopped = bc.exact_b_chromatic(g, bc.SolveBudget(max_nodes=20))
         assert (done.exact, done.nodes) == (True, 21)
         assert (stopped.exact, stopped.nodes) == (False, 20)
-        # the cut k is the last one reported, with the nodes it got and the
-        # prefixes cut (symmetry, translation, coverage) before the stop
+        # the cut k is the last one reported, with the nodes it got, the
+        # prefixes cut (symmetry, translation, coverage) and the states
+        # refuted by a forced-demand clash before the stop
         assert stopped.nodes_by_k == ((7, 5), (6, 6), (5, 9))
-        assert stopped.cuts_by_k == ((7, 3, 1, 1), (6, 6, 2, 2), (5, 8, 3, 3))
-        assert done.cuts_by_k == ((7, 3, 1, 1), (6, 6, 2, 2), (5, 8, 4, 3))
+        assert stopped.cuts_by_k == ((7, 3, 1, 1, 0), (6, 6, 2, 2, 0), (5, 8, 3, 3, 0))
+        assert done.cuts_by_k == ((7, 3, 1, 1, 0), (6, 6, 2, 2, 0), (5, 8, 4, 3, 0))
+
+    def test_forced_clashes_are_counted(self):
+        # H(2,3)^1 refutes coloring states by a forced-demand clash at both k
+        # it searches; that last entry of cuts_by_k counts states, the others
+        # seed prefixes
+        res = bc.exact_b_chromatic(bc.hamming_power(2, 3, 1), BUDGET)
+        assert res.nodes_by_k == ((5, 20), (4, 60))
+        assert res.cuts_by_k == ((5, 20, 4, 5, 2), (4, 17, 2, 2, 5))
 
     def test_node_cap_inside_the_prefix_test(self, monkeypatch):
         # Q_4^3 refutes every k above the greedy 8 by prefix tests alone, so
@@ -349,8 +360,8 @@ class TestExactSolver:
         g = bc.hypercube_power(5, 3)
         assert bounds.upper_new(5, 3) == 17 < bc._adjacency_rows(g)[0].bit_count() + 1
         res = bc.exact_b_chromatic(g, BUDGET)
-        assert (res.value, res.exact, res.nodes) == (17, True, 627)
-        assert (res.upper, res.upper_source, res.nodes_by_k) == (17, "upper_new", ((17, 627),))
+        assert (res.value, res.exact, res.nodes) == (17, True, 553)
+        assert (res.upper, res.upper_source, res.nodes_by_k) == (17, "upper_new", ((17, 553),))
         assert bc.validate_coloring(g, res.coloring).valid_b
 
     def test_q5p4_is_exact_without_a_paper_bound(self):
@@ -399,8 +410,8 @@ def _unrooted_decision(rows, degrees, k):
             seen = sum(1 << seed_of[w] for w in seeds if rows[d] >> w & 1)
             missing.append((1 << k) - 1 & ~(1 << t) & ~seen)
         needers = [sum(1 << t for t, m in enumerate(missing) if m >> c & 1) for c in range(k)]
-        if bc._extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored,
-                      lambda: None):
+        if bc._extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, {},
+                      lambda: None, [0] * len(bc.CUT_REASONS)):
             return True
     return False
 
@@ -436,7 +447,8 @@ class TestRootedSeeds:
         # most max degree + 1)
         decisions = []
         for k in range(max(degrees) + 2, value - 1, -1):
-            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus, [0] * 3)
+            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus,
+                                            [0] * len(bc.CUT_REASONS))
             rooted = witness is not None
             assert rooted == _unrooted_decision(rows, degrees, k), k
             decisions.append(rooted)
@@ -561,6 +573,53 @@ def _root_covered(rows, seeds):
     return True
 
 
+class TestLeafOracle:
+    """The brute force of oracles.b_coloring_with, which enumerates proper
+    colourings and tests domination only on complete ones, decides every k
+    from Delta + 1 down to the value as _decide_b_coloring does.  It shares
+    no code with _seed_tuples or _extend, not even the adjacency."""
+
+    GRAPHS = [
+        ("Q2p1", 2, 2, 1),
+        ("Q3p1", 3, 2, 1),
+        ("Q3p2", 3, 2, 2),
+        ("H2q3p1", 2, 3, 1),
+        ("Q4p3", 4, 2, 3),
+        ("Q4p1", 4, 2, 1),
+        ("Q4p2", 4, 2, 2),
+    ]
+    CASES = [pytest.param(*c, id=c[0]) for c in GRAPHS] + [
+        pytest.param("H2q4p1", 2, 4, 1, id="H2q4p1", marks=pytest.mark.slow),  # about 10 s
+    ]
+
+    @pytest.mark.parametrize("tag,n,q,p", CASES)
+    def test_agrees_with_the_solver(self, tag, n, q, p):
+        g = bc.hypercube_power(n, p) if q == 2 else bc.hamming_power(n, q, p)
+        rows = bc._adjacency_rows(g)
+        mine = oracles.hamming_rows(n, q, p)
+        top = rows[0].bit_count() + 1
+        assert mine[0].bit_count() + 1 == top
+        symmetries = bc._symmetries_fixing_0(g)
+        minus = bc._translations(g)
+        value = bc.exact_b_chromatic(g, BUDGET).value
+        for k in range(top, value - 1, -1):
+            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus,
+                                            [0] * len(bc.CUT_REASONS))
+            found = oracles.b_coloring_with(mine, k)
+            assert (witness is not None) == (found is not None), k
+        # the oracle's own witness at the value is a b-colouring of the graph
+        # on its base-q indices, which are the subset masks when q = 2
+        coloring = bc.Coloring(tuple(found), value)
+        assert bc.validate_coloring(bc.hamming_power(n, q, p), coloring).valid_b
+
+    def test_refutes_an_undominated_coloring(self):
+        # C_4 = Q_2^1 has proper 3-colourings (0, 1, 2, 1 around the cycle
+        # is one), but in none does every class see the other two
+        rows = oracles.hamming_rows(2, 2, 1)
+        assert oracles.b_coloring_with(rows, 3) is None
+        assert oracles.b_coloring_with(rows, 2) is not None
+
+
 def _assignment_digest(coloring):
     return hashlib.sha256(json.dumps(list(coloring.assignment)).encode()).hexdigest()
 
@@ -575,19 +634,19 @@ class TestGoldenSearch:
     CASES = [
         ("Q3p2", bc.hypercube_power(3, 2), 4, 21,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("Q4p1", bc.hypercube_power(4, 1), 5, 320,
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 301,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p2", bc.hypercube_power(4, 2), 8, 6292,
+        ("Q4p2", bc.hypercube_power(4, 2), 8, 5992,
          "58a4794f79f73c7ce29775e282015971c6414697faa436d2a0f6b6ec4d0a10cc"),
         ("Q4p3", bc.hypercube_power(4, 3), 8, 351,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 101,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 80,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
         ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 12,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 7574,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 2825,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
-        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 2029,
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 1958,
          "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
     ]
 
