@@ -557,8 +557,6 @@ class SectionTables:
     j: int
     minus_selector: int            # ranks over [n] whose mask avoids bit j
     compact_rank: tuple[int, ...]  # rank over [n] -> rank of compacted mask
-    expand_minus: tuple[int, ...]  # subground rank -> rankbit over [n], bit j clear
-    expand_plus: tuple[int, ...]   # subground rank -> rankbit over [n], bit j set
     minus_prefix: tuple[int, ...]  # m -> family bitset of expanded I_m (bit j clear)
     plus_prefix: tuple[int, ...]   # m -> family bitset of expanded I_m + {j}
 
@@ -593,26 +591,18 @@ def section_tables(n: int, j: int) -> SectionTables:
         if not m & bit:
             minus_selector |= 1 << r
 
-    expand_minus = []
-    expand_plus = []
-    for m_sub in sub_order:
-        expanded = (m_sub & low_mask) | ((m_sub >> j) << (j + 1))
-        expand_minus.append(1 << rank_n[expanded])
-        expand_plus.append(1 << rank_n[expanded | bit])
-
     minus_prefix = [0]
     plus_prefix = [0]
-    for rb_minus, rb_plus in zip(expand_minus, expand_plus):
-        minus_prefix.append(minus_prefix[-1] | rb_minus)
-        plus_prefix.append(plus_prefix[-1] | rb_plus)
+    for m_sub in sub_order:
+        expanded = (m_sub & low_mask) | ((m_sub >> j) << (j + 1))
+        minus_prefix.append(minus_prefix[-1] | 1 << rank_n[expanded])
+        plus_prefix.append(plus_prefix[-1] | 1 << rank_n[expanded | bit])
 
     return SectionTables(
         n=n,
         j=j,
         minus_selector=minus_selector,
         compact_rank=tuple(compact_rank),
-        expand_minus=tuple(expand_minus),
-        expand_plus=tuple(expand_plus),
         minus_prefix=tuple(minus_prefix),
         plus_prefix=tuple(plus_prefix),
     )
@@ -638,20 +628,23 @@ def split_bits(family: int, n: int, j: int) -> tuple[int, int]:
 
 
 def join_bits(minus: int, plus: int, n: int, j: int) -> int:
-    """Inverse of split_bits: reassemble a family bitset over the full ground."""
-    t = section_tables(n, j)
+    """Inverse of split_bits: reassemble a family bitset over the full ground.
+
+    Compaction keeps the size-then-lex order, so subground rank i of a side
+    is the i-th rank over [n] of that side's selector (_side_ranks)."""
     out = 0
-    expand = t.expand_minus
-    while minus:
-        low = minus & -minus
-        out |= expand[low.bit_length() - 1]
-        minus ^= low
-    expand = t.expand_plus
-    while plus:
-        low = plus & -plus
-        out |= expand[low.bit_length() - 1]
-        plus ^= low
+    for side, ranks in zip((minus, plus), _side_ranks(n, j)):
+        for i in member_ranks(side):
+            out |= 1 << ranks[i]
     return out
+
+
+@lru_cache(maxsize=None)
+def _side_ranks(n: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ranks over [n] avoiding j and those containing j, each in rank
+    order."""
+    selector = section_tables(n, j).minus_selector
+    return tuple(member_ranks(selector)), tuple(member_ranks(universe_bits(n) ^ selector))
 
 
 @lru_cache(maxsize=None)
@@ -659,19 +652,19 @@ def _join_radii_stages(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], int, 
     """(stages, minus_keep, plus_keep) per coordinate j, for join_radii at
     ground size n, read from the section tables alone.
 
-    Compaction keeps the size-then-lex order, so expand_minus and
-    expand_plus increase with the subground rank: the join at one radius
-    deposits the avoiding side into the ranks of minus_selector and the
-    containing side into the rest.  So one parallel bit deposit (expand,
-    Hacker's Delight 7-5) joins every radius and both sides, under a mask
-    that spreads the 2(n+1) input blocks of 2^(n-1) bits over 2(n+1)
-    output blocks of 2^n bits: minus_selector in each of the n + 1 low
-    blocks, its complement in each of the n + 1 high ones.  stages lists
-    its (shift, mv) for the shifts 2^i, highest first, mv built by the
-    prefix-XOR construction; the stages whose mv is empty are dropped.
-    minus_keep and plus_keep are the mask's low and high sides at radii
-    1..n, moved down to bit 0.  At n = 12 the 12 coordinates hold 16 stages
-    each, about 2.8 MB with the keep masks.
+    Compaction keeps the size-then-lex order, so each side's ranks over
+    [n], in rank order, compact to the subground ranks 0, 1, ...: the join
+    at one radius deposits the avoiding side into the ranks of
+    minus_selector and the containing side into the rest (join_bits).  So
+    one parallel bit deposit (expand, Hacker's Delight 7-5) joins every
+    radius and both sides, under a mask that spreads the 2(n+1) input
+    blocks of 2^(n-1) bits over 2(n+1) output blocks of 2^n bits:
+    minus_selector in each of the n + 1 low blocks, its complement in each
+    of the n + 1 high ones.  stages lists its (shift, mv) for the shifts
+    2^i, highest first, mv built by the prefix-XOR construction; the stages
+    whose mv is empty are dropped.  minus_keep and plus_keep are the mask's
+    low and high sides at radii 1..n, moved down to bit 0.  At n = 12 the
+    12 coordinates hold 16 stages each, about 2.8 MB with the keep masks.
     """
     full = 1 << n
     width = 2 * (n + 1) * full

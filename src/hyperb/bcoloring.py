@@ -313,10 +313,12 @@ class BChromaticResult:
     last entry is the k that was cut.  `cuts_by_k` holds, for the same k,
     (k, symmetry, translation, coverage, forced): the seed prefixes dropped
     for each of the first three CUT_REASONS, then the coloring states (not
-    prefixes) refuted by a forced-demand clash (_extend)."""
+    prefixes) refuted by a forced-demand clash (_extend).  `certificate` is
+    validate_coloring's verdict on `coloring`, which is always valid_b."""
 
     value: int
     coloring: Coloring
+    certificate: BColorCertificate
     exact: bool
     nodes: int
     note: str = ""
@@ -372,6 +374,8 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     the greedy fallback fails, the fallback count is exact.  A node, the
     unit of the budget, is one seed prefix tested or one coloring state.
     On budget exhaustion the result reports the best lower bound found.
+    The coloring returned, search witness or fallback, is validated once,
+    and an invalid one raises IntegrityError.
     """
     count = g.vertex_count
     if count > MAX_SOLVER_VERTICES:
@@ -391,10 +395,6 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
             f"fallback b-coloring uses {k_lo} colors, above the proven upper "
             f"bound {upper}; a bound or the validator is wrong"
         )
-    # built only when some k is left to decide (on H(1, q) = K_q greedy
-    # meets the bound, and there would be C(q-1, 2) tuples of q)
-    symmetries = _symmetries_fixing_0(g) if upper > k_lo else ()
-    minus = _translations(g)
     nodes = 0
     cap = budget.max_nodes
     deadline = time.monotonic() + budget.max_seconds
@@ -412,29 +412,29 @@ def exact_b_chromatic(g: PowerGraph, budget: SolveBudget) -> BChromaticResult:
     searched = []  # (k, the nodes spent before k, the prefixes cut at k)
 
     def result(value, coloring, exact, note=""):
+        cert = validate_coloring(g, coloring)
+        if not cert.valid_b:
+            raise IntegrityError(f"solver produced an invalid {value}-coloring")
         ends = [before for _, before, _ in searched[1:]] + [nodes]
         per_k = tuple((k, end - before) for (k, before, _), end in zip(searched, ends))
         cut = tuple((k, *cuts) for k, _, cuts in searched)
-        return BChromaticResult(value, coloring, exact, nodes, note,
+        return BChromaticResult(value, coloring, cert, exact, nodes, note,
                                 upper, source, per_k, cut)
 
     try:
         for k in range(upper, k_lo, -1):
             cuts = [0] * len(CUT_REASONS)
             searched.append((k, nodes, cuts))
-            witness = _decide_b_coloring(rows, k, charge, symmetries, minus, cuts)
+            witness = _decide_b_coloring(g, k, charge, cuts)
             if witness is not None:
-                coloring = Coloring(tuple(witness), k)
-                cert = validate_coloring(g, coloring)
-                if not cert.valid_b:
-                    raise IntegrityError("solver produced an invalid witness")
-                return result(k, coloring, True)
+                return result(k, Coloring(tuple(witness), k), True)
         return result(k_lo, fallback, True)
     except _BudgetExhausted:
         return result(k_lo, fallback, False,
                       note=f"budget exhausted; value is unknown but at least {k_lo}")
 
 
+@lru_cache(maxsize=None)
 def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of the base graph that fix vertex 0, as index tuples:
     sigma[v] is the image of vertex v.
@@ -442,7 +442,7 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     They preserve Hamming distance, so every power keeps them: the C(n,2)
     transpositions of two coordinates and, in each coordinate, the C(q-1,2)
     transpositions of two nonzero symbols.  Cube permutations are built on
-    masks and renumbered through the rank tables.
+    masks and renumbered through the rank tables.  Cached per graph.
     """
     n, q = g.n, g.q
     digits = _digit_table(n, q)
@@ -465,6 +465,7 @@ def _symmetries_fixing_0(g: PowerGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _translations(g: PowerGraph):
     """minus(v, s), the vertex v - s of the group the graph is a Cayley
     graph of: for each s, v -> v - s is an automorphism that sends s to 0.
@@ -472,7 +473,7 @@ def _translations(g: PowerGraph):
     On cubes v - s is the symmetric difference of the subsets, by rank; on
     Hamming graphs it is the digit-wise difference mod q: XOR when q = 2,
     else the index difference plus q^(i+1) for each digit i with v_i < s_i.
-    Nothing is tabulated per pair of vertices.
+    Nothing is tabulated per pair of vertices.  Cached per graph.
     """
     if g.kind == "hypercube":
         rank = _tables.rank_of_mask(g.n)
@@ -594,7 +595,7 @@ def _covers(rows, pool, apart):
     return True
 
 
-def _decide_b_coloring(rows, k, charge, symmetries, minus, cuts):
+def _decide_b_coloring(g, k, charge, cuts):
     """Search for a b-coloring with exactly k colors; None if impossible.
 
     Every PowerGraph is a Cayley graph (of the subsets under symmetric
@@ -616,77 +617,71 @@ def _decide_b_coloring(rows, k, charge, symmetries, minus, cuts):
        P - s.  So no symmetry or translation skips T.
     3. A prefix failing the coverage test has no extension that passes it,
        and a tuple fails it iff its root fails coverage, which is final.
-
-    The root state is bitsets: can[c] holds the vertices no c-colored
-    vertex is adjacent to, missing[t] the colors of the seeds apart from
-    seed t.  A root whose forced demands clash (_extend) is refuted here.
     """
-    count = len(rows)
+    rows = _adjacency_rows(g)
     if rows[0].bit_count() < k - 1:
         return None
-    for seeds in _seed_tuples(rows, k, symmetries, minus, charge, cuts):
-        seed_mask = 0
-        color = [-1] * count
-        for t, d in enumerate(seeds):
-            seed_mask |= 1 << d
-            color[d] = t
-        uncolored = (1 << count) - 1 ^ seed_mask
-        can = [uncolored & ~rows[d] for d in seeds]
-        missing = []
-        forced = {}
-        clash = False
-        for d in seeds:
-            row = rows[d]
-            apart = seed_mask & ~row ^ 1 << d
-            pool = row & uncolored
-            m = 0
-            while apart:
-                low = apart & -apart
-                apart ^= low
-                c = color[low.bit_length() - 1]
-                m |= 1 << c
-                # the demand's candidates, never none after the coverage test
-                cand = pool & can[c]
-                if not cand & cand - 1 and forced.setdefault(cand.bit_length() - 1, c) != c:
-                    clash = True
-            missing.append(m)
-        # seeds t and c are apart iff c and t are, so needers[c] = missing[c]
-        needers = missing[:]
-        if clash:
-            charge()  # the root state is refuted as one node
-            cuts[3] += 1
-        elif _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored,
-                     forced, charge, cuts):
+    for seeds in _seed_tuples(rows, k, _symmetries_fixing_0(g), _translations(g), charge, cuts):
+        color = _extend(rows, seeds, charge, cuts)
+        if color is not None:
             return color
     return None
 
 
-def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, forced,
-            charge, cuts):
-    """Color the vertices of `uncolored`, or return False if no completion
-    gives every seed all of its missing colors.
+def _extend(rows, seeds, charge, cuts):
+    """The first coloring, in the search order below, that colors seed t
+    with t and gives every seed all the other colors; None if there is none.
 
-    can[c] & uncolored holds the uncolored vertices that may take color c.
-    The vertex with the fewest allowed colors goes first (ties to the
-    lowest index), its colors ascending; the counts are bit-sliced, with
-    planes[j] holding the vertices whose count has bit j set.
+    The root, charged as one node, colors the seeds.  Its state is
+    bitsets: can[c] holds the vertices no c-colored vertex is adjacent to,
+    missing[t] the colors of the seeds apart from seed t (not t, not
+    adjacent), and needers[c] the seeds missing c, which is missing[c], as
+    seeds t and c are apart iff c and t are.  The uncolored vertices are
+    then colored by _search, the vertex with the fewest allowed colors
+    first (ties to the lowest index), its colors ascending; the counts are
+    bit-sliced, with planes[j] holding the vertices whose count has bit j
+    set.
 
     A demand is a seed t with a color c of missing[t]; its candidates are
-    t's uncolored neighbors still in can[c].  One with no candidate fails
-    coverage.  One with a single candidate u forces u to take c, since u
-    alone can still show c to t; `forced` maps forced vertices to their
-    colors, and a vertex forced to two colors refutes the state (cuts[3]
-    counts such states).  This is sound: candidate sets only shrink along a
-    path, so an entry stays valid until u takes c or t fails coverage, and
-    a completion would have to give u both colors, so the first completion
-    in the fixed order is never cut.  The root should pass coverage and
-    `forced` hold its forced demands; else the search prunes less.
+    t's uncolored neighbors still in can[c].  One with no candidate refutes
+    the state, so any seed tuple may be passed, though those of
+    _seed_tuples pass the coverage test.  One with a single candidate u
+    forces u to take c, since u alone can still show c to t; `forced` maps
+    forced vertices to their colors, and a vertex forced to two colors
+    refutes the state (cuts[3] counts such states).  This is sound:
+    candidate sets only shrink along a path, so an entry stays valid until
+    u takes c or t fails coverage, and a completion would have to give u
+    both colors, so the first completion in the fixed order is never cut.
     """
     charge()
-    seed_rows = [rows[d] for d in seeds]
+    count = len(rows)
+    seed_mask = 0
+    color = [-1] * count
+    for t, d in enumerate(seeds):
+        seed_mask |= 1 << d
+        color[d] = t
+    uncolored = (1 << count) - 1 ^ seed_mask
+    can = [uncolored & ~rows[d] for d in seeds]
+    missing = []
+    forced = {}
+    trail = []
+    for d in seeds:
+        row = rows[d]
+        apart = seed_mask & ~row ^ 1 << d
+        pool = row & uncolored
+        m = 0
+        while apart:
+            low = apart & -apart
+            apart ^= low
+            c = color[low.bit_length() - 1]
+            m |= 1 << c
+            cand = pool & can[c]
+            if not cand or not cand & cand - 1 and _forces_clash(forced, trail, cuts, cand, c):
+                return None
+        missing.append(m)
     planes = []
     for members in can:
-        carry = members & uncolored
+        carry = members
         j = 0
         while carry:
             if j == len(planes):
@@ -696,8 +691,11 @@ def _extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, for
             planes[j] = plane ^ carry
             carry &= plane
             j += 1
-    return _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
-                   planes, forced, [], charge, cuts)
+    seed_rows = [rows[d] for d in seeds]
+    if _search(rows, seed_rows, seed_mask, color, can, missing, missing[:], uncolored,
+               planes, forced, trail, charge, cuts):
+        return color
+    return None
 
 
 def _forces_clash(forced, trail, cuts, cand, c):

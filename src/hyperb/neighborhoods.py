@@ -542,7 +542,10 @@ def _grow_in_pool(
     handed back is the starting pool ANDed with the picks' balls, the
     picks included, and the pool without the picks has |pool| - picks
     members.  The picks are parsed from taken only once, at the phase
-    change (_taken_bits); the count handed back is taken.count(1)."""
+    change (_taken_bits); the count handed back is taken.count(1).  A
+    faulted table whose ball[r] lacks r drops r from the pool; the rank list
+    still never holds a pick, and the pool handed back is still the
+    starting pool ANDed with the picks' balls."""
     count = pool.bit_count()
     if not count:
         raise ValueError("cannot pick from an empty pool")
@@ -564,7 +567,7 @@ def _grow_in_pool(
             pool &= ball[r]
         count = pool.bit_count() - (picks - left)
     if left:  # sparse phase
-        ranks = _tables.member_ranks(pool ^ _taken_bits(taken))
+        ranks = _tables.member_ranks(pool & ~_taken_bits(taken))
         for _ in range(left):
             count = len(ranks)
             if not count:
@@ -581,7 +584,9 @@ def _grow_in_pool(
             if out.bit_count() * 4 < count:
                 while out:
                     top = out.bit_length() - 1
-                    del ranks[bisect_left(ranks, top)]
+                    i = bisect_left(ranks, top)
+                    if i < len(ranks) and ranks[i] == top:  # r is in out if not in ball[r]
+                        del ranks[i]
                     out ^= 1 << top
             else:  # a quarter or more goes: keep the ranks still in the pool
                 held = pool.to_bytes((width + 7) >> 3, "little")

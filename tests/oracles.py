@@ -1,5 +1,4 @@
-"""Reference implementations for the tests, sharing no code with the
-program paths they check.
+"""Reference implementations for the exact solver's tests.
 
 b_coloring_with decides b-colourings by brute force: it builds its own
 adjacency from Hamming distances, enumerates every proper colouring with
@@ -8,9 +7,17 @@ colourings.  It knows nothing of seeds, coverage, forced demands, symmetry
 or translations, so a fault in any of the exact solver's prunes shows as a
 disagreement.  b-colouring is NP-hard (Irving and Manlove 1999), so small
 exhaustive oracles are the natural check.
+
+first_witness checks the seed-tuple prunes alone: it walks every rooted
+seed tuple unpruned and hands each to the solver's own _extend, so a fault
+inside _extend is invisible to it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+
+from hyperb import bcoloring as bc
 
 
 def hamming_rows(n: int, q: int, p: int) -> list[int]:
@@ -67,3 +74,39 @@ def b_coloring_with(rows: list[int], k: int) -> list[int] | None:
         return False
 
     return assign if place(0, 0) else None
+
+
+def root_covered(rows: list[int], seeds: tuple[int, ...]) -> bool:
+    """Whether each seed t has, among its neighbours outside the seeds, at
+    least as many vertices as seeds apart from it (not t, not adjacent to
+    t), and for each apart seed s one that s is not adjacent to.  A tuple
+    failing this has no b-colouring in which seed t dominates colour t."""
+    free = set(range(len(rows))) - set(seeds)
+    for t in seeds:
+        pool = [v for v in free if rows[t] >> v & 1]
+        apart = [s for s in seeds if s != t and not rows[t] >> s & 1]
+        if len(apart) > len(pool):
+            return False
+        if any(all(rows[s] >> v & 1 for v in pool) for s in apart):
+            return False
+    return True
+
+
+def first_witness(rows: list[int], k: int) -> list[int] | None:
+    """The colouring that _extend completes from the first seed tuple
+    (0, *rest), rest in combinations(range(1, len(rows)), k - 1), that it
+    completes at all; None if it completes none.
+
+    No symmetry, translation or prefix prune is applied; tuples failing
+    root_covered are skipped, as none of them extends.  The solver's
+    witness at k must be this one: its prunes only drop tuples that some
+    automorphism maps to an earlier one, so they never drop the first
+    extending tuple (orderly generation, McKay 1998)."""
+    cuts = [0] * len(bc.CUT_REASONS)
+    for rest in combinations(range(1, len(rows)), k - 1):
+        seeds = (0, *rest)
+        if root_covered(rows, seeds):
+            color = bc._extend(rows, seeds, lambda: None, cuts)
+            if color is not None:
+                return color
+    return None

@@ -395,25 +395,11 @@ class TestExactSolver:
 def _unrooted_decision(rows, degrees, k):
     """Oracle: the seed search over every combinations(cand, k) tuple, with
     no vertex pinned; True iff some tuple extends to a b-coloring."""
-    count = len(rows)
-    cand = [v for v in range(count) if degrees[v] >= k - 1]
-    for seeds in itertools.combinations(cand, k):
-        seed_mask = sum(1 << d for d in seeds)
-        seed_of = {d: t for t, d in enumerate(seeds)}
-        color = [-1] * count
-        for d, t in seed_of.items():
-            color[d] = t
-        uncolored = (1 << count) - 1 & ~seed_mask
-        can = [uncolored & ~rows[d] for d in seeds]
-        missing = []
-        for t, d in enumerate(seeds):
-            seen = sum(1 << seed_of[w] for w in seeds if rows[d] >> w & 1)
-            missing.append((1 << k) - 1 & ~(1 << t) & ~seen)
-        needers = [sum(1 << t for t, m in enumerate(missing) if m >> c & 1) for c in range(k)]
-        if bc._extend(rows, seeds, seed_mask, color, can, missing, needers, uncolored, {},
-                      lambda: None, [0] * len(bc.CUT_REASONS)):
-            return True
-    return False
+    cand = [v for v in range(len(rows)) if degrees[v] >= k - 1]
+    return any(
+        bc._extend(rows, seeds, lambda: None, [0] * len(bc.CUT_REASONS)) is not None
+        for seeds in itertools.combinations(cand, k)
+    )
 
 
 class TestRootedSeeds:
@@ -439,16 +425,13 @@ class TestRootedSeeds:
     def test_agrees_with_unrooted_search(self, tag, g):
         rows = list(bc._adjacency_rows(g))
         degrees = [r.bit_count() for r in rows]
-        symmetries = bc._symmetries_fixing_0(g)
-        minus = bc._translations(g)
         value = bc.exact_b_chromatic(g, BUDGET).value
         # from one above max degree + 1, where vertex 0 is refused at once,
         # down through every k the solver can try (its upper bound is at
         # most max degree + 1)
         decisions = []
         for k in range(max(degrees) + 2, value - 1, -1):
-            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus,
-                                            [0] * len(bc.CUT_REASONS))
+            witness = bc._decide_b_coloring(g, k, lambda: None, [0] * len(bc.CUT_REASONS))
             rooted = witness is not None
             assert rooted == _unrooted_decision(rows, degrees, k), k
             decisions.append(rooted)
@@ -468,6 +451,18 @@ class TestRootedSeeds:
             assert res.coloring == fallback
         else:
             assert bc.validate_coloring(g, res.coloring).dominating[0] == 0
+
+    FIRST = WITNESSED + [("Q5p3", bc.hypercube_power(5, 3))]
+
+    @pytest.mark.parametrize("tag,g", FIRST, ids=[c[0] for c in FIRST])
+    def test_witness_is_the_first_unpruned_one(self, tag, g):
+        # at every k it searched, the solver finds the first rooted tuple
+        # in combinations order that extends, or none when it refutes k
+        res = bc.exact_b_chromatic(g, BUDGET)
+        rows = bc._adjacency_rows(g)
+        for k, _ in res.nodes_by_k:
+            expected = list(res.coloring.assignment) if k == res.value else None
+            assert oracles.first_witness(rows, k) == expected, k
 
     AUTOMORPHISMS = WITNESSED + [("H3q3p2", bc.hamming_power(3, 3, 2))]
 
@@ -532,7 +527,7 @@ class TestRootedSeeds:
                 for seeds in unmapped
                 if all(tuple(sorted(_difference(g, v, s) for v in seeds)) >= seeds for s in seeds)
             ]
-            expected = [seeds for seeds in unmoved if _root_covered(rows, seeds)]
+            expected = [seeds for seeds in unmoved if oracles.root_covered(rows, seeds)]
             cuts = [0] * 3
             got = list(bc._seed_tuples(rows, k, symmetries, minus, lambda: None, cuts))
             assert got == expected, k
@@ -556,21 +551,6 @@ def _difference(g, v, s):
     a = bc.HammingVertex.from_index(v, g.n, g.q).coords
     b = bc.HammingVertex.from_index(s, g.n, g.q).coords
     return bc.HammingVertex(tuple((x - y) % g.q for x, y in zip(a, b)), g.q).index()
-
-
-def _root_covered(rows, seeds):
-    """Test-side root check: each seed t has, among its neighbours outside
-    the seeds, at least as many vertices as seeds apart from it (not t, not
-    adjacent to t), and for each apart seed s one that s is not adjacent to."""
-    free = set(range(len(rows))) - set(seeds)
-    for t in seeds:
-        pool = [v for v in free if rows[t] >> v & 1]
-        apart = [s for s in seeds if s != t and not rows[t] >> s & 1]
-        if len(apart) > len(pool):
-            return False
-        if any(all(rows[s] >> v & 1 for v in pool) for s in apart):
-            return False
-    return True
 
 
 class TestLeafOracle:
@@ -599,12 +579,9 @@ class TestLeafOracle:
         mine = oracles.hamming_rows(n, q, p)
         top = rows[0].bit_count() + 1
         assert mine[0].bit_count() + 1 == top
-        symmetries = bc._symmetries_fixing_0(g)
-        minus = bc._translations(g)
         value = bc.exact_b_chromatic(g, BUDGET).value
         for k in range(top, value - 1, -1):
-            witness = bc._decide_b_coloring(rows, k, lambda: None, symmetries, minus,
-                                            [0] * len(bc.CUT_REASONS))
+            witness = bc._decide_b_coloring(g, k, lambda: None, [0] * len(bc.CUT_REASONS))
             found = oracles.b_coloring_with(mine, k)
             assert (witness is not None) == (found is not None), k
         # the oracle's own witness at the value is a b-colouring of the graph

@@ -452,6 +452,27 @@ class TestSampledOpenFaults:
         assert len(tallied) < len(exact) and all(w in exact for w in tallied)
         assert short  # a witness whose tallied count was short
 
+    def test_sparse_pick_outside_its_own_ball(self, monkeypatch):
+        # the partner fault, and rank 2^n - 1 taken out of its own ball: a
+        # sparse-phase pick of it leaves the pool, which once made the rank
+        # list cut a rank it no longer held (IndexError).  The sweep now
+        # reports, and every witness holds at its exact size
+        n, p, seed = 6, 4, 1
+        rng = random.Random(seed * 100 + n)
+        mask = sum(1 << c for c in rng.sample(range(n), rng.randrange(p + 1, n + 1)))
+        order, rank = _tables.masks_in_order(n), _tables.rank_of_mask(n)
+        flips = [(r, rank[order[r] ^ mask]) for r in range(1 << n)]
+        last = (1 << n) - 1
+        fault_ball_table(monkeypatch, n, p, flips + [(last, last)])
+        got = nb.verify_open_inequality(n, p, "sample", samples=300, seed=seed)
+        bound = _tables.initial_segment_open_sizes(n, p)
+        strings = nb._subset_strings(n)
+        assert got.violations
+        for w in got.violations:
+            fam = sum(1 << strings.index(x) for x in w["family"])
+            size = (_tables.closed_bits(fam, n, p) & ~fam).bit_count()
+            assert w["open_size"] == size > w["bound"] == bound[fam.bit_count()], w
+
 
 def simplicial_oracle(n):
     """The (a, p, closed) violations of verify_initial_segment_closure(n):

@@ -286,11 +286,14 @@ class TestRadiusStacks:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_expansions_increase_with_the_subground_rank(self, n):
-        # what makes a join one bit deposit: both sides land in rank order
+        # what makes a join one bit deposit: both sides land in rank order,
+        # so each side's ranks, taken in rank order, compact to 0, 1, ...
+        half = list(range(1 << (n - 1)))
         for j in range(n):
             t = _tables.section_tables(n, j)
-            for expand in (t.expand_minus, t.expand_plus):
-                assert all(a < b for a, b in zip(expand, expand[1:])), (n, j)
+            minus = t.minus_selector
+            for side in (minus, _tables.universe_bits(n) ^ minus):
+                assert [t.compact_rank[r] for r in _tables.member_ranks(side)] == half, (n, j)
 
     def test_join_radii_reads_no_ball_table(self, monkeypatch):
         def refuse(n, p):
