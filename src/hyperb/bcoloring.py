@@ -637,21 +637,27 @@ def _extend(rows, seeds, charge, cuts):
     missing[t] the colors of the seeds apart from seed t (not t, not
     adjacent), and needers[c] the seeds missing c, which is missing[c], as
     seeds t and c are apart iff c and t are.  The uncolored vertices are
-    then colored by _search, the vertex with the fewest allowed colors
-    first (ties to the lowest index), its colors ascending; the counts are
-    bit-sliced, with planes[j] holding the vertices whose count has bit j
-    set.
+    then colored by _search: a forced vertex (below) whenever there is one,
+    the lowest index first, with its forced color only; else the vertex
+    with the fewest allowed colors (ties to the lowest index), its colors
+    ascending.  The counts are bit-sliced, with planes[j] holding the
+    vertices whose count has bit j set.
 
     A demand is a seed t with a color c of missing[t]; its candidates are
     t's uncolored neighbors still in can[c].  One with no candidate refutes
     the state, so any seed tuple may be passed, though those of
     _seed_tuples pass the coverage test.  One with a single candidate u
     forces u to take c, since u alone can still show c to t; `forced` maps
-    forced vertices to their colors, and a vertex forced to two colors
-    refutes the state (cuts[3] counts such states).  This is sound:
-    candidate sets only shrink along a path, so an entry stays valid until
-    u takes c or t fails coverage, and a completion would have to give u
-    both colors, so the first completion in the fixed order is never cut.
+    forced vertices to their colors, `pending` is the bitset of its keys,
+    and a vertex forced to two colors refutes the state (cuts[3] counts
+    such states).  This is sound: candidate sets only shrink along a path,
+    so an entry stays valid until u takes c or t fails coverage.  A
+    completion would have to give u both colors, so a clash cuts none; and
+    u given any color but c leaves t's demand for c with no candidate, so
+    coloring u with c alone drops only children that would be refuted at
+    once.  The vertex order decides which completion of a seed tuple is
+    found first, never whether there is one (unit propagation, Davis,
+    Logemann and Loveland 1962).
     """
     charge()
     count = len(rows)
@@ -692,8 +698,11 @@ def _extend(rows, seeds, charge, cuts):
             carry &= plane
             j += 1
     seed_rows = [rows[d] for d in seeds]
+    pending = 0
+    for u in trail:
+        pending |= 1 << u
     if _search(rows, seed_rows, seed_mask, color, can, missing, missing[:], uncolored,
-               planes, forced, trail, charge, cuts):
+               planes, forced, trail, pending, charge, cuts):
         return color
     return None
 
@@ -712,32 +721,53 @@ def _forces_clash(forced, trail, cuts, cand, c):
 
 
 def _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
-            planes, forced, trail, charge, cuts):
+            planes, forced, trail, pending, charge, cuts):
     """The backtracking below an _extend root.
 
-    Each child is tested before it is entered, on the demands that coloring
-    v with c touched; the parent passed, so no other demand can fail.  The
+    Each state colors one vertex v: the lowest one of `pending`, the forced
+    vertices still uncolored, with its forced color only, or else the
+    vertex with the fewest allowed colors, each of them in turn.  Each
+    child is tested before it is entered, on the demands that coloring v
+    with c touched; the parent passed, so no other demand can fail.  The
     seeds adjacent to v meet c and lose v from their pools, which changes
     their counts and the demands v was a candidate of (`allowed`); those of
     needers[c] lose the vertices `lost` that leave can[c], whose counts the
     child decrements.  A demand left with one candidate adds an entry to
-    `forced`, undone on backtrack (`trail`).  A refuted child costs a node.
+    `forced` and its vertex to the child's `pending`; the entry is undone on
+    backtrack (`trail`), and `pending`, passed by value, needs no undo.  A
+    refuted child costs a node.
     """
     if not uncolored:
         return not any(missing)
-    # the most-constrained vertex, ties by index: narrow plane by plane
-    fewest = uncolored
-    some = False
-    for plane in reversed(planes):
-        lower = fewest & ~plane
-        if lower:
-            fewest = lower
-        else:
-            some = True
-    if not some:
-        return False  # an uncolored vertex has no allowed color
-    bit_v = fewest & -fewest
-    v = bit_v.bit_length() - 1
+    pending &= uncolored
+    if pending:
+        # a forced vertex, lowest index first, with its forced color only;
+        # every demand of the seeds it meets is re-tested, as finding the
+        # ones it was a candidate of costs more than re-testing the rest,
+        # whose candidates it does not change
+        bit_v = pending & -pending
+        v = bit_v.bit_length() - 1
+        colors = 1 << forced[v]
+        allowed = -1
+    else:
+        # the most-constrained vertex, ties by index: narrow plane by plane
+        fewest = uncolored
+        some = False
+        for plane in reversed(planes):
+            lower = fewest & ~plane
+            if lower:
+                fewest = lower
+            else:
+                some = True
+        if not some:
+            return False  # an uncolored vertex has no allowed color
+        bit_v = fewest & -fewest
+        v = bit_v.bit_length() - 1
+        allowed = 0
+        for c, members in enumerate(can):
+            if members & bit_v:
+                allowed |= 1 << c
+        colors = allowed
     row_v = rows[v]
     rest = uncolored ^ bit_v
     adjacent = []  # the seeds adjacent to v (seed t has color t)
@@ -746,11 +776,6 @@ def _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
         low = hits & -hits
         adjacent.append(color[low.bit_length() - 1])
         hits ^= low
-    allowed = 0
-    for c, members in enumerate(can):
-        if members & bit_v:
-            allowed |= 1 << c
-    colors = allowed
     while colors:
         bit = colors & -colors
         colors ^= bit
@@ -796,6 +821,9 @@ def _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
                     break
         charge()
         if not dead:
+            queued = pending
+            for u in trail[mark:]:  # the vertices this child's test forced
+                queued |= 1 << u
             child = planes
             if lost:  # one less allowed color for each vertex of lost
                 child = planes[:]
@@ -806,7 +834,7 @@ def _search(rows, seed_rows, seed_mask, color, can, missing, needers, uncolored,
                     lost &= plane
                     j += 1
             if _search(rows, seed_rows, seed_mask, color, can, missing, needers, rest,
-                       child, forced, trail, charge, cuts):
+                       child, forced, trail, queued, charge, cuts):
                 return True
         while len(trail) > mark:
             del forced[trail.pop()]

@@ -10,7 +10,10 @@ exhaustive oracles are the natural check.
 
 first_witness checks the seed-tuple prunes alone: it walks every rooted
 seed tuple unpruned and hands each to the solver's own _extend, so a fault
-inside _extend is invisible to it.
+inside _extend is invisible to it.  first_extending_tuple walks the same
+tuples but completes each by its own brute force, seeded_extension, which
+shares no code with _extend: a fault in _extend's forced demands or vertex
+order that moves or loses the first extending tuple shows against it.
 """
 
 from __future__ import annotations
@@ -109,4 +112,53 @@ def first_witness(rows: list[int], k: int) -> list[int] | None:
             color = bc._extend(rows, seeds, lambda: None, cuts)
             if color is not None:
                 return color
+    return None
+
+
+def seeded_extension(rows: list[int], seeds: tuple[int, ...]) -> list[int] | None:
+    """A proper colouring in which seed t has colour t and sees every other
+    colour, as one colour per vertex, or None if there is none.
+
+    The other vertices are coloured in index order, each with every colour
+    no coloured neighbour has.  The only prune: a branch stops when a seed
+    has fewer uncoloured neighbours than colours it has not yet seen."""
+    k = len(seeds)
+    assign = [-1] * len(rows)
+    members = [0] * k
+    for t, s in enumerate(seeds):
+        assign[s] = t
+        members[t] |= 1 << s
+    free = [v for v, c in enumerate(assign) if c < 0]
+
+    def place(i: int, uncoloured: int) -> bool:
+        for t, s in enumerate(seeds):
+            unseen = sum(1 for c in range(k) if c != t and not rows[s] & members[c])
+            if unseen > (rows[s] & uncoloured).bit_count():
+                return False
+        if i == len(free):
+            return True
+        v = free[i]
+        for c in range(k):
+            if not rows[v] & members[c]:
+                members[c] |= 1 << v
+                assign[v] = c
+                if place(i + 1, uncoloured ^ 1 << v):
+                    return True
+                members[c] ^= 1 << v
+        return False
+
+    return assign if place(0, sum(1 << v for v in free)) else None
+
+
+def first_extending_tuple(rows: list[int], k: int) -> tuple[int, ...] | None:
+    """The first seed tuple (0, *rest), rest in combinations(range(1,
+    len(rows)), k - 1), that seeded_extension completes; None if none does.
+
+    The power graphs are vertex-transitive, so some b-colouring with k
+    colours has a dominating vertex at 0 iff there is one at all, and the
+    exact solver's witness at its value must extend this tuple."""
+    for rest in combinations(range(1, len(rows)), k - 1):
+        seeds = (0, *rest)
+        if seeded_extension(rows, seeds) is not None:
+            return seeds
     return None

@@ -338,8 +338,8 @@ class TestExactSolver:
         # it searches; that last entry of cuts_by_k counts states, the others
         # seed prefixes
         res = bc.exact_b_chromatic(bc.hamming_power(2, 3, 1), BUDGET)
-        assert res.nodes_by_k == ((5, 20), (4, 60))
-        assert res.cuts_by_k == ((5, 20, 4, 5, 2), (4, 17, 2, 2, 5))
+        assert res.nodes_by_k == ((5, 20), (4, 30))
+        assert res.cuts_by_k == ((5, 20, 4, 5, 2), (4, 17, 2, 2, 3))
 
     def test_node_cap_inside_the_prefix_test(self, monkeypatch):
         # Q_4^3 refutes every k above the greedy 8 by prefix tests alone, so
@@ -360,8 +360,8 @@ class TestExactSolver:
         g = bc.hypercube_power(5, 3)
         assert bounds.upper_new(5, 3) == 17 < bc._adjacency_rows(g)[0].bit_count() + 1
         res = bc.exact_b_chromatic(g, BUDGET)
-        assert (res.value, res.exact, res.nodes) == (17, True, 553)
-        assert (res.upper, res.upper_source, res.nodes_by_k) == (17, "upper_new", ((17, 553),))
+        assert (res.value, res.exact, res.nodes) == (17, True, 277)
+        assert (res.upper, res.upper_source, res.nodes_by_k) == (17, "upper_new", ((17, 277),))
         assert bc.validate_coloring(g, res.coloring).valid_b
 
     def test_q5p4_is_exact_without_a_paper_bound(self):
@@ -463,6 +463,33 @@ class TestRootedSeeds:
         for k, _ in res.nodes_by_k:
             expected = list(res.coloring.assignment) if k == res.value else None
             assert oracles.first_witness(rows, k) == expected, k
+
+    TUPLES = [pytest.param(tag, g, id=tag) for tag, g in GRAPHS[1:] + WITNESSED[-1:]] + [
+        pytest.param("Q4p3", bc.hypercube_power(4, 3), id="Q4p3", marks=pytest.mark.slow),
+        pytest.param("H2q4p1", bc.hamming_power(2, 4, 1), id="H2q4p1", marks=pytest.mark.slow),
+        pytest.param("Q4p2", bc.hypercube_power(4, 2), id="Q4p2", marks=pytest.mark.slow),
+    ]  # the slow three take 1-6 s each, the rest under 0.1 s together
+
+    @pytest.mark.parametrize("tag,g", TUPLES)
+    def test_witness_extends_the_first_seeded_tuple(self, tag, g):
+        # oracles.first_extending_tuple shares no code with _seed_tuples or
+        # _extend: at every k the solver refuted it finds no tuple, and at
+        # the value the witness gives the first tuple's seed t color t and
+        # lets each seed see every other color
+        res = bc.exact_b_chromatic(g, BUDGET)
+        rows = bc._adjacency_rows(g)
+        for k, _ in res.nodes_by_k:
+            seeds = oracles.first_extending_tuple(rows, k)
+            if k != res.value:
+                assert seeds is None, k
+                continue
+            assignment = res.coloring.assignment
+            assert [assignment[s] for s in seeds] == list(range(k))
+            seen = bc._neighbor_color_masks(rows, assignment, k)
+            assert all(seen[s] | 1 << t == (1 << k) - 1 for t, s in enumerate(seeds))
+            # and the oracle's own completion of it is a b-coloring
+            own = bc.Coloring(tuple(oracles.seeded_extension(rows, seeds)), k)
+            assert bc.validate_coloring(g, own).valid_b
 
     AUTOMORPHISMS = WITNESSED + [("H3q3p2", bc.hamming_power(3, 3, 2))]
 
@@ -611,20 +638,20 @@ class TestGoldenSearch:
     CASES = [
         ("Q3p2", bc.hypercube_power(3, 2), 4, 21,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("Q4p1", bc.hypercube_power(4, 1), 5, 301,
+        ("Q4p1", bc.hypercube_power(4, 1), 5, 101,
          "85c95247468dc04c1bac2daa24b723205c8b4cb4e50906ca4eb447b0a42b1f9c"),
-        ("Q4p2", bc.hypercube_power(4, 2), 8, 5992,
+        ("Q4p2", bc.hypercube_power(4, 2), 8, 2204,
          "58a4794f79f73c7ce29775e282015971c6414697faa436d2a0f6b6ec4d0a10cc"),
         ("Q4p3", bc.hypercube_power(4, 3), 8, 351,
          "adbdd360638c6d6790a5d95af2d63f719a3d99a2b6b06e15ba7968cdd5b8d30d"),
-        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 80,
+        ("H2q3p1", bc.hamming_power(2, 3, 1), 3, 50,
          "77bbd917d8c906848bf469cdd2b8cc6e5a91a37c609b0b266260b2ebd4e68a8f"),
-        ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 12,
+        ("H3q2p1", bc.hamming_power(3, 2, 1), 4, 8,
          "d5b5ba9c11d0f80ff11ed2cbec64eb1e23c09b2134b4c47f3786d85a73c70d45"),
-        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 2825,
+        ("H2q4p1", bc.hamming_power(2, 4, 1), 6, 947,
          "54edac8c293315eab791e5214376b16503faeb73aeb41dc3898c339ccb308b57"),
-        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 1958,
-         "2422d61c4cd0d9ef922d5d0c0615b00992633ac1549489739cf8656c6ccc0c3f"),
+        ("H3q3p1", bc.hamming_power(3, 3, 1), 7, 1522,
+         "3e0954053eef9269803bd754684747c41164bc3999b0d52979cfb76c30c76672"),
     ]
 
     @pytest.mark.parametrize("tag,g,value,nodes,digest", CASES, ids=[c[0] for c in CASES])

@@ -97,7 +97,7 @@ SERIALISER_CASES = [
     ("solve-Q3p2", ["solve", "--hypercube", "3", "--p", "2"],
      "0f5c2817ada71d4124f09d4fff76fa8263af62d71ebad972fc0a62346959cf4b"),
     ("solve-H2q3p1", ["solve", "--hamming", "2,3", "--p", "1"],
-     "b8c9991cfd2e6de7accd3a226f17a6b17063f37442cee28f1c1f12a38c2588de"),
+     "6d0f66f88cf1f9ba75c4ac609ac174049d9f89d55352c6c46d944ae750d87fd1"),
     ("color-n3q2p2", ["color", "--n", "3", "--q", "2", "--p", "2"],
      "7f6b84ea6e3116fda560b905c73f03acb8e513c904741cc57467fd28b8fe660b"),
     ("coset-n4q3p3", ["verify", "--theorem", "coset", "--n", "4", "--q", "3", "--p", "3"],
